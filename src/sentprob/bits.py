@@ -1,4 +1,4 @@
-"""Bit strings, advance-only readers, Elias gamma codes, and seeded bit streams.
+"""Bit strings, Elias gamma codes, and seeded bit streams.
 
 Bit strings are MSB-first: bit 0 is the leftmost bit. All randomness in the
 package flows through ``derive_seed`` / ``random_bits`` so that runs are
@@ -8,10 +8,6 @@ reproducible across platforms and Python versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-class BitsExhausted(Exception):
-    """Raised when a reader is asked for bits past the end of its source."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,43 +49,6 @@ class Bits:
 EMPTY_BITS = Bits(0, 0)
 
 
-class BitReader:
-    """Advance-only cursor over a finite ``Bits``.
-
-    ``read()`` returns None at exhaustion (a signal, not an error); the
-    ``take*`` helpers raise ``BitsExhausted`` instead, for decoders that
-    treat truncation as an incomplete input.
-    """
-
-    __slots__ = ("bits", "pos")
-
-    def __init__(self, bits: Bits) -> None:
-        self.bits = bits
-        self.pos = 0
-
-    def remaining(self) -> int:
-        return self.bits.length - self.pos
-
-    def read(self) -> int | None:
-        if self.pos >= self.bits.length:
-            return None
-        b = self.bits.bit(self.pos)
-        self.pos += 1
-        return b
-
-    def take(self) -> int:
-        b = self.read()
-        if b is None:
-            raise BitsExhausted(self.pos)
-        return b
-
-    def take_int(self, width: int) -> int:
-        v = 0
-        for _ in range(width):
-            v = (v << 1) | self.take()
-        return v
-
-
 def gamma_encode(v: int) -> Bits:
     """Elias gamma code of v >= 1: (bitlen-1) zeros, then v in binary."""
     if v < 1:
@@ -98,14 +57,17 @@ def gamma_encode(v: int) -> Bits:
     return Bits(v, 2 * width - 1)
 
 
-def read_gamma(reader: BitReader) -> int:
-    zeros = 0
-    while reader.take() == 0:
-        zeros += 1
-    v = 1
-    for _ in range(zeros):
-        v = (v << 1) | reader.take()
-    return v
+def read_gamma(value: int, length: int, pos: int) -> tuple[int, int] | None:
+    """Read the gamma code that starts at bit pos of the length-bit string
+    value. Returns (v, end), end being the position just past the code, or
+    None when the string ends inside the code."""
+    rest = length - pos
+    tail = value & ((1 << rest) - 1)
+    zeros = rest - tail.bit_length()
+    end = pos + 2 * zeros + 1
+    if end > length:
+        return None
+    return tail >> (length - end), end
 
 
 _MASK64 = (1 << 64) - 1

@@ -163,6 +163,19 @@ def wilson_halfwidth(successes: int, samples: int) -> float:
     )
 
 
+def monte_carlo_estimate(count: int, samples: int, seed: int, undecided: int = 0) -> Estimate:
+    """The Monte Carlo estimate of count hits in samples draws, with its 95%
+    Wilson half-width."""
+    return Estimate(
+        Fraction(count, samples),
+        EstimateMode.MONTE_CARLO,
+        samples,
+        wilson_halfwidth(count, samples),
+        seed,
+        undecided,
+    )
+
+
 def stage_axioms(stage: StageParams) -> ClaimSet:
     return ClaimSet.of(stage.theory.axiom_at(i) for i in range(stage.axioms))
 
@@ -236,13 +249,7 @@ def membership_probability(
     if samples < 1:
         raise ValueError("need at least one sample")
     count = membership_counts([phi], stage, samples, seed, cache)[0]
-    return Estimate(
-        Fraction(count, samples),
-        EstimateMode.MONTE_CARLO,
-        samples,
-        wilson_halfwidth(count, samples),
-        seed,
-    )
+    return monte_carlo_estimate(count, samples, seed)
 
 
 def _vector_strings(value: int, machines: int, width: int) -> list[Bits]:
@@ -311,16 +318,7 @@ def sequence_trajectories(
         counts = membership_counts(battery, stage, samples, seed, cache)
         by_sentence = dict(zip(battery, counts))
         for seq, member in zip(seqs, members):
-            c = by_sentence[member]
-            result[seq.id].append(
-                Estimate(
-                    Fraction(c, samples),
-                    EstimateMode.MONTE_CARLO,
-                    samples,
-                    wilson_halfwidth(c, samples),
-                    seed,
-                )
-            )
+            result[seq.id].append(monte_carlo_estimate(by_sentence[member], samples, seed))
     return result
 
 
@@ -503,14 +501,7 @@ def extension_probabilities(
             elif models & ~neg[j]:
                 undecided[j] += 1
     return [
-        Estimate(
-            Fraction(counts[j], samples),
-            EstimateMode.MONTE_CARLO,
-            samples,
-            wilson_halfwidth(counts[j], samples),
-            seed,
-            undecided=undecided[j],
-        )
+        monte_carlo_estimate(counts[j], samples, seed, undecided[j])
         for j in range(len(battery))
     ]
 

@@ -34,13 +34,12 @@ from .consistency import ConCache, ConParams
 from .estimator import (
     GROWTH_CAP,
     Estimate,
-    EstimateMode,
     StageParams,
     default_growth,
     extension_probabilities,
     membership_counts,
+    monte_carlo_estimate,
     sequence_trajectories,
-    wilson_halfwidth,
 )
 from .logic import ParseError, Sentence, parse_sentence, render_sentence
 from .sequences import sequence_by_id
@@ -498,16 +497,7 @@ def run_crosscheck(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Cros
     stage = cfg.schedule[-1]
     battery = list(spec.battery)
     counts = membership_counts(battery, stage, cfg.samples, cfg.seed)
-    memberships = [
-        Estimate(
-            Fraction(c, cfg.samples),
-            mode=EstimateMode.MONTE_CARLO,
-            samples=cfg.samples,
-            ci_halfwidth=wilson_halfwidth(c, cfg.samples),
-            seed=cfg.seed,
-        )
-        for c in counts
-    ]
+    memberships = [monte_carlo_estimate(c, cfg.samples, cfg.seed) for c in counts]
     extensions = extension_probabilities(
         battery,
         derive_seed(cfg.seed, 1),

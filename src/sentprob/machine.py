@@ -27,7 +27,18 @@ spends one step emitting member n and halts; an index beyond the step budget
 is dropped (the member is never materialized), which keeps a t-step run from
 building sentences no t-step process could use.
 
-Decoding costs no run steps; the step budget governs run_bounded only. The
+API: ``decode_program(bits)`` decodes the program at the front of a bit
+string and returns it with the position of its first data bit, or None when
+the string ends inside the encoding. ``run_prefix(bits, t)`` decodes and runs
+under a budget of t steps, reading the data as an integer slice of
+``bits.value``: gamma codes are read by counting leading zeros, each
+instruction's 6 bits come out with one mask, LOADBIT shifts its bit out of the
+data integer, and an indexed generator's run is computed in closed form from
+the data's leading-zero count. Stream generators ignore their data, so their
+traces are memoised by (slot, t) in a bounded cache; repeated runs share the
+emitted sentence objects and the hashes cached on them.
+
+Decoding costs no run steps; the step budget governs the run only. The
 trace invariant bits_read <= steps_used refers to data bits.
 """
 
@@ -35,10 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from math import isqrt
 from typing import Optional, Union
 
-from .bits import BitReader, Bits, BitsExhausted, gamma_encode, read_gamma
+from .bits import Bits, gamma_encode, read_gamma
 from .logic import Sentence, sentence_at
 from .sequences import SequenceDef, builtin_catalog, sequence_by_id
 
@@ -74,8 +86,12 @@ class MachineProgram:
 
 @dataclass(frozen=True)
 class GeneratorProgram:
-    family: SequenceDef
+    slot: int  # position in sequences.builtin_catalog()
     indexed: bool
+
+    @property
+    def family(self) -> SequenceDef:
+        return builtin_catalog()[self.slot]
 
 
 Program = Union[MachineProgram, GeneratorProgram]
@@ -92,28 +108,49 @@ class OutputTrace:
 _EMPTY_TRACE = OutputTrace((), 0, True, 0)
 
 
-def decode_program(reader: BitReader) -> Optional[Program]:
-    """Decode one program, leaving the cursor at the first data bit.
-    Returns None when the source runs out mid-encoding."""
-    try:
-        header = read_gamma(reader)
-        if header == 1:
-            slot = read_gamma(reader)
-            mode = reader.take()
-            family = builtin_catalog()[(slot - 1) % SLOT_COUNT]
-            return GeneratorProgram(family, indexed=bool(mode))
-        count = header - 1
-        instructions = []
-        for _ in range(count):
-            op = Opcode(reader.take_int(4) % 8)
-            reg = reader.take_int(2)
-            target = 0
-            if op is Opcode.JZ:
-                target = (read_gamma(reader) - 1) % count
-            instructions.append(Instruction(op, reg, target))
-        return MachineProgram(tuple(instructions))
-    except BitsExhausted:
+# Module-level aliases: looking a member up on the enum class costs about
+# ten times as much as a global, and the interpreter does it every step.
+_OPCODES = tuple(Opcode)
+_INC, _DEC, _JZ, _OUT, _HALT, _LOADBIT, _SHL = _OPCODES[:7]
+
+
+def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
+    """Decode the program at the front of bits. Returns it with the position
+    of its first data bit, or None when bits end inside the encoding."""
+    value, length = bits.value, bits.length
+    head = read_gamma(value, length, 0)
+    if head is None:
         return None
+    header, pos = head
+    if header == 1:
+        code = read_gamma(value, length, pos)
+        if code is None or code[1] == length:
+            return None
+        slot, pos = code
+        indexed = (value >> (length - 1 - pos)) & 1
+        return GeneratorProgram((slot - 1) % SLOT_COUNT, bool(indexed)), pos + 1
+    count = header - 1
+    # Every instruction takes at least 6 bits, so a count the rest of the
+    # string cannot hold is incomplete without decoding any instruction; only
+    # a jump target's gamma code can use up that room later.
+    if pos + 6 * count > length:
+        return None
+    instructions = []
+    for later in range(count - 1, -1, -1):
+        pos += 6
+        word = (value >> (length - pos)) & 0x3F
+        op = _OPCODES[(word >> 2) & 7]
+        target = 0
+        if op is _JZ:
+            code = read_gamma(value, length, pos)
+            if code is None:
+                return None
+            target, pos = code
+            target = (target - 1) % count
+            if pos + 6 * later > length:
+                return None
+        instructions.append(Instruction(op, word & 3, target))
+    return MachineProgram(tuple(instructions)), pos
 
 
 def _slot_of(fid: str) -> int:
@@ -164,107 +201,94 @@ def assemble_stream_emitter(fid: str) -> Bits:
     return encode_generator(fid, indexed=False)
 
 
-def run_bounded(program: Program, data: BitReader, t: int) -> OutputTrace:
+def run_prefix(bits: Bits, t: int) -> OutputTrace:
+    """Decode a program from the front of bits and run it for at most t steps
+    on the remainder. An incomplete encoding yields the empty trace."""
     if t < 0:
         raise ValueError("step budget must be a natural number")
+    decoded = decode_program(bits)
+    if decoded is None:
+        return _EMPTY_TRACE
+    program, pos = decoded
+    if isinstance(program, GeneratorProgram) and not program.indexed:
+        return _stream_trace(program.slot, t)
+    width = bits.length - pos
+    data = bits.value & ((1 << width) - 1)
     if isinstance(program, GeneratorProgram):
-        return _run_generator(program, data, t)
-    return _run_machine(program, data, t)
+        return _run_indexed(program.family, data, width, t)
+    return _run_machine(program, data, width, t)
 
 
-def _run_generator(program: GeneratorProgram, data: BitReader, t: int) -> OutputTrace:
-    family = program.family
-    if not program.indexed:
-        members = isqrt(t // 4)
-        emitted = tuple(family.emit(i) for i in range(members))
-        return OutputTrace(emitted, t, False, 0)
-    zeros = 0
-    steps = 0
-    value: Optional[int] = None
-    while steps < t:
-        bit = data.read()
-        if bit is None:
-            return OutputTrace((), steps, True, steps)
-        steps += 1
-        if bit == 0:
-            zeros += 1
-            continue
-        value = 1
-        break
-    if value is None:
-        return OutputTrace((), steps, False, steps)
-    for _ in range(zeros):
-        if steps >= t:
-            return OutputTrace((), steps, False, steps)
-        bit = data.read()
-        if bit is None:
-            return OutputTrace((), steps, True, steps)
-        steps += 1
-        value = value * 2 + bit
-    n = value - 1
-    bits_read = steps
+# A run uses one budget per stage, so a few hundred entries hold every live
+# (slot, t) pair while the bound keeps memory flat for callers that sweep t.
+@lru_cache(maxsize=256)
+def _stream_trace(slot: int, t: int) -> OutputTrace:
+    family = builtin_catalog()[slot]
+    return OutputTrace(tuple(family.emit(i) for i in range(isqrt(t // 4))), t, False, 0)
+
+
+def _run_indexed(family: SequenceDef, data: int, width: int, t: int) -> OutputTrace:
+    """Closed form of reading gamma(n+1) from the width-bit data one bit per
+    step: the code spans need = 2z + 1 bits, z being the data's leading zeros
+    (all of them when the data has no 1). The read stops at bit min(t, width)
+    if that comes first, on the budget when t <= width, else on the data."""
+    need = 2 * (width - data.bit_length()) + 1
+    if t < need or width < need:
+        if t <= width:
+            return OutputTrace((), t, False, t)
+        return OutputTrace((), width, True, width)
+    n = (data >> (width - need)) - 1
     if n > t:
-        return OutputTrace((), steps, True, bits_read)
-    if steps >= t:
-        return OutputTrace((), steps, False, bits_read)
-    steps += 1
-    return OutputTrace((family.emit(n),), steps, True, bits_read)
+        return OutputTrace((), need, True, need)
+    if need >= t:
+        return OutputTrace((), need, False, need)
+    return OutputTrace((family.emit(n),), need + 1, True, need)
 
 
-def _run_machine(program: MachineProgram, data: BitReader, t: int) -> OutputTrace:
+def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> OutputTrace:
     instructions = program.instructions
+    size = len(instructions)
     regs = [0, 0, 0, 0]
     emitted: list[Sentence] = []
     pc = 0
     steps = 0
-    bits_read = 0
+    left = width  # data bits not yet loaded; the next one is bit left-1 of data
     halted = False
     while steps < t:
-        if pc >= len(instructions):
+        if pc >= size:
             halted = True
             break
         ins = instructions[pc]
         steps += 1
         op = ins.op
-        if op is Opcode.INC:
+        if op is _INC:
             regs[ins.reg] += 1
             pc += 1
-        elif op is Opcode.DEC:
+        elif op is _DEC:
             if regs[ins.reg]:
                 regs[ins.reg] -= 1
             pc += 1
-        elif op is Opcode.JZ:
+        elif op is _JZ:
             pc = ins.target if regs[ins.reg] == 0 else pc + 1
-        elif op is Opcode.OUT:
+        elif op is _OUT:
             emitted.append(sentence_at(regs[ins.reg]))
             pc += 1
-        elif op is Opcode.HALT:
+        elif op is _HALT:
             halted = True
             break
-        elif op is Opcode.LOADBIT:
-            bit = data.read()
-            if bit is None:
+        elif op is _LOADBIT:
+            if not left:
                 halted = True
                 break
-            bits_read += 1
-            regs[ins.reg] = regs[ins.reg] * 2 + bit
+            left -= 1
+            regs[ins.reg] = regs[ins.reg] * 2 + ((data >> left) & 1)
             pc += 1
-        elif op is Opcode.SHL:
+        elif op is _SHL:
             regs[ins.reg] *= 2
             pc += 1
         else:
             pc += 1
-    return OutputTrace(tuple(emitted), steps, halted, bits_read)
-
-
-def run_prefix(bits: Bits, t: int) -> OutputTrace:
-    """Decode a program from the front of bits and run it on the remainder.
-    An incomplete encoding yields the empty trace."""
-    reader = BitReader(bits)
-    program = decode_program(reader)
-    if program is None:
-        return _EMPTY_TRACE
-    return run_bounded(program, reader, t)
+    return OutputTrace(tuple(emitted), steps, halted, width - left)
 
 
 def machine_backed(fid: str, budget_slack: int = 16) -> SequenceDef:

@@ -4,9 +4,7 @@ import pytest
 
 from sentprob.bits import (
     EMPTY_BITS,
-    BitReader,
     Bits,
-    BitsExhausted,
     derive_seed,
     gamma_encode,
     random_bits,
@@ -50,24 +48,6 @@ def test_starts_with():
     assert not b.starts_with(Bits.from_string("110101"))
 
 
-def test_reader_read_vs_take():
-    r = BitReader(Bits.from_string("10"))
-    assert (r.read(), r.read(), r.read()) == (1, 0, None)
-    r2 = BitReader(Bits.from_string("1"))
-    assert r2.take() == 1
-    with pytest.raises(BitsExhausted):
-        r2.take()
-
-
-def test_reader_take_int():
-    r = BitReader(Bits.from_string("101100"))
-    assert r.take_int(3) == 0b101
-    assert r.remaining() == 3
-    assert r.take_int(0) == 0
-    with pytest.raises(BitsExhausted):
-        r.take_int(4)
-
-
 # Worked gamma codes: 1 -> 1, 2 -> 010, 3 -> 011, 12 -> 0001100.
 def test_gamma_known_codes():
     assert gamma_encode(1).to_string() == "1"
@@ -82,21 +62,30 @@ def test_gamma_round_trip():
     for v in list(range(1, 200)) + [2**10, 2**17 - 1, 2**17]:
         enc = gamma_encode(v)
         assert enc.length == 2 * v.bit_length() - 1
-        r = BitReader(enc)
-        assert read_gamma(r) == v
-        assert r.remaining() == 0
+        assert read_gamma(enc.value, enc.length, 0) == (v, enc.length)
+        # Trailing bits after the code change neither the value nor the end.
+        padded = enc.concat(Bits.from_string("101"))
+        assert read_gamma(padded.value, padded.length, 0) == (v, enc.length)
 
 
 def test_gamma_concatenation_is_self_delimiting():
     stream = gamma_encode(5).concat(gamma_encode(1)).concat(gamma_encode(9))
-    r = BitReader(stream)
-    assert [read_gamma(r) for _ in range(3)] == [5, 1, 9]
+    pos, values = 0, []
+    for _ in range(3):
+        v, pos = read_gamma(stream.value, stream.length, pos)
+        values.append(v)
+    assert values == [5, 1, 9]
+    assert pos == stream.length
 
 
 def test_read_gamma_truncated():
-    r = BitReader(Bits.from_string("00"))
-    with pytest.raises(BitsExhausted):
-        read_gamma(r)
+    for s in ("", "00", "001", "0001100"[:6]):
+        b = Bits.from_string(s)
+        assert read_gamma(b.value, b.length, 0) is None
+    # A code that starts mid-string is cut by the end of the string alike.
+    b = Bits.from_string("1" "0001")
+    assert read_gamma(b.value, b.length, 1) is None
+    assert read_gamma(b.value, b.length, b.length) is None
 
 
 def test_derive_seed_is_stable_and_sensitive():
