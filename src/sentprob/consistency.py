@@ -1,59 +1,38 @@
 """Bounded consistency gate over claim sets.
 
 ``consistent_enough`` is the acceptance test a claim set must pass before it
-absorbs new sentences: a direct bounded refutation attempt, plus an optional
-probe stage that rejects a set whenever some subset can be refuted under a
-probe sentence and under its negation (which pins the subset as contradictory
-even when the direct attempt runs out of budget).
+absorbs new sentences: the set is accepted unless ``refute_bounded`` derives
+the empty clause from it within the proof budget.
 
 The gate is deliberately one-sided. False means a contradiction was exhibited
-within budget; true means none was found, not that none exists. Adding
-sentences to a set can therefore only move the verdict from true to false,
-never back (``antitone_check`` spot-checks that law).
+within budget; true means none was found, not that none exists. Raising the
+budget can only move a verdict from true to false. Adding sentences to a set
+should do the same (``antitone_check`` spot-checks that law), but the bounded
+search does not guarantee it: new clauses reorder the search, and at budgets
+of a few inferences that can push a refutation past the budget.
 
-Probe sentences come from a prefix of the canonical enumeration: the first
-``probe_pool_cap`` indices are scanned and those within the size cap kept, so
-raising the size cap only ever adds probes. The subset stage recurses with a
-shrinking depth allowance; depth 0 is the plain refutation check. Verdicts
-are memoized per (claim-set key, remaining depth) in a ``ConCache``, which is
-an idempotent map and may be shared across calls.
+Refutation attempts are memoized per claim-set key in a ``ConCache``, which
+may be shared across calls and across budgets: a stored attempt answers a
+later call only at the budgets whose verdict it settles, and anything else is
+recomputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .logic import Not, Sentence, render_sentence, sentence_at, sentence_size
-from .prover import refute_bounded
+from .logic import Sentence, render_sentence
+from .prover import RefutationResult, refute_bounded
 
 
 @dataclass(frozen=True, slots=True)
 class ConParams:
     proof_budget: int
-    sentence_size_cap: int = 64
-    probe_pool_cap: int = 256
-    subset_cap: int = 12
-    probe_depth: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("proof_budget", "sentence_size_cap", "probe_pool_cap",
-                     "subset_cap", "probe_depth"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be a natural number")
-
-
-class SetCapExceeded(Exception):
-    """Claim set too large for the subset probe stage; scale the set or the
-    params down rather than silently approximating."""
-
-    def __init__(self, size: int, cap: int) -> None:
-        super().__init__(
-            f"claim set has {size} members; the subset stage is capped at {cap}"
-        )
-        self.size = size
-        self.cap = cap
+        if self.proof_budget < 0:
+            raise ValueError("proof_budget must be a natural number")
 
 
 class ClaimSet:
@@ -111,79 +90,53 @@ EMPTY_CLAIMS = ClaimSet.of(())
 
 
 class ConCache:
-    """Shared memo for consistency verdicts, plus counters the harness can
-    report. Keys are (claim-set key, remaining probe depth)."""
+    """Shared memo for gate verdicts, plus counters the harness can report.
+    Keyed by claim-set key; each entry is the latest refutation attempt on
+    that set, which decides the verdict at every budget it speaks for (see
+    ``_verdict_at``)."""
 
-    __slots__ = ("data", "hits", "misses", "max_depth")
+    __slots__ = ("data", "hits", "misses")
 
     def __init__(self) -> None:
-        self.data: dict[tuple[tuple[str, ...], int], bool] = {}
+        self.data: dict[tuple[str, ...], RefutationResult] = {}
         self.hits = 0
         self.misses = 0
-        self.max_depth = 0
 
     def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self.data),
-            "hits": self.hits,
-            "misses": self.misses,
-            "max_depth": self.max_depth,
-        }
+        return {"entries": len(self.data), "hits": self.hits, "misses": self.misses}
 
 
-@lru_cache(maxsize=64)
-def probe_pool(pool_cap: int, size_cap: int) -> tuple[Sentence, ...]:
-    """First pool_cap enumeration indices, keeping sentences within the size
-    cap. The scanned prefix is fixed by pool_cap alone."""
-    return tuple(
-        s for s in map(sentence_at, range(pool_cap)) if sentence_size(s) <= size_cap
-    )
+def _verdict_at(result: RefutationResult, budget: int) -> Optional[bool]:
+    """The gate verdict at ``budget`` implied by an attempt made at some
+    budget, or None if the attempt does not settle it. The search order does
+    not depend on the budget, so a refutation after s inferences is found
+    exactly when budget >= s, a saturated search accepts at every budget, and
+    a search cut off after b0 inferences accepts at every budget <= b0."""
+    if result.refuted:
+        return budget < result.steps_used
+    if result.saturated or budget <= result.steps_used:
+        return True
+    return None
 
 
 def consistent_enough(
     claims: ClaimSet, params: ConParams, cache: Optional[ConCache] = None
 ) -> bool:
-    """False iff a contradiction in the claims is exhibited within budget,
-    either by direct refutation or through the subset probe stage."""
+    """False iff ``refute_bounded`` refutes the claims within
+    ``params.proof_budget`` inferences."""
     if cache is None:
         cache = ConCache()
-    return _verdict(claims, params.probe_depth, params, cache)
-
-
-def _verdict(claims: ClaimSet, depth: int, params: ConParams, cache: ConCache) -> bool:
-    key = (claims.key, depth)
-    cached = cache.data.get(key)
-    if cached is not None:
-        cache.hits += 1
-        return cached
+    budget = params.proof_budget
+    known = cache.data.get(claims.key)
+    if known is not None:
+        verdict = _verdict_at(known, budget)
+        if verdict is not None:
+            cache.hits += 1
+            return verdict
     cache.misses += 1
-    level = params.probe_depth - depth
-    if level > cache.max_depth:
-        cache.max_depth = level
-    result = not refute_bounded(claims.sentences, params.proof_budget).refuted
-    if result and depth > 0:
-        result = _probe_stage(claims, depth, params, cache)
-    cache.data[key] = result
-    return result
-
-
-def _probe_stage(claims: ClaimSet, depth: int, params: ConParams, cache: ConCache) -> bool:
-    if len(claims) > params.subset_cap:
-        raise SetCapExceeded(len(claims), params.subset_cap)
-    pool = probe_pool(params.probe_pool_cap, params.sentence_size_cap)
-    members = claims.sentences
-    for mask in range(1 << len(members)):
-        subset = tuple(members[i] for i in range(len(members)) if mask >> i & 1)
-        base = ClaimSet.of(subset)
-        for probe in pool:
-            negated = Not(probe)
-            if probe in base or negated in base:
-                continue
-            if _verdict(base.union((probe,)), depth - 1, params, cache):
-                continue
-            if not _verdict(base.union((negated,)), depth - 1, params, cache):
-                return False
-    return True
+    result = refute_bounded(claims.sentences, budget)
+    cache.data[claims.key] = result
+    return not result.refuted
 
 
 def antitone_check(

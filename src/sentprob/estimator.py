@@ -30,13 +30,7 @@ from math import sqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bits import Bits, derive_seed, random_bits
-from .consistency import (
-    ClaimSet,
-    ConCache,
-    ConParams,
-    SetCapExceeded,
-    consistent_enough,
-)
+from .consistency import ClaimSet, ConCache, ConParams, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
 from .machine import run_prefix
 from .prover import MAX_TABLE_ATOMS, truth_table
@@ -91,15 +85,11 @@ class StageParams:
 
 
 def standard_con(n: int, growth: Callable[[int], int] = default_growth) -> ConParams:
-    """Gate parameters for trend stages: refutation-only (no probe stage),
-    budget coupled to growth with a floor. The factor keeps refutations of
-    locally contradictory merges findable once claim sets reach a few hundred
-    clauses; smaller factors let contradictions slip through at late stages."""
-    return ConParams(
-        proof_budget=max(256, 16 * min(growth(n), GROWTH_CAP)),
-        probe_pool_cap=0,
-        probe_depth=0,
-    )
+    """Gate parameters for trend stages: a proof budget coupled to growth
+    with a floor. The factor keeps refutations of locally contradictory
+    merges findable once claim sets reach a few hundred clauses; smaller
+    factors let contradictions slip through at late stages."""
+    return ConParams(proof_budget=max(256, 16 * min(growth(n), GROWTH_CAP)))
 
 
 def standard_stage(n: int) -> StageParams:
@@ -123,7 +113,7 @@ def single_machine_stage(
     return StageParams(
         n=n,
         growth=lambda _n, _b=bits: _b,
-        con=ConParams(proof_budget=proof_budget, probe_pool_cap=0, probe_depth=0),
+        con=ConParams(proof_budget=proof_budget),
         theory=theory,
         machine_count=1,
         bits_per_string=bits,
@@ -184,8 +174,8 @@ def accumulate_claims(
     bitstrings: Iterable[Bits], stage: StageParams, cache: Optional[ConCache] = None
 ) -> ClaimSet:
     """Run every bitstring through the machine in order, merging each emitted
-    sentence set iff the merged claim set passes the consistency gate. A gate
-    refusal (set too large for its probe stage) rejects the merge."""
+    sentence set iff the merged claim set passes the consistency gate, that
+    is, iff no refutation of it is found within the stage's proof budget."""
     if cache is None:
         cache = ConCache()
     needed = stage.string_bits
@@ -202,11 +192,7 @@ def accumulate_claims(
         if all(s in claims for s in emitted):
             continue
         merged = claims.union(emitted)
-        try:
-            ok = consistent_enough(merged, stage.con, cache)
-        except SetCapExceeded:
-            ok = False
-        if ok:
+        if consistent_enough(merged, stage.con, cache):
             claims = merged
     return claims
 
@@ -359,15 +345,17 @@ def _window_order(atom_window: int) -> tuple[int, ...]:
     return tuple(range(atom_window))
 
 
-def _in_window(s: Sentence, atom_window: int) -> bool:
-    return all(a < atom_window for a in atoms_of(s))
-
-
-def _window_mask(s: Sentence, order: tuple[int, ...], memo: dict) -> int:
-    m = memo.get(s)
-    if m is None:
-        m = truth_table(s, order)
-        memo[s] = m
+def _window_mask(s: Sentence, order: tuple[int, ...], memo: dict) -> Optional[int]:
+    """Truth-table mask of s over the window atoms `order`, or None when s
+    mentions an atom outside the window. Memoised per sentence, so each
+    sentence's atoms are checked once per call of the sampler."""
+    try:
+        return memo[s]
+    except KeyError:
+        pass
+    window = len(order)
+    m = truth_table(s, order) if all(a < window for a in atoms_of(s)) else None
+    memo[s] = m
     return m
 
 
@@ -390,20 +378,23 @@ def sample_extension(
     models = full
     for i in range(rounds):
         axiom = theory.axiom_at(i)
-        if not _in_window(axiom, atom_window):
+        mask = _window_mask(axiom, order, memo)
+        if mask is None:
             raise ValueError(f"axiom {i} mentions atoms outside the window")
-        models &= _window_mask(axiom, order, memo)
+        models &= mask
         accepted[axiom] = None
     log: list[RoundRecord] = []
     for i in range(rounds):
         bits = random_bits(derive_seed(seed, i), machine_budget)
         trace = run_prefix(bits, machine_budget)
-        sentences = list(trace.emitted)
-        keep = [s for s in sentences if _in_window(s, atom_window)]
-        dropped = len(sentences) - len(keep)
+        keep = []
         mask = models
-        for s in keep:
-            mask &= _window_mask(s, order, memo)
+        for s in trace.emitted:
+            m = _window_mask(s, order, memo)
+            if m is not None:
+                keep.append(s)
+                mask &= m
+        dropped = len(trace.emitted) - len(keep)
         if mask:
             models = mask
             for s in keep:
@@ -419,7 +410,6 @@ def _extension_models(
     rounds: int,
     base_models: int,
     machine_budget: int,
-    atom_window: int,
     order: tuple[int, ...],
     memo: dict,
 ) -> int:
@@ -431,9 +421,10 @@ def _extension_models(
             continue
         mask = models
         for s in trace.emitted:
-            if not _in_window(s, atom_window):
+            m = _window_mask(s, order, memo)
+            if m is None:
                 continue
-            mask &= _window_mask(s, order, memo)
+            mask &= m
             if not mask:
                 break
         if mask:
@@ -483,17 +474,17 @@ def extension_probabilities(
     memo: dict = {}
     base = full
     for i in range(rounds):
-        axiom = theory.axiom_at(i)
-        if not _in_window(axiom, atom_window):
+        mask = _window_mask(theory.axiom_at(i), order, memo)
+        if mask is None:
             raise ValueError(f"axiom {i} mentions atoms outside the window")
-        base &= _window_mask(axiom, order, memo)
+        base &= mask
     pos = [_universal_mask(phi, atom_window, memo) for phi in battery]
     neg = [_universal_mask(Not(phi), atom_window, memo) for phi in battery]
     counts = [0] * len(battery)
     undecided = [0] * len(battery)
     for i in range(samples):
         models = _extension_models(
-            derive_seed(seed, i), rounds, base, machine_budget, atom_window, order, memo
+            derive_seed(seed, i), rounds, base, machine_budget, order, memo
         )
         for j in range(len(battery)):
             if not models & ~pos[j]:

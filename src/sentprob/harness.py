@@ -1,7 +1,8 @@
 """Config-driven experiment harness.
 
 A suite config is an INI file. [suite] names the run and pins samples, seed
-and output directory; [stages] builds the stage schedule; [sequences] lists
+and output directory; [stages] builds the stage schedule from count, cap,
+proof_floor and proof_factor, and rejects any other key; [sequences] lists
 trajectory families; [assert] holds one trend assertion per line; an optional
 [crosscheck] section configures the membership-vs-extension comparison.
 
@@ -218,25 +219,23 @@ def _parse_assertion(name: str, raw: str, stage_count: int) -> TrendAssertion:
     return TrendAssertion(name, kind, seq_ids, target, tol, window, covers)
 
 
+_STAGE_KEYS = ("count", "cap", "proof_floor", "proof_factor")
+
+
 def _build_schedule(section: configparser.SectionProxy) -> tuple[StageParams, ...]:
+    for key in section:
+        if key not in _STAGE_KEYS:
+            raise ConfigError(
+                f"[stages] unknown key {key!r}; expected one of {', '.join(_STAGE_KEYS)}"
+            )
     count = _natural(section.get("count", "5"), "[stages] count", 1)
     cap = _natural(section.get("cap", str(GROWTH_CAP)), "[stages] cap", 1)
     proof_floor = _natural(section.get("proof_floor", "256"), "[stages] proof_floor", 1)
     proof_factor = _natural(section.get("proof_factor", "16"), "[stages] proof_factor", 1)
-    pool_cap = _natural(section.get("probe_pool_cap", "0"), "[stages] probe_pool_cap")
-    depth = _natural(section.get("probe_depth", "0"), "[stages] probe_depth")
-    subset_cap = _natural(section.get("subset_cap", "12"), "[stages] subset_cap")
-    size_cap = _natural(section.get("size_cap", "64"), "[stages] size_cap")
     schedule = []
     for n in range(1, count + 1):
         size = min(default_growth(n), cap)
-        con = ConParams(
-            proof_budget=max(proof_floor, proof_factor * size),
-            sentence_size_cap=size_cap,
-            probe_pool_cap=pool_cap,
-            subset_cap=subset_cap,
-            probe_depth=depth,
-        )
+        con = ConParams(proof_budget=max(proof_floor, proof_factor * size))
         schedule.append(StageParams(n=n, growth=default_growth, con=con, cap=cap))
     return tuple(schedule)
 
@@ -474,11 +473,8 @@ def run_suite(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> SuiteResu
     for o in outcomes:
         status = "PASS" if o.passed else "FAIL"
         report_lines.append(f"{status} {o.assertion.name}: {o.detail}")
-    stats = cache.stats()
     report_lines.append(
-        "gate cache: entries={entries} hits={hits} misses={misses} max_depth={max_depth}".format(
-            **stats
-        )
+        "gate cache: entries={entries} hits={hits} misses={misses}".format(**cache.stats())
     )
     artifacts.append(_write_text(out / "report.txt", "\n".join(report_lines) + "\n"))
     return SuiteResult(

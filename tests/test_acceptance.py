@@ -98,7 +98,7 @@ def test_prover_agrees_with_semantic_oracle(capsys):
 
 def test_gate_soundness_and_antitonicity(capsys):
     t0 = time.time()
-    params = ConParams(proof_budget=512, probe_pool_cap=16, probe_depth=1)
+    params = ConParams(proof_budget=512)
     cache = ConCache()
     rng = random.Random(20260818)
     sound_violations = 0

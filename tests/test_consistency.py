@@ -7,25 +7,22 @@ from sentprob.consistency import (
     ClaimSet,
     ConCache,
     ConParams,
-    SetCapExceeded,
     antitone_check,
     consistent_enough,
-    probe_pool,
 )
-from sentprob.logic import BOTTOM, Atom, Not, Or, atoms_of, render_sentence
+from sentprob.logic import BOTTOM, Atom, Implies, Not, Or, atoms_of, render_sentence
+from sentprob.prover import refute_bounded
 from sentprob.sequences import generate, sequence_by_id
 from test_prover import rand_sentence
 
 
 def test_params_defaults_and_validation():
-    p = ConParams(proof_budget=64)
-    assert (p.sentence_size_cap, p.probe_pool_cap, p.subset_cap, p.probe_depth) == (64, 256, 12, 1)
+    assert ConParams(proof_budget=64).proof_budget == 64
+    assert ConParams(0).proof_budget == 0
     with pytest.raises(ValueError):
         ConParams(proof_budget=-1)
-    with pytest.raises(ValueError):
-        ConParams(proof_budget=4, subset_cap=-2)
-    with pytest.raises(ValueError):
-        ConParams(proof_budget=4, probe_depth=-1)
+    with pytest.raises(TypeError):
+        ConParams(proof_budget=4, probe_depth=1)
 
 
 def test_gate_examples():
@@ -34,6 +31,8 @@ def test_gate_examples():
     assert not consistent_enough(ClaimSet.of([BOTTOM]), p)
     assert not consistent_enough(ClaimSet.of([Or(Atom(0), Atom(1)), Not(Atom(0)), Not(Atom(1))]), p)
     assert consistent_enough(ClaimSet.of([Atom(0), Not(Atom(1))]), p)
+    # no size cap: a large satisfiable set is accepted, not refused
+    assert consistent_enough(ClaimSet.of([Atom(i) for i in range(40)]), p)
 
 
 def test_claim_set_is_keyed_by_rendering():
@@ -57,29 +56,6 @@ def test_union_dedups():
     assert a.key == ("a0",)
 
 
-def test_subset_cap():
-    p = ConParams(proof_budget=64)
-    big = ClaimSet.of([Atom(i) for i in range(p.subset_cap + 1)])
-    with pytest.raises(SetCapExceeded) as exc:
-        consistent_enough(big, p)
-    assert exc.value.size == 13
-    assert exc.value.cap == 12
-    # without the probe stage the subset walk never runs, so no cap applies
-    lean = ConParams(proof_budget=64, probe_pool_cap=0, probe_depth=0)
-    assert consistent_enough(big, lean)
-
-
-def test_probe_pool_shape():
-    pool = probe_pool(10, 64)
-    assert len(pool) == 10
-    assert render_sentence(pool[0]) == "_|_"
-    assert probe_pool(10, 64) is probe_pool(10, 64)
-    # size cap filters long sentences rather than truncating the pool
-    tight = probe_pool(6, 4)
-    assert all(len(render_sentence(s)) for s in tight)
-    assert len(tight) == 6
-
-
 def test_memoization_is_transparent():
     p = ConParams(proof_budget=128)
     rng = random.Random(909)
@@ -99,17 +75,38 @@ def test_cache_stats():
     second = cache.stats()
     assert first["entries"] == second["entries"]
     assert second["hits"] > first["hits"]
-    assert second["max_depth"] == p.probe_depth
-    assert set(first) == {"entries", "hits", "misses", "max_depth"}
+    assert set(first) == {"entries", "hits", "misses"}
+
+
+def test_shared_cache_answers_at_every_budget():
+    # One cache across budgets in both directions: each verdict must be the
+    # plain refutation verdict at that budget. The first set is accepted at
+    # budget 0 and refuted at 4096, so a verdict stored without its budget
+    # would be returned wrongly at the larger one.
+    a0, a1, a2 = Atom(0), Atom(1), Atom(2)
+    sets = [ClaimSet.of([Or(a0, a1), Implies(a0, a2), Implies(a1, a2), Not(a2)])]
+    rng = random.Random(6061)
+    sets += [
+        ClaimSet.of([rand_sentence(rng, 3) for _ in range(rng.randrange(1, 5))])
+        for _ in range(150)
+    ]
+    budgets = (0, 1, 2, 4, 8, 64, 4096)
+    cache = ConCache()
+    for order in (budgets, budgets[::-1], budgets):
+        for claims in sets:
+            for b in order:
+                plain = not refute_bounded(claims.sentences, b).refuted
+                assert consistent_enough(claims, ConParams(b), cache) == plain, (claims.key, b)
+    assert consistent_enough(sets[0], ConParams(0), cache)
+    assert not consistent_enough(sets[0], ConParams(4096), cache)
 
 
 def test_rejections_are_budget_monotone():
     rng = random.Random(2024)
-    lean = dict(probe_pool_cap=0, probe_depth=0)
     for _ in range(150):
         claims = ClaimSet.of([rand_sentence(rng, 3) for _ in range(rng.randrange(1, 4))])
-        low = consistent_enough(claims, ConParams(proof_budget=8, **lean))
-        high = consistent_enough(claims, ConParams(proof_budget=4096, **lean))
+        low = consistent_enough(claims, ConParams(proof_budget=8))
+        high = consistent_enough(claims, ConParams(proof_budget=4096))
         if not low:
             assert not high
 
@@ -124,15 +121,15 @@ def test_deep_chain_claims_do_not_overflow():
     # Indexed machine programs accept member indexes up to the stage step
     # budget, so chain-shaped claims nest hundreds of levels. Keying,
     # clause extraction, and the gate itself must all survive that depth.
-    lean = ConParams(proof_budget=64, probe_pool_cap=0, probe_depth=0)
+    p = ConParams(proof_budget=64)
     for fid in ("monotone_chain", "mutex_family"):
         deep = generate(sequence_by_id(fid), 900)
         assert len(atoms_of(deep)) == 901
-        assert consistent_enough(ClaimSet.of([deep]), lean)
+        assert consistent_enough(ClaimSet.of([deep]), p)
 
 
 def test_antitone_over_random_sets():
-    p = ConParams(proof_budget=256, probe_pool_cap=16)
+    p = ConParams(proof_budget=256)
     rng = random.Random(515)
     cache = ConCache()
     for _ in range(200):

@@ -76,7 +76,6 @@ def test_growth_and_schedule_shapes():
 def test_standard_con_budgets_track_growth():
     p = standard_con(1)
     assert p.proof_budget == 384
-    assert p.probe_pool_cap == 0 and p.probe_depth == 0
     assert standard_con(5).proof_budget == 16 * 384
     assert standard_con(9).proof_budget == 16 * 512
 
@@ -158,7 +157,7 @@ def test_exact_zero_cases():
     empty = StageParams(
         n=1,
         growth=lambda n: 12,
-        con=ConParams(proof_budget=96, probe_pool_cap=0, probe_depth=0),
+        con=ConParams(proof_budget=96),
         machine_count=0,
         axiom_count=0,
     )
@@ -226,7 +225,7 @@ def test_probability_law_is_permutation_invariant():
     st = StageParams(
         n=1,
         growth=lambda n: 12,
-        con=ConParams(proof_budget=96, probe_pool_cap=0, probe_depth=0),
+        con=ConParams(proof_budget=96),
         machine_count=2,
     )
     target = Atom(0)
@@ -277,6 +276,8 @@ def test_extension_rejects_axioms_outside_window():
     far = theory_from_axioms("far", [Atom(9)])
     with pytest.raises(ValueError, match="outside the window"):
         sample_extension(3, 1, theory=far, atom_window=3)
+    with pytest.raises(ValueError, match="outside the window"):
+        extension_probabilities([Atom(0)], 3, 1, 1, theory=far, atom_window=3)
 
 
 def test_extension_projects_wide_claims():

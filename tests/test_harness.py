@@ -103,6 +103,21 @@ def test_config_errors():
     bad("x = stabilizes atom_chain 0.1")
 
 
+def test_unknown_stage_keys_are_rejected(tmp_path):
+    # probe_depth is a removed key, proof_facter a misspelt one: either would
+    # otherwise be ignored and run a schedule the config does not describe.
+    for line in ("probe_depth = 1", "proof_facter = 16"):
+        text = MINIMAL.replace("count = 2\n", f"count = 2\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(text)
+        path = tmp_path / f"{key}.ini"
+        path.write_text(text)
+        proc = run_cli("run", str(path), "--out", str(tmp_path / key))
+        assert proc.returncode == 2
+        assert key in proc.stderr
+
+
 def test_crosscheck_config_errors():
     with pytest.raises(ConfigError, match="capped at 4"):
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = 5\n")
