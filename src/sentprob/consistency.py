@@ -7,14 +7,23 @@ the empty clause from it within the proof budget.
 The gate is deliberately one-sided. False means a contradiction was exhibited
 within budget; true means none was found, not that none exists. Raising the
 budget can only move a verdict from true to false. Adding sentences to a set
-should do the same (``antitone_check`` spot-checks that law), but the bounded
-search does not guarantee it: new clauses reorder the search, and at budgets
-of a few inferences that can push a refutation past the budget.
+usually does the same, but the bounded search does not guarantee it: new
+clauses reorder the search, and at budgets of a few inferences that can push
+a refutation past the budget. The gate is antitone only where the budget does
+not bind.
 
 Refutation attempts are memoized per claim-set key in a ``ConCache``, which
 may be shared across calls and across budgets: a stored attempt answers a
 later call only at the budgets whose verdict it settles, and anything else is
 recomputed.
+
+The cache also keeps a certificate for each accepted set it could find one
+for: a partial assignment of atoms under which every sentence of the set is
+true. Resolution is sound, so a set with a certificate is accepted at every
+budget without running the resolution loop. A merge built by
+``ClaimSet.union`` remembers its parent's key and the sentences it added, and
+a miss first tries to extend the parent's certificate to those sentences by a
+bounded search; only when that fails does the loop run.
 """
 
 from __future__ import annotations
@@ -22,8 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .logic import Sentence, render_sentence
-from .prover import RefutationResult, refute_bounded
+from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
+from .prover import RefutationResult, RefutationVerdict, refute_bounded
+
+Certificate = dict[int, bool]
+
+# Cache entry for a set with a certificate: like a saturated search, it
+# settles acceptance at every budget.
+SATISFIABLE = RefutationResult(RefutationVerdict.UNKNOWN, 0, saturated=True)
+
+# Goal steps one certificate search may take. A search that gives up only
+# sends the set on to the resolution loop, so this bounds cost, not verdicts.
+SEARCH_STEPS = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,14 +58,20 @@ class ClaimSet:
     """Immutable sentence set with a canonical order (ascending rendering),
     so equal sets always produce the same memo key. Renderings rather than
     enumeration indices: the index of a deeply nested sentence has more bits
-    than could ever be materialized, while its rendering stays linear."""
+    than could ever be materialized, while its rendering stays linear.
 
-    __slots__ = ("sentences", "key", "_named")
+    A set made by ``union`` records the key of the set it grew from
+    (``parent``) and the sentences the merge added (``added``); the gate
+    uses them to extend the parent's certificate."""
+
+    __slots__ = ("sentences", "key", "_named", "parent", "added")
 
     def __init__(self, named: dict[str, Sentence]):
         self.key = tuple(sorted(named))
         self.sentences = tuple(named[r] for r in self.key)
         self._named = named
+        self.parent: Optional[tuple[str, ...]] = None
+        self.added: tuple[Sentence, ...] = ()
 
     @classmethod
     def of(cls, items: Iterable[Sentence] = ()) -> "ClaimSet":
@@ -62,7 +87,10 @@ class ClaimSet:
             return self
         merged = dict(self._named)
         merged.update(extra)
-        return ClaimSet(merged)
+        grown = ClaimSet(merged)
+        grown.parent = self.key
+        grown.added = tuple(extra.values())
+        return grown
 
     def __contains__(self, s: Sentence) -> bool:
         return render_sentence(s) in self._named
@@ -92,13 +120,16 @@ EMPTY_CLAIMS = ClaimSet.of(())
 class ConCache:
     """Shared memo for gate verdicts, plus counters the harness can report.
     Keyed by claim-set key; each entry is the latest refutation attempt on
-    that set, which decides the verdict at every budget it speaks for (see
-    ``_verdict_at``)."""
+    that set (or ``SATISFIABLE``), which decides the verdict at every budget
+    it speaks for (see ``_verdict_at``). ``certificates`` holds, under the
+    same keys, a certificate for each accepted set the search found one for;
+    the empty set's is ``{}``."""
 
-    __slots__ = ("data", "hits", "misses")
+    __slots__ = ("data", "certificates", "hits", "misses")
 
     def __init__(self) -> None:
         self.data: dict[tuple[str, ...], RefutationResult] = {}
+        self.certificates: dict[tuple[str, ...], Certificate] = {(): {}}
         self.hits = 0
         self.misses = 0
 
@@ -119,24 +150,133 @@ def _verdict_at(result: RefutationResult, budget: int) -> Optional[bool]:
     return None
 
 
+# Status of a goal "node has value want" under a partial assignment, judged
+# without search: already true, an unassigned literal, undecided compound,
+# or false. Lower is the better branch to try first.
+_HOLDS, _FREE, _OPEN, _FAILS = range(4)
+
+
+def _goal_status(node: Sentence, want: bool, base: Certificate, extra: Certificate) -> int:
+    if type(node) is Not:
+        node = node.inner
+        want = not want
+    t = type(node)
+    if t is Atom:
+        value = extra.get(node.index)
+        if value is None:
+            value = base.get(node.index)
+        if value is None:
+            return _FREE
+        return _HOLDS if value is want else _FAILS
+    if t is Bottom:
+        return _FAILS if want else _HOLDS
+    return _OPEN
+
+
+def extend_certificate(base: Certificate, sentences: Iterable[Sentence]) -> Optional[Certificate]:
+    """A certificate that extends ``base`` and makes every sentence true, or
+    None when the search finds none within ``SEARCH_STEPS`` goal steps.
+
+    Tableau search with chronological backtracking. A goal is a (sentence,
+    wanted value) pair; a conjunctive goal pushes both parts, a disjunctive
+    one opens a choice point, trying first a part that already holds (which
+    closes the goal) or else the part closest to a literal. Goals live on a
+    linked stack of tuples, so a choice point saves the remaining goals in
+    constant time and nesting depth costs no Python frames. The result is
+    ``base`` itself when no atom had to be assigned."""
+    extra: Certificate = {}
+    trail: list[int] = []
+    choices: list[tuple[int, Sentence, bool, object]] = []
+    goals: object = None
+    for s in reversed(tuple(sentences)):
+        goals = (s, True, goals)
+    for _ in range(SEARCH_STEPS):
+        if goals is None:
+            if not extra:
+                return base
+            model = dict(base)
+            model.update(extra)
+            return model
+        node, want, goals = goals  # type: ignore[misc]
+        t = type(node)
+        ok = True
+        if t is Atom:
+            value = extra.get(node.index)
+            if value is None:
+                value = base.get(node.index)
+            if value is None:
+                extra[node.index] = want
+                trail.append(node.index)
+            else:
+                ok = value is want
+        elif t is Not:
+            goals = (node.inner, not want, goals)
+        elif t is Bottom:
+            ok = not want
+        else:
+            # Implies is (!left | right); And is conjunctive when wanted
+            # true, Or and Implies when wanted false.
+            left, right = node.left, node.right
+            left_want = want if t is not Implies else not want
+            if want is (t is And):
+                goals = (left, left_want, (right, want, goals))
+            else:
+                a, b = (left, left_want), (right, want)
+                sa = _goal_status(left, left_want, base, extra)
+                sb = _goal_status(right, want, base, extra)
+                if sb < sa:
+                    a, b, sa, sb = b, a, sb, sa
+                if sa == _FAILS:
+                    ok = False
+                elif sa != _HOLDS:
+                    if sb != _FAILS:
+                        choices.append((len(trail), b[0], b[1], goals))
+                    goals = (a[0], a[1], goals)
+        if not ok:
+            if not choices:
+                return None
+            mark, node, want, rest = choices.pop()
+            while len(trail) > mark:
+                del extra[trail.pop()]
+            goals = (node, want, rest)
+    return None
+
+
 def consistent_enough(
     claims: ClaimSet, params: ConParams, cache: Optional[ConCache] = None
 ) -> bool:
     """False iff ``refute_bounded`` refutes the claims within
-    ``params.proof_budget`` inferences."""
+    ``params.proof_budget`` inferences. A set with a certificate is
+    satisfiable, so it is accepted without running ``refute_bounded``."""
     if cache is None:
         cache = ConCache()
     budget = params.proof_budget
-    known = cache.data.get(claims.key)
+    key = claims.key
+    known = cache.data.get(key)
     if known is not None:
         verdict = _verdict_at(known, budget)
         if verdict is not None:
             cache.hits += 1
             return verdict
     cache.misses += 1
+    certificates = cache.certificates
+    base = certificates.get(claims.parent)
+    # Without the parent's certificate, search the whole set from scratch.
+    added = claims.added if base is not None else claims.sentences
+    model = extend_certificate(base or {}, added)
+    if model is not None:
+        cache.data[key] = SATISFIABLE
+        certificates[key] = model
+        return True
     result = refute_bounded(claims.sentences, budget)
-    cache.data[claims.key] = result
-    return not result.refuted
+    cache.data[key] = result
+    if result.refuted:
+        return False
+    if len(added) < len(claims.sentences):
+        model = extend_certificate({}, claims.sentences)
+        if model is not None:
+            certificates[key] = model
+    return True
 
 
 def antitone_check(
@@ -146,7 +286,9 @@ def antitone_check(
     cache: Optional[ConCache] = None,
 ) -> bool:
     """Property-test helper: true unless adding ``extra`` turned a rejected
-    set into an accepted one, which the gate must never do."""
+    set into an accepted one. The gate guarantees this only where the budget
+    does not bind: at small budgets the added clauses can reorder the search
+    and push a refutation past the budget (see the module docstring)."""
     if cache is None:
         cache = ConCache()
     base = consistent_enough(claims, params, cache)

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bits import derive_seed
 from .consistency import ConCache, ConParams
@@ -219,15 +219,21 @@ def _parse_assertion(name: str, raw: str, stage_count: int) -> TrendAssertion:
     return TrendAssertion(name, kind, seq_ids, target, tol, window, covers)
 
 
+_SUITE_KEYS = ("id", "samples", "seed", "out")
 _STAGE_KEYS = ("count", "cap", "proof_floor", "proof_factor")
+_CROSSCHECK_KEYS = ("battery", "rounds", "machine_budget", "atom_window", "samples", "tol")
+
+
+def _check_keys(section: Iterable[str], name: str, known: tuple[str, ...]) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(
+                f"[{name}] unknown key {key!r}; expected one of {', '.join(known)}"
+            )
 
 
 def _build_schedule(section: configparser.SectionProxy) -> tuple[StageParams, ...]:
-    for key in section:
-        if key not in _STAGE_KEYS:
-            raise ConfigError(
-                f"[stages] unknown key {key!r}; expected one of {', '.join(_STAGE_KEYS)}"
-            )
+    _check_keys(section, "stages", _STAGE_KEYS)
     count = _natural(section.get("count", "5"), "[stages] count", 1)
     cap = _natural(section.get("cap", str(GROWTH_CAP)), "[stages] cap", 1)
     proof_floor = _natural(section.get("proof_floor", "256"), "[stages] proof_floor", 1)
@@ -262,6 +268,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     suite = parser["suite"] if parser.has_section("suite") else {}
+    _check_keys(suite, "suite", _SUITE_KEYS)
     suite_id = suite.get("id", "suite")
     samples = _natural(suite.get("samples", "200"), "[suite] samples", 1)
     seed = _natural(suite.get("seed", "1"), "[suite] seed")
@@ -289,6 +296,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     crosscheck = None
     if parser.has_section("crosscheck"):
         section = parser["crosscheck"]
+        _check_keys(section, "crosscheck", _CROSSCHECK_KEYS)
         atom_window = _natural(section.get("atom_window", "3"), "[crosscheck] atom_window", 1)
         if atom_window > 4:
             raise ConfigError("[crosscheck] atom_window: capped at 4")

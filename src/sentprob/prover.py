@@ -15,7 +15,9 @@ produced counts one inference against the budget; the exploration order does
 not depend on the budget, so a refutation found at budget b is found at any
 larger budget. Resolution is refutation-complete for propositional logic, so
 when the queue drains without deriving the empty clause the set is
-satisfiable (reported as Unknown with `saturated` set).
+satisfiable (reported as Unknown with `saturated` set). When two initial
+unit clauses clash, the loop's first inference would derive the empty clause,
+so that result is returned without building the queue.
 
 semantic_consistent, truth_table and entails are exact, via truth-table
 bitmaps, and are limited to MAX_TABLE_ATOMS distinct atoms.
@@ -279,7 +281,14 @@ def _initial_entries(
 
 
 def _max_literal(lits: tuple[int, ...]) -> int:
-    return max(lits, key=lambda l: (abs(l), l < 0))
+    """The literal on the largest variable, the negative one on a tie.
+    ``lits`` is sorted, so it sits at one end."""
+    return lits[0] if -lits[0] >= lits[-1] else lits[-1]
+
+
+def _units_clash(entries: Seq[tuple[int, tuple[int, ...], Clause]]) -> bool:
+    units = {lits[0] for size, lits, _ in entries if size == 1}
+    return any(-l in units for l in units)
 
 
 def refute_bounded(sentences: Iterable[Sentence], budget: ProofBudget) -> RefutationResult:
@@ -291,6 +300,12 @@ def refute_bounded(sentences: Iterable[Sentence], budget: ProofBudget) -> Refuta
     refuted, candidates = _initial_entries(ordered)
     if refuted:
         return RefutationResult(RefutationVerdict.REFUTED, 0)
+    # Units pop first and resolve only with each other, so when two of them
+    # clash the loop's first inference derives the empty clause.
+    if _units_clash(candidates):
+        if budget == 0:
+            return RefutationResult(RefutationVerdict.UNKNOWN, 0)
+        return RefutationResult(RefutationVerdict.REFUTED, 1)
     seen: set[Clause] = set()
     heap: list[tuple[int, tuple[int, ...], Clause]] = []
     for entry in candidates:

@@ -1,19 +1,96 @@
+import heapq
 import random
 
 import pytest
 
+from sentprob import prover
 from sentprob.consistency import (
     EMPTY_CLAIMS,
+    SEARCH_STEPS,
     ClaimSet,
     ConCache,
     ConParams,
     antitone_check,
     consistent_enough,
+    extend_certificate,
 )
-from sentprob.logic import BOTTOM, Atom, Implies, Not, Or, atoms_of, render_sentence
-from sentprob.prover import refute_bounded
+from sentprob.estimator import StageParams, accumulate_claims, default_growth, sample_strings, stage_axioms
+from sentprob.logic import (
+    BOTTOM,
+    And,
+    Atom,
+    Bottom,
+    Implies,
+    Not,
+    Or,
+    atoms_of,
+    parse_sentence,
+    render_sentence,
+)
+from sentprob.machine import run_prefix
+from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded
 from sentprob.sequences import generate, sequence_by_id
 from test_prover import rand_sentence
+
+BINDING_BUDGETS = (0, 1, 2, 3, 4, 8, 16, 64, 4096)
+
+
+def kleene(s, cert):
+    """Three-valued value of s under a partial assignment (None: undecided)."""
+    t = type(s)
+    if t is Bottom:
+        return False
+    if t is Atom:
+        return cert.get(s.index)
+    if t is Not:
+        v = kleene(s.inner, cert)
+        return None if v is None else not v
+    a, b = kleene(s.left, cert), kleene(s.right, cert)
+    if t is Implies:
+        a = None if a is None else not a
+    if t is And:
+        return False if a is False or b is False else (True if a and b else None)
+    return True if a or b else (False if a is False and b is False else None)
+
+
+def assert_certificates_hold(cache, sets):
+    by_key = {claims.key: claims for claims in sets}
+    assert cache.certificates[()] == {}
+    for key, cert in cache.certificates.items():
+        for s in by_key[key].sentences if key else ():
+            assert kleene(s, cert) is True, (key, render_sentence(s))
+
+
+def full_loop(sentences, budget):
+    """The resolution loop as it ran before the unit-clash exit and the
+    end-picking maximal literal: the reference those must agree with."""
+    ordered = sorted(set(sentences), key=render_sentence)
+    refuted, candidates = prover._initial_entries(ordered)
+    if refuted:
+        return RefutationResult(RefutationVerdict.REFUTED, 0)
+    seen, heap = set(), []
+    for entry in candidates:
+        if entry[2] not in seen:
+            seen.add(entry[2])
+            heap.append(entry)
+    heapq.heapify(heap)
+    by_max, inferences = {}, 0
+    while heap:
+        _, lits, given = heapq.heappop(heap)
+        m = max(lits, key=lambda l: (abs(l), l < 0))
+        by_max.setdefault(m, []).append(given)
+        for other in by_max.get(-m, ()):
+            if inferences >= budget:
+                return RefutationResult(RefutationVerdict.UNKNOWN, inferences)
+            inferences += 1
+            resolvent = (given - {m}) | (other - {-m})
+            if not resolvent:
+                return RefutationResult(RefutationVerdict.REFUTED, inferences)
+            if prover._is_tautology(resolvent) or resolvent in seen:
+                continue
+            seen.add(resolvent)
+            heapq.heappush(heap, (len(resolvent), tuple(sorted(resolvent)), resolvent))
+    return RefutationResult(RefutationVerdict.UNKNOWN, inferences, saturated=True)
 
 
 def test_params_defaults_and_validation():
@@ -54,6 +131,11 @@ def test_union_dedups():
     grown = a.union([Atom(0), Atom(1)])
     assert grown.key == ("a0", "a1")
     assert a.key == ("a0",)
+    # the merge remembers what it grew from and what it added
+    assert grown.parent == a.key
+    assert grown.added == (Atom(1),)
+    assert a.parent is None and a.added == ()
+    assert a.union([Atom(0)]) is a
 
 
 def test_memoization_is_transparent():
@@ -136,3 +218,115 @@ def test_antitone_over_random_sets():
         claims = ClaimSet.of([rand_sentence(rng, 2) for _ in range(rng.randrange(0, 3))])
         extra = rand_sentence(rng, 2)
         assert antitone_check(claims, extra, p, cache)
+
+
+def test_union_merges_agree_with_plain_refutation_where_budget_binds():
+    # Merge chains built with union share one cache, so most misses take the
+    # certificate path from the parent's certificate. Every verdict must
+    # still be the plain bounded-refutation verdict, at budgets that bind.
+    rng = random.Random(4401)
+    cache = ConCache()
+    seen = []
+    certified = 0
+    for _ in range(150):
+        claims = EMPTY_CLAIMS
+        for _ in range(rng.randrange(1, 10)):
+            merged = claims.union(
+                [rand_sentence(rng, rng.randrange(1, 4), 4) for _ in range(rng.randrange(1, 3))]
+            )
+            b = rng.choice(BINDING_BUDGETS)
+            verdict = consistent_enough(merged, ConParams(b), cache)
+            assert verdict == (not refute_bounded(merged.sentences, b).refuted), (merged.key, b)
+            certified += merged.key in cache.certificates
+            seen.append(merged)
+            if verdict:
+                claims = merged
+    assert certified > 100
+    assert_certificates_hold(cache, seen)
+
+
+def test_accumulation_matches_plain_gate_where_budget_binds():
+    # accumulate_claims (certificates, clash exit, shared cache) against a
+    # reference loop that asks refute_bounded directly, on seeded stage-2 and
+    # stage-3 samples at proof budgets small enough to bind.
+    cache = ConCache()
+    merged_sets = []
+    binding = 0
+    for n in (2, 3):
+        for budget in (1, 2, 4, 8):
+            stage = StageParams(n=n, growth=default_growth, con=ConParams(budget))
+            for sample_seed in (7000 + n, 8000 + budget):
+                strings = sample_strings(stage, sample_seed)
+                reference = stage_axioms(stage)
+                for bits in strings:
+                    emitted = run_prefix(bits, stage.steps).emitted
+                    if not emitted or all(s in reference for s in emitted):
+                        continue
+                    merged = reference.union(emitted)
+                    merged_sets.append(merged)
+                    if not refute_bounded(merged.sentences, budget).refuted:
+                        reference = merged
+                        binding += refute_bounded(merged.sentences, 4096).refuted
+                assert accumulate_claims(strings, stage, cache) == reference, (n, budget, sample_seed)
+    assert binding > 50
+    assert_certificates_hold(cache, merged_sets)
+
+
+def test_certificate_search_extends_its_base():
+    a0, a1, a2 = Atom(0), Atom(1), Atom(2)
+    base = {0: True}
+    assert extend_certificate(base, [Or(a0, a1)]) is base
+    assert extend_certificate(base, [Not(a0)]) is None
+    assert extend_certificate(base, [BOTTOM]) is None
+    grown = extend_certificate(base, [Implies(a0, a2), Or(Not(a1), a2)])
+    assert grown == {0: True, 2: True}
+    assert base == {0: True}
+    # backtracking: the first branch of each disjunction fails later
+    assert extend_certificate({}, [Or(a1, a2), Not(a1)]) == {1: False, 2: True}
+    assert extend_certificate({}, [Or(a0, Not(a0)), Not(a0)]) == {0: False}
+    # gives up after SEARCH_STEPS goal steps rather than search on
+    wide = [Or(Atom(i), Atom(i + 1)) for i in range(0, 4 * SEARCH_STEPS, 2)]
+    assert extend_certificate({}, wide) is None
+    assert consistent_enough(ClaimSet.of(wide), ConParams(64))
+
+
+def test_unit_clash_exit_matches_full_loop():
+    rng = random.Random(3131)
+    clashes = 0
+    for _ in range(400):
+        k = rng.randrange(4)
+        lit = Atom(k)
+        neg = Not(Not(Not(lit))) if rng.random() < 0.3 else Not(lit)
+        sentences = [rand_sentence(rng, 2, 4) for _ in range(rng.randrange(0, 4))] + [lit, neg]
+        ordered = sorted(set(sentences), key=render_sentence)
+        refuted_at_setup, entries = prover._initial_entries(ordered)
+        clashes += not refuted_at_setup and prover._units_clash(entries)
+        for b in range(4):
+            assert refute_bounded(sentences, b) == full_loop(sentences, b), ([render_sentence(s) for s in sentences], b)
+    assert clashes > 200
+
+
+def test_resolution_loop_matches_full_loop():
+    rng = random.Random(3132)
+    for _ in range(300):
+        sentences = [rand_sentence(rng, 3, 4) for _ in range(rng.randrange(1, 5))]
+        for b in (0, 1, 2, 3, 8, 64):
+            assert refute_bounded(sentences, b) == full_loop(sentences, b)
+
+
+def test_gate_is_not_antitone_where_budget_binds():
+    # At budget 2 the added sentence reorders the resolution queue and the
+    # refutation no longer fits: the gate follows plain refutation, which
+    # accepts the larger set. At a budget that does not bind both are
+    # rejected.
+    claims = ClaimSet.of(
+        parse_sentence(t) for t in ("!(a0 | a1)", "((a0 | a1) | (a2 -> a1))", "a1")
+    )
+    grown = claims.union([parse_sentence("(a1 | (a1 & a1))")])
+    cache = ConCache()
+    for c in (claims, grown):
+        assert consistent_enough(c, ConParams(2), cache) == (not refute_bounded(c.sentences, 2).refuted)
+    assert not consistent_enough(claims, ConParams(2), cache)
+    assert consistent_enough(grown, ConParams(2), cache)
+    assert not antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), ConParams(2))
+    assert antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), ConParams(64))

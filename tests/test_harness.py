@@ -1,8 +1,10 @@
 import hashlib
 import importlib.resources
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,23 @@ def test_unknown_stage_keys_are_rejected(tmp_path):
         assert key in proc.stderr
 
 
+def test_unknown_suite_and_crosscheck_keys_are_rejected(tmp_path):
+    # A misspelt key would otherwise be dropped and its default would run.
+    crosscheck = "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\n"
+    cases = (
+        ("suite", "sample", MINIMAL.replace("samples = 10\n", "samples = 10\nsample = 10\n")),
+        ("crosscheck", "atom_windw", MINIMAL + crosscheck + "atom_windw = 4\n"),
+    )
+    for section, key, text in cases:
+        with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key '{key}'"):
+            parse_config(text)
+        path = tmp_path / f"{key}.ini"
+        path.write_text(text)
+        proc = run_cli("run", str(path), "--out", str(tmp_path / key))
+        assert proc.returncode == 2
+        assert key in proc.stderr
+
+
 def test_crosscheck_config_errors():
     with pytest.raises(ConfigError, match="capped at 4"):
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = 5\n")
@@ -210,11 +229,19 @@ def test_suite_artifact_shapes(tmp_path):
         assert (tmp_path / f"assert_{a.name}.svg").exists()
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
+    # The child needs src on its path whether or not the test process got
+    # it from PYTHONPATH or from pytest's own pythonpath setting.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "sentprob", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
