@@ -24,6 +24,16 @@ budget without running the resolution loop. A merge built by
 ``ClaimSet.union`` remembers its parent's key and the sentences it added, and
 a miss first tries to extend the parent's certificate to those sentences by a
 bounded search; only when that fails does the loop run.
+
+Before either, a miss reads the merge's clause summary (``prover.summarize``),
+grown from the parent's summary by the added sentences, or built over the
+whole set when the parent has none (a stage's axiom set is never gated, and
+``ClaimSet.of`` sets have no parent). A merge with a sentence that folds to
+falsum, or with two clashing unit literals, gets ``refute_bounded``'s exact
+result from the summary and never reaches resolution or the certificate
+search. The summary is read from ``_fold`` alone and built only on misses,
+never on hits or in ``union``. The cache keeps one for each set it accepted
+on a miss, the sets later merges grow from.
 """
 
 from __future__ import annotations
@@ -32,7 +42,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
-from .prover import RefutationResult, RefutationVerdict, refute_bounded
+from .prover import (
+    EMPTY_SUMMARY,
+    ClauseSummary,
+    RefutationResult,
+    RefutationVerdict,
+    refute_bounded,
+    settled_by_summary,
+    summarize,
+)
 
 Certificate = dict[int, bool]
 
@@ -121,15 +139,17 @@ class ConCache:
     """Shared memo for gate verdicts, plus counters the harness can report.
     Keyed by claim-set key; each entry is the latest refutation attempt on
     that set (or ``SATISFIABLE``), which decides the verdict at every budget
-    it speaks for (see ``_verdict_at``). ``certificates`` holds, under the
-    same keys, a certificate for each accepted set the search found one for;
-    the empty set's is ``{}``."""
+    it speaks for (see ``_verdict_at``). Under the same keys,
+    ``certificates`` holds a certificate for each accepted set the search
+    found one for, and ``summaries`` the clause summary of each set the gate
+    accepted on a miss; the empty set's are ``{}`` and ``EMPTY_SUMMARY``."""
 
-    __slots__ = ("data", "certificates", "hits", "misses")
+    __slots__ = ("data", "certificates", "summaries", "hits", "misses")
 
     def __init__(self) -> None:
         self.data: dict[tuple[str, ...], RefutationResult] = {}
         self.certificates: dict[tuple[str, ...], Certificate] = {(): {}}
+        self.summaries: dict[tuple[str, ...], ClauseSummary] = {(): EMPTY_SUMMARY}
         self.hits = 0
         self.misses = 0
 
@@ -246,8 +266,10 @@ def consistent_enough(
     claims: ClaimSet, params: ConParams, cache: Optional[ConCache] = None
 ) -> bool:
     """False iff ``refute_bounded`` refutes the claims within
-    ``params.proof_budget`` inferences. A set with a certificate is
-    satisfiable, so it is accepted without running ``refute_bounded``."""
+    ``params.proof_budget`` inferences. A set that the clause summary
+    decides (a sentence folds to falsum, or two unit literals clash) gets
+    ``refute_bounded``'s result without running it; a set with a
+    certificate is satisfiable, so it is accepted without running it."""
     if cache is None:
         cache = ConCache()
     budget = params.proof_budget
@@ -259,24 +281,44 @@ def consistent_enough(
             cache.hits += 1
             return verdict
     cache.misses += 1
+    summaries = cache.summaries
+    parent = summaries.get(claims.parent)
+    # Without the parent's summary, summarize the whole set.
+    if parent is not None:
+        summary = summarize(claims.added, parent)
+    else:
+        summary = summarize(claims.sentences)
+    result = settled_by_summary(summary, budget)
+    if result is None:
+        assert summary is not None
+        result = _certify_or_refute(claims, budget, cache, summary.max_atom)
+    cache.data[key] = result
+    if result.refuted:
+        return False
+    summaries[key] = summary  # type: ignore[assignment]
+    return True
+
+
+def _certify_or_refute(
+    claims: ClaimSet, budget: int, cache: ConCache, max_atom: int
+) -> RefutationResult:
+    """``SATISFIABLE`` when a certificate for the claims is found, else the
+    result of ``refute_bounded``; a certificate found for an accepted set is
+    kept in the cache."""
     certificates = cache.certificates
     base = certificates.get(claims.parent)
     # Without the parent's certificate, search the whole set from scratch.
     added = claims.added if base is not None else claims.sentences
     model = extend_certificate(base or {}, added)
     if model is not None:
-        cache.data[key] = SATISFIABLE
-        certificates[key] = model
-        return True
-    result = refute_bounded(claims.sentences, budget)
-    cache.data[key] = result
-    if result.refuted:
-        return False
-    if len(added) < len(claims.sentences):
+        certificates[claims.key] = model
+        return SATISFIABLE
+    result = refute_bounded(claims.sentences, budget, max_atom)
+    if not result.refuted and len(added) < len(claims.sentences):
         model = extend_certificate({}, claims.sentences)
         if model is not None:
-            certificates[key] = model
-    return True
+            certificates[claims.key] = model
+    return result
 
 
 def antitone_check(

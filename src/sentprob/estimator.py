@@ -38,6 +38,8 @@ from .sequences import SequenceDef
 
 GROWTH_CAP = 512
 MAX_EXACT_BITS = 24
+# Widest atom window the extension sampler takes, here and in configs.
+MAX_ATOM_WINDOW = 4
 
 _Z95 = 1.959963984540054
 
@@ -179,20 +181,21 @@ def accumulate_claims(
     if cache is None:
         cache = ConCache()
     needed = stage.string_bits
+    steps = stage.steps
+    con = stage.con
     claims = stage_axioms(stage)
     for bits in bitstrings:
         if bits.length < needed:
             raise ValueError(
                 f"bitstring has {bits.length} bits; this stage needs {needed}"
             )
-        trace = run_prefix(bits, stage.steps)
+        trace = run_prefix(bits, steps)
         if not trace.emitted:
             continue
-        emitted = trace.emitted
-        if all(s in claims for s in emitted):
+        merged = claims.union(trace.emitted)
+        if merged is claims:
             continue
-        merged = claims.union(emitted)
-        if consistent_enough(merged, stage.con, cache):
+        if consistent_enough(merged, con, cache):
             claims = merged
     return claims
 
@@ -340,8 +343,8 @@ class ExtensionSample:
 
 
 def _window_order(atom_window: int) -> tuple[int, ...]:
-    if not 1 <= atom_window <= MAX_TABLE_ATOMS:
-        raise ValueError(f"atom window must be in 1..{MAX_TABLE_ATOMS}")
+    if not 1 <= atom_window <= MAX_ATOM_WINDOW:
+        raise ValueError(f"atom window must be in 1..{MAX_ATOM_WINDOW}")
     return tuple(range(atom_window))
 
 

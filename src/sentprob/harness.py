@@ -34,6 +34,7 @@ from .bits import derive_seed
 from .consistency import ConCache, ConParams
 from .estimator import (
     GROWTH_CAP,
+    MAX_ATOM_WINDOW,
     Estimate,
     StageParams,
     default_growth,
@@ -298,8 +299,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         section = parser["crosscheck"]
         _check_keys(section, "crosscheck", _CROSSCHECK_KEYS)
         atom_window = _natural(section.get("atom_window", "3"), "[crosscheck] atom_window", 1)
-        if atom_window > 4:
-            raise ConfigError("[crosscheck] atom_window: capped at 4")
+        if atom_window > MAX_ATOM_WINDOW:
+            raise ConfigError(f"[crosscheck] atom_window: capped at {MAX_ATOM_WINDOW}")
         crosscheck = CrosscheckSpec(
             battery=_parse_battery(section.get("battery", "")),
             rounds=_natural(section.get("rounds", "64"), "[crosscheck] rounds", 1),

@@ -19,6 +19,17 @@ satisfiable (reported as Unknown with `saturated` set). When two initial
 unit clauses clash, the loop's first inference would derive the empty clause,
 so that result is returned without building the queue.
 
+The sets refute_bounded decides before its first resolution step are those
+with a sentence that folds to falsum (refuted after 0 inferences) and those
+with two clashing unit clauses. The only unit clauses are sentence roots, and
+roots on definition variables never clash, so both facts can be read from
+`_fold` alone: `summarize` keeps a set's atom-literal root units, whether two
+of them clash, and its largest atom, and grows a summary by the sentences a
+merge adds; `settled_by_summary` turns it into refute_bounded's exact result.
+A caller that keeps summaries (the consistency gate does) decides these sets
+with no clausification, and hands only the rest to refute_bounded, together
+with the largest atom so the setup skips its re-sort and atom walk.
+
 semantic_consistent, truth_table and entails are exact, via truth-table
 bitmaps, and are limited to MAX_TABLE_ATOMS distinct atoms.
 """
@@ -84,6 +95,43 @@ def _fold(s: Sentence):
     if right is _FALSE:
         return Not(left)
     return Implies(left, right)
+
+
+@lru_cache(maxsize=1 << 14)
+def _root_and_top(s: Sentence) -> tuple[object, int]:
+    """(root, top) for one sentence, with no clauses built. root is what its
+    clause form asserts at its root, read from `_fold` alone: _FALSE when s
+    folds to falsum, the atom literal +-(i+1) when it folds to atom i under
+    zero or more negations, and None otherwise (a tautology, or a root on a
+    definition variable). top is its largest atom index, or -1.
+
+    Only atom-literal roots are reported: they are the same literal on the
+    digest and the positional path, while a definition variable's number
+    depends on the path and can never clash with another root. The walk for
+    top memoises nothing per subterm, unlike `atoms_of`."""
+    top = -1
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Atom:
+            if node.index > top:
+                top = node.index
+        elif t is Not:
+            stack.append(node.inner)
+        elif t is not Bottom:
+            stack.append(node.left)
+            stack.append(node.right)
+    folded = _fold(s)
+    if folded is _FALSE:
+        return _FALSE, top
+    sign = 1
+    while type(folded) is Not:
+        folded = folded.inner
+        sign = -sign
+    if type(folded) is Atom:
+        return sign * (folded.index + 1), top
+    return None, top
 
 
 class _TseitinBuilder:
@@ -187,8 +235,8 @@ def _collect_prepared(sentences: Seq[Sentence]) -> Optional[list[_Prepared]]:
     return preps
 
 
-def _positional_clauses(sentences: Seq[Sentence]) -> list[Clause]:
-    base = max(_max_atom(sentences) + 1, _TEMPLATE_BASE)
+def _positional_clauses(sentences: Seq[Sentence], max_atom: int) -> list[Clause]:
+    base = max(max_atom + 1, _TEMPLATE_BASE)
     out: list[Clause] = []
     offset = 0
     for s in sentences:
@@ -223,7 +271,8 @@ def clausify_set(sentences: Iterable[Sentence]) -> list[Clause]:
     constant contributes nothing.
     """
     sentences = list(sentences)
-    if _max_atom(sentences) < _TEMPLATE_BASE - 1:
+    max_atom = _max_atom(sentences)
+    if max_atom < _TEMPLATE_BASE - 1:
         preps = _collect_prepared(sentences)
         if preps is not None:
             out: list[Clause] = []
@@ -233,7 +282,7 @@ def clausify_set(sentences: Iterable[Sentence]) -> list[Clause]:
                 elif p.root is not _TRUE:
                     out.extend(p.clauses)
             return out
-    return _positional_clauses(sentences)
+    return _positional_clauses(sentences, max_atom)
 
 
 class RefutationVerdict(Enum):
@@ -255,15 +304,13 @@ class RefutationResult:
 
 
 def _initial_entries(
-    ordered: Seq[Sentence],
+    ordered: Seq[Sentence], max_atom: Optional[int] = None
 ) -> tuple[bool, list[tuple[int, tuple[int, ...], Clause]]]:
     """(refuted at setup, heap entries for the surviving clauses)."""
+    if max_atom is None:
+        max_atom = _max_atom(ordered)
     entries: list[tuple[int, tuple[int, ...], Clause]] = []
-    preps = (
-        _collect_prepared(ordered)
-        if _max_atom(ordered) < _TEMPLATE_BASE - 1
-        else None
-    )
+    preps = _collect_prepared(ordered) if max_atom < _TEMPLATE_BASE - 1 else None
     if preps is not None:
         for p in preps:
             if p.root is _FALSE:
@@ -271,13 +318,79 @@ def _initial_entries(
         for p in preps:
             entries.extend(p.entries)
         return False, entries
-    for c in _positional_clauses(ordered):
+    for c in _positional_clauses(ordered, max_atom):
         if not c:
             return True, []
         if _is_tautology(c):
             continue
         entries.append((len(c), tuple(sorted(c)), c))
     return False, entries
+
+
+class ClauseSummary:
+    """What `refute_bounded`'s setup finds in a set with no sentence that
+    folds to falsum, read from `_root_and_top` alone: the atom-literal root
+    units, whether two of them clash, and the largest atom index (-1 when
+    there is none). The only unit clauses of a set are its sentences' roots,
+    and roots on definition variables never clash, so `clash` is exactly
+    the setup's unit-clash test. A plain slotted class, not a dataclass:
+    building a dataclass costs about a millisecond at every import."""
+
+    __slots__ = ("units", "clash", "max_atom")
+
+    def __init__(self, units: frozenset[int], clash: bool, max_atom: int) -> None:
+        self.units = units
+        self.clash = clash
+        self.max_atom = max_atom
+
+
+EMPTY_SUMMARY = ClauseSummary(frozenset(), False, -1)
+
+REFUTED_AT_SETUP = RefutationResult(RefutationVerdict.REFUTED, 0)
+
+
+def summarize(
+    sentences: Iterable[Sentence], base: ClauseSummary = EMPTY_SUMMARY
+) -> Optional[ClauseSummary]:
+    """The summary of the set `base` describes grown by `sentences`, or None
+    when one of them folds to falsum. Builds no clauses; `base` itself comes
+    back when the sentences add no unit and no larger atom."""
+    new: list[int] = []
+    top = base.max_atom
+    for s in sentences:
+        lit, s_top = _root_and_top(s)
+        if lit is _FALSE:
+            return None
+        if lit is not None:
+            new.append(lit)  # type: ignore[arg-type]
+        if s_top > top:
+            top = s_top
+    units = base.units.union(new) if new else base.units
+    if len(units) == len(base.units) and top == base.max_atom:
+        return base
+    clash = base.clash or any(-l in units for l in new)
+    return ClauseSummary(units, clash, top)
+
+
+def _clash_result(budget: ProofBudget) -> RefutationResult:
+    # Units pop first and resolve only with each other, so when two of them
+    # clash the loop's first inference derives the empty clause.
+    if budget == 0:
+        return RefutationResult(RefutationVerdict.UNKNOWN, 0)
+    return RefutationResult(RefutationVerdict.REFUTED, 1)
+
+
+def settled_by_summary(
+    summary: Optional[ClauseSummary], budget: ProofBudget
+) -> Optional[RefutationResult]:
+    """`refute_bounded`'s result on a set it decides before its first
+    resolution step, from the set's summary (None: a sentence folds to
+    falsum), or None when the set reaches the resolution loop."""
+    if summary is None:
+        return REFUTED_AT_SETUP
+    if summary.clash:
+        return _clash_result(budget)
+    return None
 
 
 def _max_literal(lits: tuple[int, ...]) -> int:
@@ -291,21 +404,27 @@ def _units_clash(entries: Seq[tuple[int, tuple[int, ...], Clause]]) -> bool:
     return any(-l in units for l in units)
 
 
-def refute_bounded(sentences: Iterable[Sentence], budget: ProofBudget) -> RefutationResult:
+def refute_bounded(
+    sentences: Iterable[Sentence], budget: ProofBudget, max_atom: Optional[int] = None
+) -> RefutationResult:
     """Try to derive the empty clause within `budget` attempted resolutions.
     Ordered resolution: each clause resolves only on its maximal literal
     (by atom index), which keeps the search directed enough to saturate
-    small sets within tiny budgets while staying refutation-complete."""
-    ordered = sorted(set(sentences), key=render_sentence)
-    refuted, candidates = _initial_entries(ordered)
+    small sets within tiny budgets while staying refutation-complete.
+
+    A caller whose sentences are already distinct and in ascending rendering
+    order (a ClaimSet's are) may pass their largest atom index as `max_atom`;
+    the sentences are then taken as they are, with no re-sort and no walk
+    over their atoms."""
+    if max_atom is None:
+        ordered: Seq[Sentence] = sorted(set(sentences), key=render_sentence)
+    else:
+        ordered = sentences  # type: ignore[assignment]
+    refuted, candidates = _initial_entries(ordered, max_atom)
     if refuted:
-        return RefutationResult(RefutationVerdict.REFUTED, 0)
-    # Units pop first and resolve only with each other, so when two of them
-    # clash the loop's first inference derives the empty clause.
+        return REFUTED_AT_SETUP
     if _units_clash(candidates):
-        if budget == 0:
-            return RefutationResult(RefutationVerdict.UNKNOWN, 0)
-        return RefutationResult(RefutationVerdict.REFUTED, 1)
+        return _clash_result(budget)
     seen: set[Clause] = set()
     heap: list[tuple[int, tuple[int, ...], Clause]] = []
     for entry in candidates:

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from sentprob import prover
+from sentprob import consistency, prover
 from sentprob.consistency import (
     EMPTY_CLAIMS,
+    SATISFIABLE,
     SEARCH_STEPS,
     ClaimSet,
     ConCache,
@@ -14,7 +15,14 @@ from sentprob.consistency import (
     consistent_enough,
     extend_certificate,
 )
-from sentprob.estimator import StageParams, accumulate_claims, default_growth, sample_strings, stage_axioms
+from sentprob.estimator import (
+    StageParams,
+    accumulate_claims,
+    default_growth,
+    sample_strings,
+    single_machine_stage,
+    stage_axioms,
+)
 from sentprob.logic import (
     BOTTOM,
     And,
@@ -26,6 +34,7 @@ from sentprob.logic import (
     atoms_of,
     parse_sentence,
     render_sentence,
+    theory_from_axioms,
 )
 from sentprob.machine import run_prefix
 from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded
@@ -330,3 +339,214 @@ def test_gate_is_not_antitone_where_budget_binds():
     assert consistent_enough(grown, ConParams(2), cache)
     assert not antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), ConParams(2))
     assert antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), ConParams(64))
+
+
+SUMMARY_BUDGETS = (0, 1, 2, 4096)
+HUGE = 2**32 - 1  # atoms from here on take the positional clause path
+
+
+def decided_at_setup(sentences):
+    """Whether plain refute_bounded decides the set before its first
+    resolution step: falsum among the roots, or two clashing unit clauses."""
+    ordered = sorted(set(sentences), key=render_sentence)
+    refuted, entries = prover._initial_entries(ordered)
+    return refuted or prover._units_clash(entries)
+
+
+@pytest.fixture
+def resolution_runs(monkeypatch):
+    """The sentence tuples the gate hands to refute_bounded, in call order."""
+    runs = []
+
+    def counted(sentences, budget, *rest):
+        runs.append(tuple(sentences))
+        return refute_bounded(sentences, budget, *rest)
+
+    monkeypatch.setattr(consistency, "refute_bounded", counted)
+    return runs
+
+
+def gate_matches_plain(claims, budget, cache, runs):
+    """Gate claims on a cache miss and check the verdict, the cached result
+    and any stored certificate against plain refute_bounded. Returns the
+    verdict."""
+    misses, before = cache.misses, len(runs)
+    verdict = consistent_enough(claims, ConParams(budget), cache)
+    assert cache.misses == misses + 1
+    plain = refute_bounded(claims.sentences, budget)
+    where = ([render_sentence(s) for s in claims.sentences], budget)
+    assert verdict == (not plain.refuted), where
+    stored = cache.data[claims.key]
+    cert = cache.certificates.get(claims.key)
+    if stored is SATISFIABLE:
+        assert cert is not None, where
+    else:
+        assert stored == plain, where
+    if cert is not None:
+        assert all(kleene(s, cert) is True for s in claims.sentences), where
+    if verdict:
+        # the stored summary agrees with the clause form plain refutation builds
+        summary = cache.summaries[claims.key]
+        top = prover._max_atom(claims.sentences)
+        _, entries = prover._initial_entries(sorted(claims.sentences, key=render_sentence))
+        units = {lits[0] for size, lits, _ in entries if size == 1 and abs(lits[0]) <= top + 1}
+        assert (summary.units, summary.clash, summary.max_atom) == (units, prover._units_clash(entries), top), where
+    if decided_at_setup(claims.sentences):
+        # decided from the summary: no resolution run, no certificate
+        assert len(runs) == before and cert is None, where
+    else:
+        assert runs[before:] in ([], [claims.sentences]), where
+    return verdict
+
+
+def parse_all(texts):
+    return [parse_sentence(t) for t in texts]
+
+
+# (parent kind, parent sentences, added sentences, what plain refutation's
+# setup finds in the merge: "falsum", "clash" or None for neither)
+SUMMARY_CASES = [
+    # sentences that fold to falsum or to a literal
+    ("gated", [], ["(a0 & _|_)"], "falsum"),
+    ("gated", ["a1"], ["(a0 | _|_)", "!a0"], "clash"),
+    ("gated", ["!!a0"], ["!a0"], "clash"),
+    ("gated", ["(a0 | _|_)"], ["!!!a0"], "clash"),
+    ("gated", ["(_|_ -> _|_)", "a0"], ["!(a0 | _|_)"], "clash"),
+    ("gated", ["(_|_ -> _|_)"], ["a0", "!!a1"], None),
+    ("gated", ["!!a0", "(a0 | _|_)"], ["(a1 & !a0)"], None),
+    # a clash inside the added batch, and between parent and batch
+    ("gated", ["(a2 | a3)"], ["a0", "!a0"], "clash"),
+    ("gated", ["a0", "(a1 -> a2)"], ["!a0"], "clash"),
+    ("gated", ["a0", "!a1"], ["(a0 -> a1)"], None),
+    # a clash inherited from a parent accepted at budget 0
+    ("gated", ["a0", "!a0"], ["a1"], "clash"),
+    ("gated", ["a0", "!a0"], ["(a1 -> a2)", "!!a3"], "clash"),
+    # falsum and a clash in the same set: falsum wins
+    ("gated", ["a0"], ["!a0", "_|_"], "falsum"),
+    ("gated", ["a0", "!a0"], ["(a1 & _|_)"], "falsum"),
+    # parents the gate never saw: a stage's axiom set and ClaimSet.of
+    ("axioms", ["a0", "(a0 -> a1)"], ["!a0"], "clash"),
+    ("axioms", ["a0", "(a0 -> a1)"], ["!a1"], None),
+    ("axioms", ["a0", "(a0 -> a1)"], ["(a2 & _|_)"], "falsum"),
+    ("of", ["a0", "!a0"], ["a1"], "clash"),
+    ("of", ["a0"], ["!a0", "(a0 | a1)"], "clash"),
+    ("of", ["a0"], ["(a1 | a2)"], None),
+    # atoms at and above 2**32 - 1 take the positional fallback
+    ("gated", [f"a{HUGE}"], [f"!a{HUGE}"], "clash"),
+    ("gated", [f"a{HUGE + 5}", "a0"], [f"!!a{HUGE + 5}", f"!a{HUGE + 5}"], "clash"),
+    ("of", [f"a{HUGE + 1}"], ["(a0 & _|_)"], "falsum"),
+    ("gated", [f"(a{HUGE} -> a0)", f"a{HUGE}"], ["!a0"], None),
+    ("gated", [f"a{HUGE}"], [f"(a{HUGE} | a0)", "!a1"], None),
+]
+
+
+def parent_set(kind, texts):
+    if kind == "axioms":
+        theory = theory_from_axioms("t", parse_all(texts))
+        return stage_axioms(single_machine_stage(8, axiom_count=len(texts), theory=theory))
+    return ClaimSet.of(parse_all(texts))
+
+
+@pytest.mark.parametrize("kind, parent_texts, added_texts, settled", SUMMARY_CASES)
+def test_summary_decisions_match_plain_refutation(resolution_runs, kind, parent_texts, added_texts, settled):
+    for budget in SUMMARY_BUDGETS:
+        cache = ConCache()
+        parent = parent_set(kind, parent_texts)
+        if kind == "gated":
+            gate_matches_plain(parent, budget, cache, resolution_runs)
+        merged = parent.union(parse_all(added_texts))
+        assert merged.parent == parent.key and merged.added
+        before = len(resolution_runs)
+        gate_matches_plain(merged, budget, cache, resolution_runs)
+        plain = refute_bounded(merged.sentences, budget)
+        if settled == "falsum":
+            assert plain == RefutationResult(RefutationVerdict.REFUTED, 0)
+        elif settled == "clash":
+            assert plain.steps_used == min(budget, 1) and not plain.saturated
+        else:
+            assert not decided_at_setup(merged.sentences)
+        if settled is not None:
+            assert len(resolution_runs) == before
+
+
+def test_summary_cases_cover_the_positional_path():
+    merges = [ClaimSet.of(parse_all(p + a)) for _, p, a, _ in SUMMARY_CASES]
+    assert sum(prover._max_atom(m.sentences) >= HUGE for m in merges) == 5
+
+
+def test_inherited_clash_is_kept_by_a_budget_zero_parent(resolution_runs):
+    cache = ConCache()
+    parent = ClaimSet.of(parse_all(["a0", "!a0"]))
+    assert gate_matches_plain(parent, 0, cache, resolution_runs)
+    assert cache.summaries[parent.key].clash
+    child = parent.union(parse_all(["(a1 | a2)"]))
+    assert gate_matches_plain(child, 0, cache, resolution_runs)
+    assert cache.summaries[child.key].clash
+    grandchild = child.union(parse_all(["a3"]))
+    assert not gate_matches_plain(grandchild, 1, cache, resolution_runs)
+    assert cache.data[grandchild.key] == RefutationResult(RefutationVerdict.REFUTED, 1)
+    assert grandchild.key not in cache.summaries
+    assert resolution_runs == []
+
+
+def literal_heavy_sentence(rng):
+    """Mostly sentences whose roots are literals, some folding to falsum or
+    hiding a literal under falsum, and some with positional-range atoms."""
+    atom = Atom(rng.randrange(4) if rng.random() < 0.9 else HUGE + rng.randrange(2))
+    lit = atom if rng.random() < 0.5 else Not(atom)
+    roll = rng.random()
+    if roll < 0.3:
+        return lit
+    if roll < 0.4:
+        return Not(Not(lit))
+    if roll < 0.5:
+        return Or(lit, BOTTOM)
+    if roll < 0.55:
+        return And(lit, Implies(BOTTOM, BOTTOM))
+    return rand_sentence(rng, rng.randrange(1, 4), 4)
+
+
+def test_union_chains_match_plain_refutation_at_setup_budgets(resolution_runs):
+    rng = random.Random(5505)
+    decided = reached = 0
+    for budget in SUMMARY_BUDGETS:
+        cache = ConCache()
+        for _ in range(120):
+            claims = EMPTY_CLAIMS if rng.random() < 0.7 else ClaimSet.of([literal_heavy_sentence(rng)])
+            for _ in range(rng.randrange(1, 8)):
+                merged = claims.union(literal_heavy_sentence(rng) for _ in range(rng.randrange(1, 4)))
+                if merged is claims or merged.key in cache.data:
+                    continue
+                runs_before = len(resolution_runs)
+                if gate_matches_plain(merged, budget, cache, resolution_runs):
+                    claims = merged
+                if decided_at_setup(merged.sentences):
+                    decided += 1
+                reached += len(resolution_runs) > runs_before
+    assert decided > 300 and reached > 50, (decided, reached)
+
+
+def test_cache_hits_and_certified_merges_build_no_clauses():
+    # The summary is read from _fold alone: gating a merge that a
+    # certificate accepts, or answering from the cache, must not clausify.
+    cache = ConCache()
+    p = ConParams(64)
+    claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
+    grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
+    prover._prepared.cache_clear()
+    prover._root_and_top.cache_clear()
+    assert consistent_enough(claims, p, cache)
+    assert consistent_enough(grown, p, cache)
+    assert grown.key in cache.certificates
+    assert prover._prepared.cache_info().currsize == 0
+    folded = prover._root_and_top.cache_info().currsize
+    assert folded == 5
+    # hits and unions do no summary work either
+    assert consistent_enough(grown, p, cache)
+    grown.union(parse_all(["(a6 -> a7)"]))
+    assert prover._root_and_top.cache_info().currsize == folded
+    assert prover._prepared.cache_info().currsize == 0
+    # a merge that reaches resolution does clausify: the probe works
+    refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
+    assert not consistent_enough(refuted, p, cache)
+    assert prover._prepared.cache_info().currsize > 0

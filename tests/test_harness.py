@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sentprob.estimator import Estimate, EstimateMode
+from sentprob.estimator import MAX_ATOM_WINDOW, Estimate, EstimateMode, extension_probabilities
 from sentprob.harness import (
     REQUIRED_PROPERTIES,
     ConfigError,
@@ -18,6 +18,7 @@ from sentprob.harness import (
     parse_config,
     run_suite,
 )
+from sentprob.logic import Atom
 
 MINIMAL = """
 [suite]
@@ -142,6 +143,20 @@ def test_crosscheck_config_errors():
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = 5\n")
     with pytest.raises(ConfigError, match="expected sentence"):
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; (a0 &\n")
+
+
+def test_atom_window_limit_is_shared():
+    # One limit for configs and the sampler: the widest window passes both,
+    # one wider fails both.
+    assert MAX_ATOM_WINDOW == 4
+    head = MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = "
+    assert parse_config(head + "4\n").crosscheck.atom_window == 4
+    (e,) = extension_probabilities([Atom(0)], 3, 2, 5, atom_window=4)
+    assert e.samples == 5
+    with pytest.raises(ConfigError, match="capped at 4"):
+        parse_config(head + "5\n")
+    with pytest.raises(ValueError, match=r"atom window must be in 1\.\.4"):
+        extension_probabilities([Atom(0)], 3, 2, 5, atom_window=5)
 
 
 def test_load_config_wraps_io_errors(tmp_path):
