@@ -13,11 +13,10 @@ from .estimator import (
     StageParams,
     accumulate_claims,
     default_schedule,
-    extension_probability,
-    membership_probability,
-    membership_probability_exact,
-    membership_trajectory,
-    sample_extension,
+    extension_probabilities,
+    membership_counts,
+    membership_counts_exact,
+    sequence_trajectories,
 )
 from .logic import Sentence, parse_sentence, render_sentence, sentence_at, sentence_index
 from .sequences import builtin_catalog, sequence_by_id
@@ -34,15 +33,14 @@ __all__ = [
     "builtin_catalog",
     "consistent_enough",
     "default_schedule",
-    "extension_probability",
-    "membership_probability",
-    "membership_probability_exact",
-    "membership_trajectory",
+    "extension_probabilities",
+    "membership_counts",
+    "membership_counts_exact",
     "parse_sentence",
     "render_sentence",
-    "sample_extension",
     "sentence_at",
     "sentence_index",
     "sequence_by_id",
+    "sequence_trajectories",
     "__version__",
 ]

@@ -132,9 +132,6 @@ class ClaimSet:
         return f"ClaimSet(<{len(self.sentences)} sentences>)"
 
 
-EMPTY_CLAIMS = ClaimSet.of(())
-
-
 class ConCache:
     """Shared memo for gate verdicts, plus counters the harness can report.
     Keyed by claim-set key; each entry is the latest refutation attempt on
@@ -319,20 +316,3 @@ def _certify_or_refute(
         if model is not None:
             certificates[claims.key] = model
     return result
-
-
-def antitone_check(
-    claims: ClaimSet,
-    extra: Sentence,
-    params: ConParams,
-    cache: Optional[ConCache] = None,
-) -> bool:
-    """Property-test helper: true unless adding ``extra`` turned a rejected
-    set into an accepted one. The gate guarantees this only where the budget
-    does not bind: at small budgets the added clauses can reorder the search
-    and push a refutation past the budget (see the module docstring)."""
-    if cache is None:
-        cache = ConCache()
-    base = consistent_enough(claims, params, cache)
-    grown = consistent_enough(claims.union((extra,)), params, cache)
-    return not (base is False and grown is True)

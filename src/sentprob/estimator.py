@@ -7,13 +7,15 @@ the merged set passes the bounded consistency gate. A stage couples every
 budget (string count, string length, step budget, axiom prefix) to one growth
 schedule so they scale together.
 
-On top of the accumulation loop sit two estimators for the probability that
-a sentence ends up in the claim set: exact enumeration of every bit vector
-(tiny stages only) and seeded Monte Carlo with Wilson intervals. Both emit
-rationals. A third, independent process samples a consistent extension
-directly: random machines propose claims which are accepted under an exact
-satisfiability check restricted to a small atom window, giving a limit oracle
-the membership trajectories can be compared against.
+On top of the accumulation loop sit two membership estimators, each counting
+a whole battery of sentences in one pass: exact enumeration of every bit
+vector (tiny stages only), which returns the counts and the vector total, and
+seeded Monte Carlo sampling, whose counts `monte_carlo_estimate` turns into
+rationals with 95% Wilson intervals. A third, independent process samples
+consistent extensions directly: random machines propose claims which are
+accepted under an exact satisfiability check restricted to a small atom
+window, giving a limit oracle the membership trajectories can be compared
+against.
 
 Determinism contract: every random quantity derives from the caller's seed
 via a fixed tree (seed -> stage -> sample -> string, and seed -> sample ->
@@ -86,20 +88,22 @@ class StageParams:
         return self.size if self.axiom_count is None else self.axiom_count
 
 
-def standard_con(n: int, growth: Callable[[int], int] = default_growth) -> ConParams:
-    """Gate parameters for trend stages: a proof budget coupled to growth
-    with a floor. The factor keeps refutations of locally contradictory
-    merges findable once claim sets reach a few hundred clauses; smaller
-    factors let contradictions slip through at late stages."""
-    return ConParams(proof_budget=max(256, 16 * min(growth(n), GROWTH_CAP)))
-
-
-def standard_stage(n: int) -> StageParams:
-    return StageParams(n=n, growth=default_growth, con=standard_con(n))
-
-
-def default_schedule(stages: int = 5) -> list[StageParams]:
-    return [standard_stage(n) for n in range(1, stages + 1)]
+def default_schedule(
+    count: int = 5, cap: int = GROWTH_CAP, proof_floor: int = 256, proof_factor: int = 16
+) -> list[StageParams]:
+    """Trend stages 1..count. Stage n's budgets all equal min(growth(n), cap),
+    and its proof budget is max(proof_floor, proof_factor * that size). The
+    factor keeps refutations of locally contradictory merges findable once
+    claim sets reach a few hundred clauses; smaller factors let contradictions
+    slip through at late stages."""
+    if cap > GROWTH_CAP:
+        raise ValueError(f"cap {cap} exceeds the growth ceiling {GROWTH_CAP}")
+    schedule = []
+    for n in range(1, count + 1):
+        size = min(default_growth(n), cap)
+        con = ConParams(proof_budget=max(proof_floor, proof_factor * size))
+        schedule.append(StageParams(n=n, growth=default_growth, con=con, cap=cap))
+    return schedule
 
 
 def single_machine_stage(
@@ -158,6 +162,8 @@ def wilson_halfwidth(successes: int, samples: int) -> float:
 def monte_carlo_estimate(count: int, samples: int, seed: int, undecided: int = 0) -> Estimate:
     """The Monte Carlo estimate of count hits in samples draws, with its 95%
     Wilson half-width."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     return Estimate(
         Fraction(count, samples),
         EstimateMode.MONTE_CARLO,
@@ -228,19 +234,6 @@ def membership_counts(
     return counts
 
 
-def membership_probability(
-    phi: Sentence,
-    stage: StageParams,
-    samples: int,
-    seed: int,
-    cache: Optional[ConCache] = None,
-) -> Estimate:
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    count = membership_counts([phi], stage, samples, seed, cache)[0]
-    return monte_carlo_estimate(count, samples, seed)
-
-
 def _vector_strings(value: int, machines: int, width: int) -> list[Bits]:
     total = machines * width
     mask = (1 << width) - 1
@@ -279,16 +272,6 @@ def membership_counts_exact(
     return counts, 1 << total_bits
 
 
-def membership_probability_exact(
-    phi: Sentence,
-    stage: StageParams,
-    bit_budget: int = MAX_EXACT_BITS,
-    cache: Optional[ConCache] = None,
-) -> Estimate:
-    counts, total = membership_counts_exact([phi], stage, bit_budget, cache)
-    return Estimate(Fraction(counts[0], total), EstimateMode.EXACT, total, 0.0, 0)
-
-
 def sequence_trajectories(
     seqs: Sequence[SequenceDef],
     schedule: Sequence[StageParams],
@@ -311,35 +294,7 @@ def sequence_trajectories(
     return result
 
 
-def membership_trajectory(
-    seq: SequenceDef,
-    schedule: Sequence[StageParams],
-    samples: int,
-    seed: int,
-    cache: Optional[ConCache] = None,
-) -> list[Estimate]:
-    return sequence_trajectories([seq], schedule, samples, seed, cache)[seq.id]
-
-
 # --- truncated extension sampling -----------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    bits: Bits
-    accepted: bool
-    projected_out: int = 0
-
-
-@dataclass(frozen=True)
-class ExtensionSample:
-    accepted: ClaimSet
-    rounds: int
-    machine_log: tuple[RoundRecord, ...]
-
-    @property
-    def projected_out(self) -> int:
-        return sum(r.projected_out for r in self.machine_log)
 
 
 def _window_order(atom_window: int) -> tuple[int, ...]:
@@ -360,52 +315,6 @@ def _window_mask(s: Sentence, order: tuple[int, ...], memo: dict) -> Optional[in
     m = truth_table(s, order) if all(a < window for a in atoms_of(s)) else None
     memo[s] = m
     return m
-
-
-def sample_extension(
-    seed: int,
-    rounds: int,
-    theory: Theory = EMPTY_THEORY,
-    machine_budget: int = 64,
-    atom_window: int = 3,
-) -> ExtensionSample:
-    """Draw one truncated extension: starting from the first `rounds` axioms,
-    each round runs a fresh random machine and merges its claims iff they are
-    jointly satisfiable with everything accepted so far (exact check over the
-    atom window). Claims mentioning atoms outside the window are projected
-    out and logged, never merged. Axioms must fit the window."""
-    order = _window_order(atom_window)
-    full = (1 << (1 << atom_window)) - 1
-    memo: dict = {}
-    accepted: dict[Sentence, None] = {}
-    models = full
-    for i in range(rounds):
-        axiom = theory.axiom_at(i)
-        mask = _window_mask(axiom, order, memo)
-        if mask is None:
-            raise ValueError(f"axiom {i} mentions atoms outside the window")
-        models &= mask
-        accepted[axiom] = None
-    log: list[RoundRecord] = []
-    for i in range(rounds):
-        bits = random_bits(derive_seed(seed, i), machine_budget)
-        trace = run_prefix(bits, machine_budget)
-        keep = []
-        mask = models
-        for s in trace.emitted:
-            m = _window_mask(s, order, memo)
-            if m is not None:
-                keep.append(s)
-                mask &= m
-        dropped = len(trace.emitted) - len(keep)
-        if mask:
-            models = mask
-            for s in keep:
-                accepted[s] = None
-            log.append(RoundRecord(bits, True, dropped))
-        else:
-            log.append(RoundRecord(bits, False, dropped))
-    return ExtensionSample(ClaimSet.of(accepted), rounds, tuple(log))
 
 
 def _extension_models(
@@ -470,8 +379,12 @@ def extension_probabilities(
     atom_window: int = 3,
 ) -> list[Estimate]:
     """For each battery sentence, the fraction of sampled extensions that
-    entail it. Samples entailing neither the sentence nor its negation are
-    counted as undecided on that sentence."""
+    entail it. A sample starts from the first `rounds` axioms, which must fit
+    the atom window; each round runs a fresh random machine and takes its
+    claims iff they are jointly satisfiable with everything taken so far
+    (exact check over the window). Claims mentioning atoms outside the
+    window are projected out. Samples entailing neither the sentence nor its
+    negation are counted as undecided on that sentence."""
     order = _window_order(atom_window)
     full = (1 << (1 << atom_window)) - 1
     memo: dict = {}
@@ -498,17 +411,3 @@ def extension_probabilities(
         monte_carlo_estimate(counts[j], samples, seed, undecided[j])
         for j in range(len(battery))
     ]
-
-
-def extension_probability(
-    phi: Sentence,
-    seed: int,
-    rounds: int,
-    samples: int,
-    theory: Theory = EMPTY_THEORY,
-    machine_budget: int = 64,
-    atom_window: int = 3,
-) -> Estimate:
-    return extension_probabilities(
-        [phi], seed, rounds, samples, theory, machine_budget, atom_window
-    )[0]

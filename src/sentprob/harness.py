@@ -1,8 +1,9 @@
 """Config-driven experiment harness.
 
 A suite config is an INI file. [suite] names the run and pins samples, seed
-and output directory; [stages] builds the stage schedule from count, cap,
-proof_floor and proof_factor, and rejects any other key; [sequences] lists
+and output directory; [stages] hands count, cap, proof_floor and
+proof_factor to estimator.default_schedule, which holds their defaults, and
+rejects any other key and a cap above the growth ceiling; [sequences] lists
 trajectory families; [assert] holds one trend assertion per line; an optional
 [crosscheck] section configures the membership-vs-extension comparison.
 
@@ -28,16 +29,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .bits import derive_seed
-from .consistency import ConCache, ConParams
+from .consistency import ConCache
 from .estimator import (
-    GROWTH_CAP,
     MAX_ATOM_WINDOW,
     Estimate,
     StageParams,
-    default_growth,
+    default_schedule,
     extension_probabilities,
     membership_counts,
     monte_carlo_estimate,
@@ -233,18 +233,13 @@ def _check_keys(section: Iterable[str], name: str, known: tuple[str, ...]) -> No
             )
 
 
-def _build_schedule(section: configparser.SectionProxy) -> tuple[StageParams, ...]:
+def _build_schedule(section: Mapping[str, str]) -> tuple[StageParams, ...]:
     _check_keys(section, "stages", _STAGE_KEYS)
-    count = _natural(section.get("count", "5"), "[stages] count", 1)
-    cap = _natural(section.get("cap", str(GROWTH_CAP)), "[stages] cap", 1)
-    proof_floor = _natural(section.get("proof_floor", "256"), "[stages] proof_floor", 1)
-    proof_factor = _natural(section.get("proof_factor", "16"), "[stages] proof_factor", 1)
-    schedule = []
-    for n in range(1, count + 1):
-        size = min(default_growth(n), cap)
-        con = ConParams(proof_budget=max(proof_floor, proof_factor * size))
-        schedule.append(StageParams(n=n, growth=default_growth, con=con, cap=cap))
-    return tuple(schedule)
+    given = {key: _natural(section[key], f"[stages] {key}", 1) for key in section}
+    try:
+        return tuple(default_schedule(**given))
+    except ValueError as exc:
+        raise ConfigError(f"[stages] {exc}") from exc
 
 
 def _parse_battery(raw: str) -> tuple[Sentence, ...]:
@@ -274,10 +269,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     samples = _natural(suite.get("samples", "200"), "[suite] samples", 1)
     seed = _natural(suite.get("seed", "1"), "[suite] seed")
     out_dir = suite.get("out", f"runs/{suite_id}")
-    stages_section = (
-        parser["stages"] if parser.has_section("stages") else _empty_section("stages")
-    )
-    schedule = _build_schedule(stages_section)
+    schedule = _build_schedule(parser["stages"] if parser.has_section("stages") else {})
     seq_ids: list[str] = []
     if parser.has_section("sequences"):
         seq_ids = parser["sequences"].get("ids", "").split()
@@ -321,12 +313,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         assertions=tuple(assertions),
         crosscheck=crosscheck,
     )
-
-
-def _empty_section(name: str) -> configparser.SectionProxy:
-    parser = configparser.ConfigParser()
-    parser.add_section(name)
-    return parser[name]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

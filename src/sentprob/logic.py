@@ -170,41 +170,6 @@ def sentence_index(s: Sentence) -> int:
     raise TypeError(f"not a sentence: {s!r}")
 
 
-def decode_cost(k: int) -> int:
-    """Number of elementary decode steps for sentence_at(k); used to check
-    that decoding stays polynomial in the bit length of k."""
-    steps = 1
-    if k == 0:
-        return steps
-    stack = [k]
-    while stack:
-        j = stack.pop()
-        if j == 0:
-            continue
-        m = j - 1
-        tag = m % 5
-        payload = m // 5
-        steps += 1
-        if tag == _TAG_NOT:
-            stack.append(payload)
-        elif tag != _TAG_ATOM:
-            a, b = _unpair(payload)
-            stack.append(a)
-            stack.append(b)
-    return steps
-
-
-def sentence_size(s: Sentence) -> int:
-    """AST node count plus the bit length of every atom index (min 1 per atom)."""
-    if isinstance(s, Bottom):
-        return 1
-    if isinstance(s, Atom):
-        return 1 + max(1, s.index.bit_length())
-    if isinstance(s, Not):
-        return 1 + sentence_size(s.inner)
-    return 1 + sentence_size(s.left) + sentence_size(s.right)
-
-
 @lru_cache(maxsize=1 << 16)
 def atoms_of(s: Sentence) -> frozenset[int]:
     if isinstance(s, Bottom):

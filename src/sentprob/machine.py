@@ -7,8 +7,8 @@ valid encoding is a proper prefix of another.
 Wire format (MSB-first, gamma = Elias gamma code):
 
     gamma(1) = '1'            generator program:
-        gamma(g+1)                builtin family slot, position g % 14 in
-                                  sequences.builtin_catalog()
+        gamma(g+1)                builtin family slot, position g % SLOT_COUNT
+                                  in sequences.builtin_catalog()
         1 mode bit                0 = stream, 1 = indexed
     gamma(v), v >= 2          register machine with v-1 instructions, each:
         4-bit opcode              value mod 8 selects the instruction
@@ -52,7 +52,7 @@ from typing import Optional, Union
 
 from .bits import Bits, gamma_encode, read_gamma
 from .logic import Sentence, sentence_at
-from .sequences import SequenceDef, builtin_catalog, sequence_by_id
+from .sequences import SequenceDef, builtin_catalog
 
 SLOT_COUNT = len(builtin_catalog())
 
@@ -186,19 +186,7 @@ def assemble_emit_one(k: int) -> Bits:
     at least max(k, |gamma(k+1)| + 1)."""
     if k < 0:
         raise ValueError("sentence index must be a natural number")
-    return assemble_sequence_emitter("enumeration").concat(gamma_encode(k + 1))
-
-
-def assemble_sequence_emitter(fid: str) -> Bits:
-    """Program prefix for the indexed form of a builtin family: append
-    gamma(n+1) and the run emits member n."""
-    return encode_generator(fid, indexed=True)
-
-
-def assemble_stream_emitter(fid: str) -> Bits:
-    """Program bits for the in-order form of a builtin family; the run emits
-    members 0, 1, ... on the quadratic schedule until the budget is spent."""
-    return encode_generator(fid, indexed=False)
+    return encode_generator("enumeration", indexed=True).concat(gamma_encode(k + 1))
 
 
 def run_prefix(bits: Bits, t: int) -> OutputTrace:
@@ -289,29 +277,3 @@ def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> Outp
         else:
             pc += 1
     return OutputTrace(tuple(emitted), steps, halted, width - left)
-
-
-def machine_backed(fid: str, budget_slack: int = 16) -> SequenceDef:
-    """A machine-run twin of a builtin family: member n is produced by the
-    indexed emitter under a linear step budget. Exceeding the budget raises,
-    since that would mean the family is not quickly computable as encoded."""
-    base = sequence_by_id(fid)
-    prefix = assemble_sequence_emitter(base.id)
-
-    def emit(n: int) -> Sentence:
-        bits = prefix.concat(gamma_encode(n + 1))
-        budget = 2 * n + budget_slack
-        trace = run_prefix(bits, budget)
-        if len(trace.emitted) != 1:
-            raise RuntimeError(
-                f"emitter for {base.id!r} produced {len(trace.emitted)} sentences at n={n}"
-            )
-        return trace.emitted[0]
-
-    return SequenceDef(
-        f"{base.id}@machine",
-        "machine",
-        f"machine-run twin of {base.id}",
-        emit,
-        machine_prefix=prefix,
-    )

@@ -43,7 +43,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence as Seq
 
-from .logic import And, Atom, Bottom, Implies, Not, Or, Sentence, Theory, atoms_of, render_sentence
+from .logic import And, Atom, Bottom, Implies, Not, Or, Sentence, atoms_of, render_sentence
 
 ProofBudget = int
 
@@ -257,32 +257,6 @@ def _max_atom(sentences: Iterable[Sentence]) -> int:
             if a > top:
                 top = a
     return top
-
-
-def clausify(s: Sentence) -> set[Clause]:
-    """Equisatisfiable CNF asserting the single sentence s."""
-    return set(clausify_set([s]))
-
-
-def clausify_set(sentences: Iterable[Sentence]) -> list[Clause]:
-    """CNF asserting every sentence, with disjoint definition variables.
-
-    An unsatisfiable constant contributes the empty clause; a tautological
-    constant contributes nothing.
-    """
-    sentences = list(sentences)
-    max_atom = _max_atom(sentences)
-    if max_atom < _TEMPLATE_BASE - 1:
-        preps = _collect_prepared(sentences)
-        if preps is not None:
-            out: list[Clause] = []
-            for p in preps:
-                if p.root is _FALSE:
-                    out.append(frozenset())
-                elif p.root is not _TRUE:
-                    out.extend(p.clauses)
-            return out
-    return _positional_clauses(sentences, max_atom)
 
 
 class RefutationVerdict(Enum):
@@ -528,11 +502,3 @@ def entails(premises: Iterable[Sentence], conclusion: Sentence) -> bool:
     for s in premises:
         mask &= _eval_mask(s, patterns, full)
     return not (mask & ~_eval_mask(conclusion, patterns, full))
-
-
-def is_theorem_bounded(phi: Sentence, theory: Theory, n_axioms: int, budget: ProofBudget) -> bool:
-    """True when the first n_axioms axioms plus the negation of phi are refuted
-    within budget; False means only that no refutation was found."""
-    premises = [theory.axiom_at(i) for i in range(n_axioms)]
-    premises.append(Not(phi))
-    return refute_bounded(premises, budget).refuted

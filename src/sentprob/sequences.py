@@ -21,7 +21,6 @@ from .logic import (
     atoms_of,
     sentence_at,
 )
-from .bits import Bits
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class SequenceDef:
     kind: str  # "builtin" or "machine"
     description: str
     emit: Callable[[int], Sentence] = field(compare=False)
-    machine_prefix: Optional[Bits] = field(default=None, compare=False)
 
 
 def generate(seq: SequenceDef, n: int) -> Sentence:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from sentprob.bits import Bits
-from sentprob.consistency import ClaimSet, ConCache, ConParams, consistent_enough, antitone_check
+from sentprob.consistency import ClaimSet, ConCache, ConParams, consistent_enough
 from sentprob.estimator import (
     membership_counts,
     membership_counts_exact,
@@ -23,7 +23,9 @@ from sentprob.harness import parse_config, run_crosscheck, run_suite
 from sentprob.logic import BOTTOM, And, Atom, Implies, Not, Or, parse_sentence, sentence_at
 from sentprob.machine import assemble_emit_one
 from sentprob.prover import refute_bounded, semantic_consistent
+from test_consistency import antitone_check
 from test_estimator import BATTERY_TEXTS
+from test_harness import ROOT, assert_matches_committed
 from test_prover import rand_sentence
 
 PROOF_BUDGET = 10_000
@@ -240,6 +242,12 @@ def test_membership_vs_extension(capsys, crosscheck_run):
         f"{len(result.rows)} sentences, all diffs within 0.10 plus CIs "
         f"(worst slack {-worst:.4f}, {elapsed:.1f}s)",
     )
+
+
+def test_standard_artifacts_are_pinned(suite_run, crosscheck_run):
+    # The suite and crosscheck runs above regenerate every committed file.
+    written = suite_run[0].artifacts + crosscheck_run[0].artifacts
+    assert_matches_committed(written, ROOT / "runs" / "standard")
 
 
 def test_simplicity_floor(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sentprob import estimator
 from sentprob.bits import Bits, derive_seed
 from sentprob.consistency import ConCache, ConParams
 from sentprob.estimator import (
@@ -12,29 +13,26 @@ from sentprob.estimator import (
     default_growth,
     default_schedule,
     extension_probabilities,
-    extension_probability,
+    membership_counts,
     membership_counts_exact,
-    membership_probability,
-    membership_probability_exact,
-    membership_trajectory,
-    sample_extension,
+    monte_carlo_estimate,
     sample_strings,
     sequence_trajectories,
     single_machine_stage,
     stage_axioms,
-    standard_con,
-    standard_stage,
     wilson_halfwidth,
 )
 from sentprob.logic import (
     BOTTOM,
+    And,
     Atom,
     Not,
     Or,
     parse_sentence,
+    sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import assemble_emit_one
+from sentprob.machine import OutputTrace, assemble_emit_one
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import sequence_by_id
 
@@ -74,10 +72,15 @@ def test_growth_and_schedule_shapes():
 
 
 def test_standard_con_budgets_track_growth():
-    p = standard_con(1)
-    assert p.proof_budget == 384
-    assert standard_con(5).proof_budget == 16 * 384
-    assert standard_con(9).proof_budget == 16 * 512
+    budgets = [s.con.proof_budget for s in default_schedule(9)]
+    assert budgets[0] == 384
+    assert budgets[4] == 16 * 384
+    assert budgets[8] == 16 * 512
+    capped = default_schedule(4, cap=50, proof_floor=1000, proof_factor=32)
+    assert [s.size for s in capped] == [24, 48, 50, 50]
+    assert [s.con.proof_budget for s in capped] == [1000, 1536, 1600, 1600]
+    with pytest.raises(ValueError, match="exceeds the growth ceiling 512"):
+        default_schedule(cap=513)
 
 
 def test_single_machine_stage_overrides():
@@ -142,18 +145,17 @@ def test_exact_counts_match_fresh_oracle():
 
 
 def test_exact_estimate_is_dyadic():
-    est = membership_probability_exact(Atom(0), single_machine_stage(12), bit_budget=12)
-    assert est.mode is EstimateMode.EXACT
-    assert est.value == Fraction(85, 4096)
-    assert est.ci_halfwidth == 0.0
-    assert est.samples == 4096
-    den = est.value.denominator
+    (count,), total = membership_counts_exact([Atom(0)], single_machine_stage(12), bit_budget=12)
+    value = Fraction(count, total)
+    assert value == Fraction(85, 4096)
+    assert total == 4096
+    den = value.denominator
     assert den & (den - 1) == 0 and 4096 % den == 0
 
 
 def test_exact_zero_cases():
     st = single_machine_stage(12)
-    assert membership_probability_exact(BOTTOM, st, bit_budget=12).value == 0
+    assert membership_counts_exact([BOTTOM], st, bit_budget=12) == ([0], 4096)
     empty = StageParams(
         n=1,
         growth=lambda n: 12,
@@ -161,9 +163,7 @@ def test_exact_zero_cases():
         machine_count=0,
         axiom_count=0,
     )
-    est = membership_probability_exact(Atom(0), empty, bit_budget=12)
-    assert est.value == 0
-    assert est.samples == 1
+    assert membership_counts_exact([Atom(0)], empty, bit_budget=12) == ([0], 1)
 
 
 def test_exact_budget_errors():
@@ -183,42 +183,47 @@ def test_wilson_halfwidth():
 
 def test_mc_requires_samples():
     with pytest.raises(ValueError, match="at least one sample"):
-        membership_probability(Atom(0), single_machine_stage(12), 0, 1)
+        monte_carlo_estimate(0, 0, 1)
+    schedule = [single_machine_stage(12)]
+    with pytest.raises(ValueError, match="at least one sample"):
+        sequence_trajectories([sequence_by_id("atom_chain")], schedule, 0, 1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        extension_probabilities([Atom(0)], 3, 2, 0)
 
 
 def test_mc_reproducible_and_seed_sensitive():
     st = single_machine_stage(12)
-    a = membership_probability(Atom(0), st, 500, 11)
-    b = membership_probability(Atom(0), st, 500, 11)
-    c = membership_probability(Atom(0), st, 500, 12)
-    assert a == b
-    assert c.seed != a.seed
-    assert a.mode is EstimateMode.MONTE_CARLO
-    assert a.ci_halfwidth > 0
+    a = membership_counts(battery(), st, 500, 11)
+    assert membership_counts(battery(), st, 500, 11) == a
+    assert membership_counts(battery(), st, 500, 12) != a
+    est = monte_carlo_estimate(a[0], 500, 11)
+    assert (est.value, est.samples, est.seed) == (Fraction(a[0], 500), 500, 11)
+    assert est.mode is EstimateMode.MONTE_CARLO
+    assert est.ci_halfwidth > 0
 
 
 def test_mc_agrees_with_exact():
     st = single_machine_stage(12)
-    mc = membership_probability(Atom(0), st, 10_000, 20260817)
-    exact = membership_probability_exact(Atom(0), st, bit_budget=12)
-    assert abs(mc.value - exact.value) <= 3 * mc.ci_halfwidth
+    (hits,) = membership_counts([Atom(0)], st, 10_000, 20260817)
+    (count,), total = membership_counts_exact([Atom(0)], st, bit_budget=12)
+    gap = abs(Fraction(hits, 10_000) - Fraction(count, total))
+    assert gap <= 3 * wilson_halfwidth(hits, 10_000)
 
 
 def test_theorem_membership_at_moderate_stage():
-    est = membership_probability(Or(Atom(0), Not(Atom(0))), standard_stage(2), 2000, 5)
-    assert est.value >= Fraction(1, 2)
+    stage = default_schedule(2)[1]
+    (hits,) = membership_counts([Or(Atom(0), Not(Atom(0)))], stage, 2000, 5)
+    assert hits >= 1000
 
 
 def test_simplicity_lower_bound_small():
     # any satisfiable sentence is seen at least as often as its own emitter
     st = single_machine_stage(12)
-    for k in (1, 2):
+    counts, total = membership_counts_exact([sentence_at(1), sentence_at(2)], st, bit_budget=12)
+    for k, count in zip((1, 2), counts):
         w = assemble_emit_one(k)
         assert w.length <= 12
-        est = membership_probability_exact(
-            parse_sentence(["_|_", "a0", "!_|_"][k]), st, bit_budget=12
-        )
-        assert est.value >= Fraction(1, 2**w.length)
+        assert Fraction(count, total) >= Fraction(1, 2**w.length)
 
 
 def test_probability_law_is_permutation_invariant():
@@ -229,7 +234,7 @@ def test_probability_law_is_permutation_invariant():
         machine_count=2,
     )
     target = Atom(0)
-    base = membership_probability(target, st, 4000, 333)
+    (base,) = membership_counts([target], st, 4000, 333)
     rng = random.Random(1)
     hits = 0
     for i in range(4000):
@@ -237,9 +242,8 @@ def test_probability_law_is_permutation_invariant():
         rng.shuffle(strs)
         if target in accumulate_claims(strs, st):
             hits += 1
-    shuffled = Fraction(hits, 4000)
-    sigma = (base.ci_halfwidth + wilson_halfwidth(hits, 4000)) / 1.96
-    assert abs(base.value - shuffled) <= 3 * sigma
+    sigma = (wilson_halfwidth(base, 4000) + wilson_halfwidth(hits, 4000)) / 1.96
+    assert abs(Fraction(base - hits, 4000)) <= 3 * sigma
 
 
 def test_trajectories_shapes_and_decoupling():
@@ -248,7 +252,7 @@ def test_trajectories_shapes_and_decoupling():
     both = sequence_trajectories(seqs, schedule, 40, 9, ConCache())
     assert set(both) == {"constant_bottom", "tautology_chain"}
     assert all(len(tr) == 2 for tr in both.values())
-    alone = membership_trajectory(seqs[0], schedule, 40, 9, ConCache())
+    alone = sequence_trajectories(seqs[:1], schedule, 40, 9, ConCache())["constant_bottom"]
     assert both["constant_bottom"] == alone
     for est in alone:
         assert est.samples == 40
@@ -257,37 +261,49 @@ def test_trajectories_shapes_and_decoupling():
 
 
 def test_extension_zero_rounds_is_bare():
-    s = sample_extension(3, 0, theory=theory_from_axioms("one", [Atom(0)]))
-    assert s.accepted.key == ()
-    assert s.rounds == 0
-    assert s.machine_log == ()
+    # With no rounds neither the axioms nor any machine claim is taken.
+    one = theory_from_axioms("one", [Atom(0)])
+    (e,) = extension_probabilities([Atom(0)], 3, 0, 5, theory=one)
+    assert (e.value, e.undecided) == (0, 5)
 
 
 def test_extension_keeps_axioms_and_stays_satisfiable():
     t = theory_from_axioms("one", [Atom(0)])
-    for seed in range(25):
-        s = sample_extension(seed, 6, theory=t)
-        assert Atom(0) in s.accepted
-        assert semantic_consistent(list(s.accepted))
-        assert len(s.machine_log) == 6
+    sentences = [parse_sentence(x) for x in ("a1", "a2", "(a1 & a2)", "(a0 -> a2)", "(a1 | !a2)")]
+    for rounds in (6, 64):
+        ests = extension_probabilities(
+            [Atom(0), BOTTOM] + sentences + [Not(s) for s in sentences], 7, rounds, 100, theory=t
+        )
+        assert ests[0].value == 1
+        assert ests[1].value == 0
+        k = len(sentences)
+        for pos, neg in zip(ests[2 : 2 + k], ests[2 + k :]):
+            assert pos.value + neg.value <= 1
 
 
 def test_extension_rejects_axioms_outside_window():
     far = theory_from_axioms("far", [Atom(9)])
     with pytest.raises(ValueError, match="outside the window"):
-        sample_extension(3, 1, theory=far, atom_window=3)
-    with pytest.raises(ValueError, match="outside the window"):
         extension_probabilities([Atom(0)], 3, 1, 1, theory=far, atom_window=3)
 
 
-def test_extension_projects_wide_claims():
-    total = 0
-    for seed in range(40):
-        s = sample_extension(seed, 8)
-        for rec in s.machine_log:
-            assert rec.projected_out >= 0
-            total += rec.projected_out
-    assert total > 0
+def test_extension_projects_wide_claims(monkeypatch):
+    # A claim mentioning an atom outside the window is projected out: it
+    # decides nothing, and the window claims emitted with it are still taken.
+    def emitting(*claims):
+        trace = OutputTrace(claims, 1, True, 0)
+        monkeypatch.setattr(estimator, "run_prefix", lambda bits, t: trace)
+
+    wide = And(Atom(0), Atom(5))
+    emitting(wide)
+    (e,) = extension_probabilities([Atom(0)], 3, 4, 10)
+    assert (e.value, e.undecided) == (0, 10)
+    emitting(wide, Atom(1))
+    e, f = extension_probabilities([Atom(0), Atom(1)], 3, 4, 10)
+    assert (e.value, e.undecided, f.value) == (0, 10, 1)
+    emitting(And(Atom(0), Atom(2)))
+    (e,) = extension_probabilities([Atom(0)], 3, 4, 10)
+    assert e.value == 1
 
 
 def test_extension_trichotomy():
@@ -299,22 +315,21 @@ def test_extension_trichotomy():
 def test_extension_decides_with_more_rounds():
     undecided = []
     for rounds in (1, 4, 16, 64):
-        e = extension_probability(Atom(0), 7, rounds, 300)
+        (e,) = extension_probabilities([Atom(0)], 7, rounds, 300)
         undecided.append(e.undecided)
     assert undecided[0] > undecided[-1] == 0
     assert sorted(undecided, reverse=True) == undecided
 
 
 def test_extension_endpoints():
-    taut = extension_probability(Or(Atom(0), Not(Atom(0))), 13, 4, 200)
+    taut, bot = extension_probabilities([Or(Atom(0), Not(Atom(0))), BOTTOM], 13, 4, 200)
     assert taut.value == 1
-    bot = extension_probability(BOTTOM, 13, 4, 200)
     assert bot.value == 0
 
 
 def test_extension_reproducible():
-    a = extension_probability(Atom(1), 21, 8, 150)
-    b = extension_probability(Atom(1), 21, 8, 150)
+    a = extension_probabilities([Atom(1)], 21, 8, 150)
+    b = extension_probabilities([Atom(1)], 21, 8, 150)
     assert a == b
 
 

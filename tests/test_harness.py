@@ -1,4 +1,3 @@
-import hashlib
 import importlib.resources
 import os
 import subprocess
@@ -121,6 +120,20 @@ def test_unknown_stage_keys_are_rejected(tmp_path):
         assert key in proc.stderr
 
 
+def test_stage_cap_above_growth_ceiling_is_rejected(tmp_path):
+    # Stage sizes stop growing at 512, so a larger cap would be ignored.
+    text = MINIMAL.replace("count = 2\n", "count = 8\ncap = 1024\n")
+    with pytest.raises(ConfigError, match=r"\[stages\] cap 1024 exceeds the growth ceiling 512"):
+        parse_config(text)
+    path = tmp_path / "cap.ini"
+    path.write_text(text)
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "cap"))
+    assert proc.returncode == 2
+    assert "growth ceiling" in proc.stderr
+    cfg = parse_config(text.replace("cap = 1024", "cap = 512"))
+    assert [s.size for s in cfg.schedule] == [24, 48, 96, 192, 384, 512, 512, 512]
+
+
 def test_unknown_suite_and_crosscheck_keys_are_rejected(tmp_path):
     # A misspelt key would otherwise be dropped and its default would run.
     crosscheck = "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\n"
@@ -210,19 +223,19 @@ def test_evaluate_stabilizes():
     assert not check("stabilizes", ["s"], None, Fraction(1, 16), 3, t).passed
 
 
+def assert_matches_committed(written, committed_dir):
+    """Every written artifact is byte-identical to the committed file of the
+    same name, and every committed file was written."""
+    assert sorted(Path(p).name for p in written) == sorted(p.name for p in committed_dir.iterdir())
+    for path in map(Path, written):
+        assert path.read_bytes() == (committed_dir / path.name).read_bytes(), path.name
+
+
 def test_demo_suite_artifacts_are_pinned(tmp_path):
     cfg = parse_config(demo_text())
     result = run_suite(cfg, out_dir=str(tmp_path))
     assert result.passed
-    digests = {}
-    for name in ("trajectories.csv", "assert_bottom_vanishes.svg"):
-        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-    assert digests["trajectories.csv"] == (
-        "a61f7631ff6241551b258a42ecd24237354addd07fa224dc7e8f824d65d9dfb7"
-    )
-    assert digests["assert_bottom_vanishes.svg"] == (
-        "3c2cbc4b61736f82e0a54637158414814a821c31aef0482d2fb399a639a87d7b"
-    )
+    assert_matches_committed(result.artifacts, ROOT / "demo_run")
 
 
 def test_suite_artifact_shapes(tmp_path):
@@ -244,7 +257,8 @@ def test_suite_artifact_shapes(tmp_path):
         assert (tmp_path / f"assert_{a.name}.svg").exists()
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(*args):

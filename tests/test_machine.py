@@ -16,14 +16,12 @@ from sentprob.machine import (
     OutputTrace,
     _stream_trace,
     assemble_emit_one,
-    assemble_sequence_emitter,
-    assemble_stream_emitter,
     decode_program,
+    encode_generator,
     encode_machine_program,
-    machine_backed,
     run_prefix,
 )
-from sentprob.sequences import SequenceDef, builtin_catalog
+from sentprob.sequences import SequenceDef, builtin_catalog, sequence_by_id
 
 
 # --- bit-serial reference ------------------------------------------------
@@ -235,7 +233,7 @@ def test_matches_reference_on_assembled_programs():
     # Random strings rarely decode to long indexed codes or loops, so run
     # assembled ones too, cut at every length and at budgets around each
     # step count where the outcome changes.
-    emitters = [assemble_sequence_emitter(seq.id) for seq in builtin_catalog()]
+    emitters = [encode_generator(seq.id, indexed=True) for seq in builtin_catalog()]
     loop = encode_machine_program(
         MachineProgram(
             (
@@ -316,8 +314,8 @@ def test_truncated_encoding_is_incomplete():
     # encoding decodes with its end position at its length: the fixed-width
     # fields and the gamma codes all report running out of bits.
     programs = [
-        assemble_stream_emitter("atom_chain"),
-        assemble_sequence_emitter("enumeration"),
+        encode_generator("atom_chain", indexed=False),
+        encode_generator("enumeration", indexed=True),
         encode_machine_program(
             MachineProgram(
                 (
@@ -352,7 +350,7 @@ def test_output_is_prefix_monotone_in_budget():
 
 
 def test_stream_emitter_cadence():
-    bits = assemble_stream_emitter("atom_chain")
+    bits = encode_generator("atom_chain", indexed=False)
     for t in (0, 3, 4, 16, 100, 384):
         trace = run_prefix(bits, t)
         assert len(trace.emitted) == math.isqrt(t // 4)
@@ -362,7 +360,7 @@ def test_stream_emitter_cadence():
 
 
 def test_indexed_emitter_step_growth_is_shallow():
-    prefix = assemble_sequence_emitter("atom_chain")
+    prefix = encode_generator("atom_chain", indexed=True)
     steps = {}
     for n in (1, 4, 16, 64):
         trace = run_prefix(prefix.concat(gamma_encode(n + 1)), 10_000)
@@ -371,6 +369,31 @@ def test_indexed_emitter_step_growth_is_shallow():
     # fitted growth exponent over the measured range stays well below cubic
     exponent = math.log(steps[64] / steps[1]) / math.log(64)
     assert exponent <= 3
+
+
+def machine_backed(fid: str, budget_slack: int = 16) -> SequenceDef:
+    """A machine-run twin of a builtin family: member n is produced by the
+    indexed emitter under a linear step budget. Exceeding the budget raises,
+    since that would mean the family is not quickly computable as encoded."""
+    base = sequence_by_id(fid)
+    prefix = encode_generator(base.id, indexed=True)
+
+    def emit(n: int) -> Sentence:
+        bits = prefix.concat(gamma_encode(n + 1))
+        budget = 2 * n + budget_slack
+        trace = run_prefix(bits, budget)
+        if len(trace.emitted) != 1:
+            raise RuntimeError(
+                f"emitter for {base.id!r} produced {len(trace.emitted)} sentences at n={n}"
+            )
+        return trace.emitted[0]
+
+    return SequenceDef(
+        f"{base.id}@machine",
+        "machine",
+        f"machine-run twin of {base.id}",
+        emit,
+    )
 
 
 def test_machine_backed_twin_agrees():
@@ -420,7 +443,7 @@ def test_negative_budget_is_rejected_for_every_input():
     for bits in (
         undecodable,
         assemble_emit_one(3),
-        assemble_stream_emitter("atom_chain"),
+        encode_generator("atom_chain", indexed=False),
         Bits.from_string("010010000"),
     ):
         with pytest.raises(ValueError):
@@ -428,7 +451,7 @@ def test_negative_budget_is_rejected_for_every_input():
 
 
 def test_stream_memo_shares_traces_and_is_bounded():
-    bits = assemble_stream_emitter("monotone_chain")
+    bits = encode_generator("monotone_chain", indexed=False)
     first = run_prefix(bits, 400)
     assert run_prefix(bits.concat(Bits.from_string("1011")), 400) is first
     limit = _stream_trace.cache_info().maxsize

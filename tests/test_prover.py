@@ -4,23 +4,19 @@ import pytest
 
 from sentprob.logic import (
     BOTTOM,
-    EMPTY_THEORY,
     TOP,
     And,
     Atom,
     Implies,
     Not,
     Or,
-    theory_from_axioms,
 )
 from sentprob.prover import (
     MAX_TABLE_ATOMS,
     AtomLimitError,
     RefutationVerdict,
-    clausify,
-    clausify_set,
+    _initial_entries,
     entails,
-    is_theorem_bounded,
     refute_bounded,
     semantic_consistent,
     truth_table,
@@ -78,15 +74,23 @@ def test_duplicate_sentences_collapse():
 
 
 def test_clausify_basics():
-    assert clausify(BOTTOM) == {frozenset()}
-    assert clausify(Atom(0)) == {frozenset({1})}
-    assert clausify(Not(Atom(2))) == {frozenset({-3})}
+    assert _initial_entries([BOTTOM]) == (True, [])
+    assert _initial_entries([Atom(0)]) == (False, [(1, (1,), frozenset({1}))])
+    assert _initial_entries([Not(Atom(2))]) == (False, [(1, (-3,), frozenset({-3}))])
+    assert _initial_entries([TOP]) == (False, [])
 
 
 def test_clausify_fresh_atoms_clear_source_range():
-    for cl in clausify_set([Or(Atom(0), Atom(1)), Implies(Atom(2), Atom(0))]):
-        for lit in cl:
-            assert abs(lit) <= 3 or abs(lit) >= 2**32
+    # Definition variables sit above 2**32 on the digest path, and above the
+    # largest atom on the positional path that atoms from 2**32 - 1 take.
+    for big in (3, 2**32 - 1, 2**40):
+        sentences = [Or(Atom(0), Atom(1)), Implies(Atom(big), Atom(0))]
+        refuted, entries = _initial_entries(sentences)
+        assert not refuted
+        atom_lits = {1, 2, big + 1}
+        fresh = {abs(lit) for _, _, cl in entries for lit in cl} - atom_lits
+        assert len(fresh) == 2
+        assert min(fresh) > max(big + 1, 2**32)
 
 
 def test_truth_table_semantics():
@@ -122,11 +126,16 @@ def test_entails():
 
 
 def test_is_theorem_bounded():
-    assert is_theorem_bounded(TOP, EMPTY_THEORY, 0, 64)
-    assert not is_theorem_bounded(Atom(0), EMPTY_THEORY, 0, 64)
-    t = theory_from_axioms("mp", [Atom(0), Implies(Atom(0), Atom(1))])
-    assert is_theorem_bounded(Atom(1), t, 2, 64)
-    assert not is_theorem_bounded(Atom(1), t, 1, 64)
+    # phi is a bounded theorem of its premises when the premises plus !phi
+    # are refuted within the budget.
+    def theorem(phi, premises):
+        return refute_bounded([*premises, Not(phi)], 64).refuted
+
+    assert theorem(TOP, [])
+    assert not theorem(Atom(0), [])
+    mp = [Atom(0), Implies(Atom(0), Atom(1))]
+    assert theorem(Atom(1), mp)
+    assert not theorem(Atom(1), mp[:1])
 
 
 def test_agrees_with_semantic_oracle_on_random_sets():

@@ -1,7 +1,6 @@
 import pytest
 
 from sentprob.logic import And, Atom, BOTTOM, Not, Or, atoms_of, render_sentence
-from sentprob.machine import machine_backed
 from sentprob.prover import (
     entails,
     refute_bounded,
@@ -23,6 +22,7 @@ from sentprob.sequences import (
     sequence_by_id,
     validate_partition,
 )
+from test_machine import machine_backed
 
 # Slot order drives program encoding; reordering breaks every stream golden.
 CATALOG_IDS = [
