@@ -2,7 +2,10 @@
 
 Bit strings are MSB-first: bit 0 is the leftmost bit. All randomness in the
 package flows through ``derive_seed`` / ``random_bits`` so that runs are
-reproducible across platforms and Python versions.
+reproducible across platforms and Python versions. ``child_seeds(parent,
+count)`` is ``[derive_seed(parent, j) for j in range(count)]`` with the
+parent's mixing step run once rather than once per child; samplers take the
+seeds of a sample's strings from it.
 """
 
 from __future__ import annotations
@@ -72,6 +75,13 @@ def read_gamma(value: int, length: int, pos: int) -> tuple[int, int] | None:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SEED_INIT = 0x1D8E4E27C47D124F
+
+# random_bits builds its Bits through the slot setters, skipping the range
+# check of __post_init__ for a value it has just cut to length.
+_new_bits = object.__new__
+_set_value = Bits.value.__set__
+_set_length = Bits.length.__set__
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -84,7 +94,7 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def derive_seed(*parts: int) -> int:
     """Mix integers into a 64-bit seed; the splittable scheme used everywhere."""
-    h = 0x1D8E4E27C47D124F
+    h = _SEED_INIT
     for p in parts:
         h, out = _splitmix64(h ^ (p & _MASK64))
         h ^= out
@@ -92,15 +102,42 @@ def derive_seed(*parts: int) -> int:
     return out
 
 
+def child_seeds(parent: int, count: int) -> list[int]:
+    """``[derive_seed(parent, j) for j in range(count)]``: the parent's
+    mixing step runs once, and each child's two splitmix steps are inlined."""
+    state, out = _splitmix64(_SEED_INIT ^ (parent & _MASK64))
+    h = state ^ out
+    seeds = []
+    for j in range(count):
+        # derive_seed's mixing step for part j (j < 2**64, so h ^ j needs no mask) ...
+        z = state = ((h ^ j) + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        # ... then its final step, on state ^ out.
+        z = ((state ^ z ^ (z >> 31)) + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        seeds.append(z ^ (z >> 31))
+    return seeds
+
+
 def random_bits(seed: int, length: int) -> Bits:
-    """Deterministic uniform bit string of the given length."""
+    """Deterministic uniform bit string of the given length: the leading
+    length bits of the splitmix64 words that follow seed."""
+    if length < 0:
+        raise ValueError("negative length")
     v = 0
     filled = 0
     state = seed & _MASK64
     while filled < length:
-        state, word = _splitmix64(state)
-        v = (v << 64) | word
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        v = (v << 64) | (z ^ (z >> 31))
         filled += 64
-    if filled > length:
-        v >>= filled - length
-    return Bits(v & ((1 << length) - 1), length)
+    # v holds filled >= length bits, so the shift leaves exactly length bits
+    # and the Bits need no range check.
+    bits = _new_bits(Bits)
+    _set_value(bits, v >> (filled - length))
+    _set_length(bits, length)
+    return bits

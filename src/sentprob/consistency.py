@@ -78,16 +78,19 @@ class ClaimSet:
     enumeration indices: the index of a deeply nested sentence has more bits
     than could ever be materialized, while its rendering stays linear.
 
+    ``by_rendering`` maps each rendering to its sentence, for lookups by a
+    rendering the caller already holds; it is never mutated.
+
     A set made by ``union`` records the key of the set it grew from
     (``parent``) and the sentences the merge added (``added``); the gate
     uses them to extend the parent's certificate."""
 
-    __slots__ = ("sentences", "key", "_named", "parent", "added")
+    __slots__ = ("sentences", "key", "by_rendering", "parent", "added")
 
     def __init__(self, named: dict[str, Sentence]):
         self.key = tuple(sorted(named))
         self.sentences = tuple(named[r] for r in self.key)
-        self._named = named
+        self.by_rendering = named
         self.parent: Optional[tuple[str, ...]] = None
         self.added: tuple[Sentence, ...] = ()
 
@@ -99,11 +102,11 @@ class ClaimSet:
         extra: dict[str, Sentence] = {}
         for s in items:
             r = render_sentence(s)
-            if r not in self._named and r not in extra:
+            if r not in self.by_rendering and r not in extra:
                 extra[r] = s
         if not extra:
             return self
-        merged = dict(self._named)
+        merged = dict(self.by_rendering)
         merged.update(extra)
         grown = ClaimSet(merged)
         grown.parent = self.key
@@ -111,7 +114,7 @@ class ClaimSet:
         return grown
 
     def __contains__(self, s: Sentence) -> bool:
-        return render_sentence(s) in self._named
+        return render_sentence(s) in self.by_rendering
 
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)

@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bits import Bits, derive_seed, random_bits
+from .bits import Bits, child_seeds, derive_seed, random_bits
 from .consistency import ClaimSet, ConCache, ConParams, consistent_enough
-from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
+from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of, render_sentence
 from .machine import run_prefix
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
@@ -86,6 +87,12 @@ class StageParams:
     @property
     def axioms(self) -> int:
         return self.size if self.axiom_count is None else self.axiom_count
+
+    @cached_property
+    def axiom_set(self) -> ClaimSet:
+        """The claim set every sample of the stage starts from, holding the
+        theory's first `axioms` axioms; built once per stage."""
+        return ClaimSet.of(self.theory.axiom_at(i) for i in range(self.axioms))
 
 
 def default_schedule(
@@ -174,10 +181,6 @@ def monte_carlo_estimate(count: int, samples: int, seed: int, undecided: int = 0
     )
 
 
-def stage_axioms(stage: StageParams) -> ClaimSet:
-    return ClaimSet.of(stage.theory.axiom_at(i) for i in range(stage.axioms))
-
-
 def accumulate_claims(
     bitstrings: Iterable[Bits], stage: StageParams, cache: Optional[ConCache] = None
 ) -> ClaimSet:
@@ -189,7 +192,7 @@ def accumulate_claims(
     needed = stage.string_bits
     steps = stage.steps
     con = stage.con
-    claims = stage_axioms(stage)
+    claims = stage.axiom_set
     for bits in bitstrings:
         if bits.length < needed:
             raise ValueError(
@@ -207,10 +210,16 @@ def accumulate_claims(
 
 
 def sample_strings(stage: StageParams, sample_seed: int) -> list[Bits]:
-    return [
-        random_bits(derive_seed(sample_seed, j), stage.string_bits)
-        for j in range(stage.machines)
-    ]
+    width = stage.string_bits
+    return [random_bits(s, width) for s in child_seeds(sample_seed, stage.machines)]
+
+
+def _tally(claims: ClaimSet, keys: Sequence[str], counts: list[int]) -> None:
+    """Count the battery sentences, given by their renderings, that claims holds."""
+    held = claims.by_rendering
+    for j, r in enumerate(keys):
+        if r in held:
+            counts[j] += 1
 
 
 def membership_counts(
@@ -224,13 +233,12 @@ def membership_counts(
     battery at once."""
     if cache is None:
         cache = ConCache()
-    counts = [0] * len(battery)
+    keys = [render_sentence(s) for s in battery]
+    counts = [0] * len(keys)
     for i in range(samples):
         sample_seed = derive_seed(seed, stage.n, i)
         claims = accumulate_claims(sample_strings(stage, sample_seed), stage, cache)
-        for j, s in enumerate(battery):
-            if s in claims:
-                counts[j] += 1
+        _tally(claims, keys, counts)
     return counts
 
 
@@ -253,7 +261,8 @@ def membership_counts_exact(
     the vector total 2**(machines * string bits)."""
     if bit_budget > MAX_EXACT_BITS:
         raise ValueError(f"bit budget is capped at {MAX_EXACT_BITS}")
-    total_bits = stage.machines * stage.string_bits
+    machines, width = stage.machines, stage.string_bits
+    total_bits = machines * width
     if total_bits > bit_budget:
         raise ValueError(
             f"{total_bits} total bits exceed the budget of {bit_budget};"
@@ -261,14 +270,11 @@ def membership_counts_exact(
         )
     if cache is None:
         cache = ConCache()
-    counts = [0] * len(battery)
+    keys = [render_sentence(s) for s in battery]
+    counts = [0] * len(keys)
     for value in range(1 << total_bits):
-        claims = accumulate_claims(
-            _vector_strings(value, stage.machines, stage.string_bits), stage, cache
-        )
-        for j, s in enumerate(battery):
-            if s in claims:
-                counts[j] += 1
+        claims = accumulate_claims(_vector_strings(value, machines, width), stage, cache)
+        _tally(claims, keys, counts)
     return counts, 1 << total_bits
 
 
@@ -326,8 +332,8 @@ def _extension_models(
     memo: dict,
 ) -> int:
     models = base_models
-    for i in range(rounds):
-        bits = random_bits(derive_seed(seed, i), machine_budget)
+    for round_seed in child_seeds(seed, rounds):
+        bits = random_bits(round_seed, machine_budget)
         trace = run_prefix(bits, machine_budget)
         if not trace.emitted:
             continue

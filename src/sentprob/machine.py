@@ -35,8 +35,15 @@ under a budget of t steps, reading the data as an integer slice of
 instruction's 6 bits come out with one mask, LOADBIT shifts its bit out of the
 data integer, and an indexed generator's run is computed in closed form from
 the data's leading-zero count. Stream generators ignore their data, so their
-traces are memoised by (slot, t) in a bounded cache; repeated runs share the
-emitted sentence objects and the hashes cached on them.
+traces are memoised by (slot, t) in a bounded cache; an indexed generator's
+emitting run depends only on the member index n it reads, so its trace, and
+with it the member, is memoised by (slot, n) in another. Repeated runs share
+the emitted sentence objects and the hashes cached on them, and
+render_sentence's memo finds them by identity.
+
+Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
+mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
+builds only a machine's instruction tuple and its jumps.
 
 Decoding costs no run steps; the step budget governs the run only. The
 trace invariant bits_read <= steps_used refers to data bits.
@@ -52,7 +59,7 @@ from typing import Optional, Union
 
 from .bits import Bits, gamma_encode, read_gamma
 from .logic import Sentence, sentence_at
-from .sequences import SequenceDef, builtin_catalog
+from .sequences import builtin_catalog
 
 SLOT_COUNT = len(builtin_catalog())
 
@@ -89,10 +96,6 @@ class GeneratorProgram:
     slot: int  # position in sequences.builtin_catalog()
     indexed: bool
 
-    @property
-    def family(self) -> SequenceDef:
-        return builtin_catalog()[self.slot]
-
 
 Program = Union[MachineProgram, GeneratorProgram]
 
@@ -114,21 +117,34 @@ _OPCODES = tuple(Opcode)
 _INC, _DEC, _JZ, _OUT, _HALT, _LOADBIT, _SHL = _OPCODES[:7]
 
 
+_GENERATORS = tuple(
+    GeneratorProgram(slot, indexed) for slot in range(SLOT_COUNT) for indexed in (False, True)
+)
+# Indexed by the 6-bit word (4-bit opcode, 2-bit register); None for JZ,
+# whose jump target is read after the word.
+_WORD_INSTRUCTIONS = tuple(
+    None if _OPCODES[(word >> 2) & 7] is _JZ else Instruction(_OPCODES[(word >> 2) & 7], word & 3)
+    for word in range(64)
+)
+
+
 def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
     """Decode the program at the front of bits. Returns it with the position
     of its first data bit, or None when bits end inside the encoding."""
     value, length = bits.value, bits.length
-    head = read_gamma(value, length, 0)
-    if head is None:
+    # The header's gamma code, read as read_gamma(value, length, 0) would:
+    # value has no bits above length, so it needs no mask.
+    pos = 2 * (length - value.bit_length()) + 1
+    if pos > length:
         return None
-    header, pos = head
+    header = value >> (length - pos)
     if header == 1:
         code = read_gamma(value, length, pos)
         if code is None or code[1] == length:
             return None
         slot, pos = code
         indexed = (value >> (length - 1 - pos)) & 1
-        return GeneratorProgram((slot - 1) % SLOT_COUNT, bool(indexed)), pos + 1
+        return _GENERATORS[2 * ((slot - 1) % SLOT_COUNT) + indexed], pos + 1
     count = header - 1
     # Every instruction takes at least 6 bits, so a count the rest of the
     # string cannot hold is incomplete without decoding any instruction; only
@@ -139,17 +155,16 @@ def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
     for later in range(count - 1, -1, -1):
         pos += 6
         word = (value >> (length - pos)) & 0x3F
-        op = _OPCODES[(word >> 2) & 7]
-        target = 0
-        if op is _JZ:
+        ins = _WORD_INSTRUCTIONS[word]
+        if ins is None:
             code = read_gamma(value, length, pos)
             if code is None:
                 return None
             target, pos = code
-            target = (target - 1) % count
             if pos + 6 * later > length:
                 return None
-        instructions.append(Instruction(op, word & 3, target))
+            ins = Instruction(_JZ, word & 3, (target - 1) % count)
+        instructions.append(ins)
     return MachineProgram(tuple(instructions)), pos
 
 
@@ -180,15 +195,6 @@ def encode_machine_program(p: MachineProgram) -> Bits:
     return out
 
 
-def assemble_emit_one(k: int) -> Bits:
-    """Bitstring that decodes to a program emitting exactly the sentence at
-    enumeration index k, then halting. Length is 9 + |gamma(k+1)| bits; the run needs a step budget of
-    at least max(k, |gamma(k+1)| + 1)."""
-    if k < 0:
-        raise ValueError("sentence index must be a natural number")
-    return encode_generator("enumeration", indexed=True).concat(gamma_encode(k + 1))
-
-
 def run_prefix(bits: Bits, t: int) -> OutputTrace:
     """Decode a program from the front of bits and run it for at most t steps
     on the remainder. An incomplete encoding yields the empty trace."""
@@ -203,7 +209,7 @@ def run_prefix(bits: Bits, t: int) -> OutputTrace:
     width = bits.length - pos
     data = bits.value & ((1 << width) - 1)
     if isinstance(program, GeneratorProgram):
-        return _run_indexed(program.family, data, width, t)
+        return _run_indexed(program.slot, data, width, t)
     return _run_machine(program, data, width, t)
 
 
@@ -215,7 +221,18 @@ def _stream_trace(slot: int, t: int) -> OutputTrace:
     return OutputTrace(tuple(family.emit(i) for i in range(isqrt(t // 4))), t, False, 0)
 
 
-def _run_indexed(family: SequenceDef, data: int, width: int, t: int) -> OutputTrace:
+# An emitting indexed run depends on (slot, n) alone: it reads the
+# need = 2 * bitlen(n + 1) - 1 bits of gamma(n + 1) and emits member n. Such
+# runs need n <= t, so a stage reaches at most SLOT_COUNT * (t + 1) of them,
+# skewed toward small n by the gamma code; the bound holds the common ones at
+# the standard budgets and keeps memory flat.
+@lru_cache(maxsize=4096)
+def _indexed_trace(slot: int, n: int) -> OutputTrace:
+    need = 2 * (n + 1).bit_length() - 1
+    return OutputTrace((builtin_catalog()[slot].emit(n),), need + 1, True, need)
+
+
+def _run_indexed(slot: int, data: int, width: int, t: int) -> OutputTrace:
     """Closed form of reading gamma(n+1) from the width-bit data one bit per
     step: the code spans need = 2z + 1 bits, z being the data's leading zeros
     (all of them when the data has no 1). The read stops at bit min(t, width)
@@ -230,7 +247,7 @@ def _run_indexed(family: SequenceDef, data: int, width: int, t: int) -> OutputTr
         return OutputTrace((), need, True, need)
     if need >= t:
         return OutputTrace((), need, False, need)
-    return OutputTrace((family.emit(n),), need + 1, True, need)
+    return _indexed_trace(slot, n)
 
 
 def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> OutputTrace:

@@ -5,6 +5,7 @@ import pytest
 from sentprob.bits import (
     EMPTY_BITS,
     Bits,
+    child_seeds,
     derive_seed,
     gamma_encode,
     random_bits,
@@ -116,3 +117,61 @@ def test_random_bits_roughly_uniform():
     ones = sum(random_bits(seed, 64).to_string().count("1") for seed in range(200))
     frac = Fraction(ones, 200 * 64)
     assert Fraction(45, 100) < frac < Fraction(55, 100)
+
+
+# Outputs of the generator, fixed: every sample, trajectory and pinned
+# artifact depends on them, so a faster implementation must reproduce them
+# exactly. Parts and seeds are taken mod 2**64.
+DERIVED_SEEDS = {
+    (0,): 0x443890440FEF12F0,
+    (1,): 0x8CC8E3C0F8875A9D,
+    (2**64,): 0x443890440FEF12F0,
+    (2**64 + 1,): 0x8CC8E3C0F8875A9D,
+    (2**64 - 1,): 0x6C271F6970202345,
+    (2**64 - 1, 2**64): 0x66F4608BCFEE0C46,
+    (20260817, 5, 3): 0x8EA02669B51FEBE0,
+    (20260817, 2**64 + 5, 3): 0x8EA02669B51FEBE0,
+}
+
+RANDOM_BITS_42 = {
+    0: 0x0,
+    1: 0x1,
+    63: 0x5EEB991317F5B74A,
+    64: 0xBDD732262FEB6E95,
+    65: 0x17BAE644C5FD6DD2A,
+    384: int(
+        "bdd732262feb6e9528efe333b266f10347526757130f9f52"
+        "581ce1ff0e4ae39409bc585a244823f2de4431fa3c80db06",
+        16,
+    ),
+    512: int(
+        "bdd732262feb6e9528efe333b266f10347526757130f9f52"
+        "581ce1ff0e4ae39409bc585a244823f2de4431fa3c80db06"
+        "37e9671c45376d5dccf635ee9e9e2fa4",
+        16,
+    ),
+}
+
+
+def test_derive_seed_pinned():
+    for parts, seed in DERIVED_SEEDS.items():
+        assert derive_seed(*parts) == seed, parts
+
+
+def test_random_bits_pinned():
+    for length, value in RANDOM_BITS_42.items():
+        for seed in (42, 2**64 + 42, 2**70 + 42):
+            assert random_bits(seed, length) == Bits(value, length), (seed, length)
+    assert random_bits(2**64, 64).value == 0xE220A8397B1DCDAF
+    assert random_bits(2**64 - 1, 65).value == 0x1C9B2E2EE36CA5841
+
+
+def test_random_bits_rejects_negative_length():
+    with pytest.raises(ValueError, match="negative length"):
+        random_bits(5, -1)
+
+
+def test_child_seeds_match_derive_seed():
+    for parent in (0, 7, 20260817, 2**64 - 1, 2**64 + 3):
+        for count in (0, 1, 384):
+            assert child_seeds(parent, count) == [derive_seed(parent, j) for j in range(count)]

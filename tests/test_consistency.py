@@ -19,7 +19,6 @@ from sentprob.estimator import (
     default_growth,
     sample_strings,
     single_machine_stage,
-    stage_axioms,
 )
 from sentprob.logic import (
     BOTTOM,
@@ -277,7 +276,7 @@ def test_accumulation_matches_plain_gate_where_budget_binds():
             stage = StageParams(n=n, growth=default_growth, con=ConParams(budget))
             for sample_seed in (7000 + n, 8000 + budget):
                 strings = sample_strings(stage, sample_seed)
-                reference = stage_axioms(stage)
+                reference = stage.axiom_set
                 for bits in strings:
                     emitted = run_prefix(bits, stage.steps).emitted
                     if not emitted or all(s in reference for s in emitted):
@@ -454,7 +453,7 @@ SUMMARY_CASES = [
 def parent_set(kind, texts):
     if kind == "axioms":
         theory = theory_from_axioms("t", parse_all(texts))
-        return stage_axioms(single_machine_stage(8, axiom_count=len(texts), theory=theory))
+        return single_machine_stage(8, axiom_count=len(texts), theory=theory).axiom_set
     return ClaimSet.of(parse_all(texts))
 
 

@@ -19,7 +19,6 @@ from sentprob.estimator import (
     sample_strings,
     sequence_trajectories,
     single_machine_stage,
-    stage_axioms,
     wilson_halfwidth,
 )
 from sentprob.logic import (
@@ -32,9 +31,10 @@ from sentprob.logic import (
     sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import OutputTrace, assemble_emit_one
+from sentprob.machine import OutputTrace
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import sequence_by_id
+from test_machine import assemble_emit_one
 
 BATTERY_TEXTS = [
     "a0",
@@ -93,9 +93,11 @@ def test_single_machine_stage_overrides():
 
 def test_stage_axioms():
     st = single_machine_stage(12, axiom_count=2, theory=theory_from_axioms("one", [Atom(0)]))
-    ax = stage_axioms(st)
+    ax = st.axiom_set
     assert ax.key == ("(_|_ -> _|_)", "a0")
-    assert stage_axioms(single_machine_stage(12)).key == ()
+    # Built once per stage: every sample starts from the same object.
+    assert st.axiom_set is ax
+    assert single_machine_stage(12).axiom_set.key == ()
 
 
 def test_accumulate_order_dependence():

@@ -14,8 +14,8 @@ from sentprob.machine import (
     MachineProgram,
     Opcode,
     OutputTrace,
+    _indexed_trace,
     _stream_trace,
-    assemble_emit_one,
     decode_program,
     encode_generator,
     encode_machine_program,
@@ -252,6 +252,15 @@ def test_matches_reference_on_assembled_programs():
                 assert_matches_reference(bits, range(0, 2 * n + 14))
 
 
+def assemble_emit_one(k: int) -> Bits:
+    """Bitstring that decodes to a program emitting exactly the sentence at
+    enumeration index k, then halting. Length is 9 + |gamma(k+1)| bits; the
+    run needs a step budget of at least max(k, |gamma(k+1)| + 1)."""
+    if k < 0:
+        raise ValueError("sentence index must be a natural number")
+    return encode_generator("enumeration", indexed=True).concat(gamma_encode(k + 1))
+
+
 def test_slot_count_matches_catalog():
     assert SLOT_COUNT == len(builtin_catalog())
 
@@ -459,3 +468,43 @@ def test_stream_memo_shares_traces_and_is_bounded():
     for t in range(limit + 10):
         run_prefix(bits, t)
     assert _stream_trace.cache_info().currsize <= limit
+
+
+def test_decoded_generators_are_interned():
+    for fid in ("atom_chain", "enumeration"):
+        slot = builtin_catalog().index(sequence_by_id(fid))
+        for indexed in (False, True):
+            bits = encode_generator(fid, indexed)
+            first, _ = decode_program(bits)
+            assert first == GeneratorProgram(slot, indexed)
+            again, _ = decode_program(bits.concat(Bits.from_string("0110")))
+            assert again is first
+            # A slot code past the catalog wraps onto the same program.
+            wrapped = gamma_encode(1).concat(gamma_encode(slot + 1 + SLOT_COUNT))
+            assert decode_program(wrapped.concat(Bits(int(indexed), 1)))[0] is first
+
+
+def test_repeated_instruction_words_share_one_instruction():
+    inc, out = Instruction(Opcode.INC, 1), Instruction(Opcode.OUT, 2)
+    program = MachineProgram((inc, out, inc, Instruction(Opcode.JZ, 0, 1)))
+    decoded, _ = decode_program(encode_machine_program(program))
+    assert decoded == program
+    assert decoded.instructions[0] is decoded.instructions[2]
+    other, _ = decode_program(encode_machine_program(MachineProgram((out, inc))))
+    assert other.instructions[0] is decoded.instructions[1]
+    assert other.instructions[1] is decoded.instructions[0]
+
+
+def test_indexed_memo_shares_members_and_is_bounded():
+    prefix = encode_generator("monotone_chain", indexed=True)
+    bits = prefix.concat(gamma_encode(41))
+    first = run_prefix(bits, 100)
+    assert first.emitted == (sequence_by_id("monotone_chain").emit(40),)
+    # Trailing data and a larger budget leave the run, and its member, alone.
+    assert run_prefix(bits.concat(Bits.from_string("1011")), 300) is first
+    limit = _indexed_trace.cache_info().maxsize
+    assert limit is not None
+    atoms = encode_generator("atom_chain", indexed=True)
+    for n in range(limit + 10):
+        assert run_prefix(atoms.concat(gamma_encode(n + 1)), n + 64).emitted == (Atom(n),)
+    assert _indexed_trace.cache_info().currsize <= limit
