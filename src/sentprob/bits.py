@@ -3,14 +3,17 @@
 Bit strings are MSB-first: bit 0 is the leftmost bit. All randomness in the
 package flows through ``derive_seed`` / ``random_bits`` so that runs are
 reproducible across platforms and Python versions. ``child_seeds(parent,
-count)`` is ``[derive_seed(parent, j) for j in range(count)]`` with the
-parent's mixing step run once rather than once per child; samplers take the
-seeds of a sample's strings from it.
+count)`` yields ``derive_seed(parent, j)`` for ``j in range(count)``, with
+the parent's mixing step run once rather than once per child. It is lazy: a
+child's seed is computed only when it is read, so a sampler that stops
+early (the extension sampler) pays only for the seeds it uses, and one that
+reads them all (``estimator.sample_strings``) pays for each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +105,12 @@ def derive_seed(*parts: int) -> int:
     return out
 
 
-def child_seeds(parent: int, count: int) -> list[int]:
-    """``[derive_seed(parent, j) for j in range(count)]``: the parent's
-    mixing step runs once, and each child's two splitmix steps are inlined."""
+def child_seeds(parent: int, count: int) -> Iterator[int]:
+    """Yield ``derive_seed(parent, j)`` for j in range(count), each when it
+    is read: the parent's mixing step runs once, and each child's two
+    splitmix steps are inlined."""
     state, out = _splitmix64(_SEED_INIT ^ (parent & _MASK64))
     h = state ^ out
-    seeds = []
     for j in range(count):
         # derive_seed's mixing step for part j (j < 2**64, so h ^ j needs no mask) ...
         z = state = ((h ^ j) + _GOLDEN) & _MASK64
@@ -117,8 +120,7 @@ def child_seeds(parent: int, count: int) -> list[int]:
         z = ((state ^ z ^ (z >> 31)) + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        seeds.append(z ^ (z >> 31))
-    return seeds
+        yield z ^ (z >> 31)
 
 
 def random_bits(seed: int, length: int) -> Bits:

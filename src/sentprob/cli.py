@@ -33,11 +33,11 @@ def _report_suite(result: SuiteResult) -> None:
 
 def _report_crosscheck(result: CrosscheckResult) -> None:
     for r in result.rows:
-        status = "PASS" if r.passed else "FAIL"
+        status, holds = ("PASS", "<=") if r.passed else ("FAIL", ">")
         print(
             f"{status} {r.label}: membership {float(r.membership.value):.4f}"
             f" vs extension {float(r.extension.value):.4f}"
-            f" (diff {r.diff:.4f} <= {r.bound:.4f})"
+            f" (diff {r.diff:.4f} {holds} {r.bound:.4f})"
         )
     for path in result.artifacts:
         print(f"wrote {path}")

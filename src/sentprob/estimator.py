@@ -15,7 +15,9 @@ rationals with 95% Wilson intervals. A third, independent process samples
 consistent extensions directly: random machines propose claims which are
 accepted under an exact satisfiability check restricted to a small atom
 window, giving a limit oracle the membership trajectories can be compared
-against.
+against. A sample's window model set only shrinks, so its rounds stop once
+the set holds at most one valuation, where no later round can change it;
+the results are those of running every round.
 
 Determinism contract: every random quantity derives from the caller's seed
 via a fixed tree (seed -> stage -> sample -> string, and seed -> sample ->
@@ -331,7 +333,12 @@ def _extension_models(
     order: tuple[int, ...],
     memo: dict,
 ) -> int:
+    """The window models left after one sample's rounds. The loop stops
+    once models & (models - 1) is 0, a set of one valuation or none, which
+    no later round can change (see extension_probabilities)."""
     models = base_models
+    if not models & (models - 1):
+        return models
     for round_seed in child_seeds(seed, rounds):
         bits = random_bits(round_seed, machine_budget)
         trace = run_prefix(bits, machine_budget)
@@ -347,6 +354,8 @@ def _extension_models(
                 break
         if mask:
             models = mask
+            if not mask & (mask - 1):
+                break
     return models
 
 
@@ -390,7 +399,13 @@ def extension_probabilities(
     claims iff they are jointly satisfiable with everything taken so far
     (exact check over the window). Claims mentioning atoms outside the
     window are projected out. Samples entailing neither the sentence nor its
-    negation are counted as undecided on that sentence."""
+    negation are counted as undecided on that sentence.
+
+    A sample stops taking rounds once its window model set holds one
+    valuation or none. From there every round either keeps that valuation
+    or is refused, so the estimates equal those of running all `rounds`;
+    the skipped rounds' machines are never run and their seeds never
+    derived."""
     order = _window_order(atom_window)
     full = (1 << (1 << atom_window)) - 1
     memo: dict = {}

@@ -4,8 +4,10 @@ A suite config is an INI file. [suite] names the run and pins samples, seed
 and output directory; [stages] hands count, cap, proof_floor and
 proof_factor to estimator.default_schedule, which holds their defaults, and
 rejects any other key and a cap above the growth ceiling; [sequences] lists
-trajectory families; [assert] holds one trend assertion per line; an optional
-[crosscheck] section configures the membership-vs-extension comparison.
+trajectory families under its one key, ids; [assert] holds one trend
+assertion per line; an optional [crosscheck] section configures the
+membership-vs-extension comparison. Any other section, and an unknown key in
+any section but [assert], is a ConfigError.
 
 Assertion grammar (value of each [assert] key, covers tags optional):
 
@@ -220,21 +222,25 @@ def _parse_assertion(name: str, raw: str, stage_count: int) -> TrendAssertion:
     return TrendAssertion(name, kind, seq_ids, target, tol, window, covers)
 
 
+_SECTIONS = ("suite", "stages", "sequences", "assert", "crosscheck")
 _SUITE_KEYS = ("id", "samples", "seed", "out")
 _STAGE_KEYS = ("count", "cap", "proof_floor", "proof_factor")
 _CROSSCHECK_KEYS = ("battery", "rounds", "machine_budget", "atom_window", "samples", "tol")
+_SEQUENCE_KEYS = ("ids",)
 
 
-def _check_keys(section: Iterable[str], name: str, known: tuple[str, ...]) -> None:
+def _check_keys(
+    section: Iterable[str], where: str, known: tuple[str, ...], what: str = "key"
+) -> None:
     for key in section:
         if key not in known:
             raise ConfigError(
-                f"[{name}] unknown key {key!r}; expected one of {', '.join(known)}"
+                f"{where} unknown {what} {key!r}; expected one of {', '.join(known)}"
             )
 
 
 def _build_schedule(section: Mapping[str, str]) -> tuple[StageParams, ...]:
-    _check_keys(section, "stages", _STAGE_KEYS)
+    _check_keys(section, "[stages]", _STAGE_KEYS)
     given = {key: _natural(section[key], f"[stages] {key}", 1) for key in section}
     try:
         return tuple(default_schedule(**given))
@@ -263,8 +269,9 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
+    _check_keys(parser.sections(), f"{source}:", _SECTIONS, "section")
     suite = parser["suite"] if parser.has_section("suite") else {}
-    _check_keys(suite, "suite", _SUITE_KEYS)
+    _check_keys(suite, "[suite]", _SUITE_KEYS)
     suite_id = suite.get("id", "suite")
     samples = _natural(suite.get("samples", "200"), "[suite] samples", 1)
     seed = _natural(suite.get("seed", "1"), "[suite] seed")
@@ -272,6 +279,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     schedule = _build_schedule(parser["stages"] if parser.has_section("stages") else {})
     seq_ids: list[str] = []
     if parser.has_section("sequences"):
+        _check_keys(parser["sequences"], "[sequences]", _SEQUENCE_KEYS)
         seq_ids = parser["sequences"].get("ids", "").split()
     assertions = []
     if parser.has_section("assert"):
@@ -289,7 +297,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     crosscheck = None
     if parser.has_section("crosscheck"):
         section = parser["crosscheck"]
-        _check_keys(section, "crosscheck", _CROSSCHECK_KEYS)
+        _check_keys(section, "[crosscheck]", _CROSSCHECK_KEYS)
         atom_window = _natural(section.get("atom_window", "3"), "[crosscheck] atom_window", 1)
         if atom_window > MAX_ATOM_WINDOW:
             raise ConfigError(f"[crosscheck] atom_window: capped at {MAX_ATOM_WINDOW}")

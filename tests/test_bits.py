@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -174,4 +175,17 @@ def test_random_bits_rejects_negative_length():
 def test_child_seeds_match_derive_seed():
     for parent in (0, 7, 20260817, 2**64 - 1, 2**64 + 3):
         for count in (0, 1, 384):
-            assert child_seeds(parent, count) == [derive_seed(parent, j) for j in range(count)]
+            assert list(child_seeds(parent, count)) == [derive_seed(parent, j) for j in range(count)]
+
+
+def test_child_seeds_are_lazy():
+    # Reading part of the iterator yields the derive_seed prefix, and the
+    # rest is still there to read: a sampler that stops early derives only
+    # the seeds it takes.
+    seeds = child_seeds(20260817, 64)
+    assert iter(seeds) is seeds
+    head = list(islice(seeds, 5))
+    assert head == [derive_seed(20260817, j) for j in range(5)]
+    assert next(seeds) == derive_seed(20260817, 5)
+    assert len(list(seeds)) == 64 - 6
+    assert next(child_seeds(7, 2**40)) == derive_seed(7, 0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sentprob import estimator
-from sentprob.bits import Bits, derive_seed
+from sentprob.bits import Bits, derive_seed, random_bits
 from sentprob.consistency import ConCache, ConParams
 from sentprob.estimator import (
     EstimateMode,
@@ -23,6 +23,7 @@ from sentprob.estimator import (
 )
 from sentprob.logic import (
     BOTTOM,
+    EMPTY_THEORY,
     And,
     Atom,
     Not,
@@ -31,7 +32,7 @@ from sentprob.logic import (
     sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import OutputTrace
+from sentprob.machine import OutputTrace, run_prefix
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import sequence_by_id
 from test_machine import assemble_emit_one
@@ -306,6 +307,102 @@ def test_extension_projects_wide_claims(monkeypatch):
     emitting(And(Atom(0), Atom(2)))
     (e,) = extension_probabilities([Atom(0)], 3, 4, 10)
     assert e.value == 1
+
+
+def full_round_models(seed, rounds, base_models, machine_budget, order, memo):
+    """Differential oracle for estimator._extension_models: the extension
+    loop with no early stop, every round run on a seed from derive_seed.
+    Also returns the number of rounds run until the model set first held at
+    most one valuation (rounds when it never did)."""
+    models = base_models
+    settled_at = 0 if not models & (models - 1) else None
+    for j in range(rounds):
+        trace = run_prefix(random_bits(derive_seed(seed, j), machine_budget), machine_budget)
+        mask = models
+        for s in trace.emitted:
+            m = estimator._window_mask(s, order, memo)
+            if m is None:
+                continue
+            mask &= m
+            if not mask:
+                break
+        if mask:
+            models = mask
+        if settled_at is None and not models & (models - 1):
+            settled_at = j + 1
+    return models, rounds if settled_at is None else settled_at
+
+
+EXTENSION_BATTERY = [
+    parse_sentence(t)
+    for t in ("_|_", "a0", "!a0", "a1", "!a1", "(a0 | !a0)", "(a2 -> a3)", "(a1 & a4)")
+]
+
+
+def early_stop_against_oracle(monkeypatch, seed, rounds, samples, theory, budget, window):
+    """Estimates and run_prefix calls of the sampler, and of the full-round
+    oracle with the number of rounds it needed before each set settled."""
+    runs = [0]
+    needed = [0]
+
+    def counting_run_prefix(bits, steps):
+        runs[0] += 1
+        return run_prefix(bits, steps)
+
+    def oracle(*args):
+        models, settled_at = full_round_models(*args)
+        needed[0] += settled_at
+        return models
+
+    args = (EXTENSION_BATTERY, seed, rounds, samples, theory, budget, window)
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "run_prefix", counting_run_prefix)
+        fast = extension_probabilities(*args)
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_extension_models", oracle)
+        slow = extension_probabilities(*args)
+    return fast, slow, runs[0], needed[0]
+
+
+def test_extension_early_stop_matches_full_rounds(monkeypatch):
+    # Stopping once the model set holds one valuation or none changes no
+    # count and no undecided count, and no round runs after that point.
+    # The axioms of "fixed" settle every window atom; "clash" leaves no model.
+    clash = theory_from_axioms("clash", [Atom(0), Not(Atom(0))])
+    for window in (1, 2, 3, 4):
+        fixed = theory_from_axioms("fixed", [Atom(i) if i % 2 else Not(Atom(i)) for i in range(window)])
+        for seed in (1, 2, 3, 123, 20260817):
+            for rounds in (0, 1, 2, 64):
+                for budget in (8, 64):
+                    for theory in (EMPTY_THEORY, fixed, clash):
+                        fast, slow, runs, needed = early_stop_against_oracle(
+                            monkeypatch, seed, rounds, 12, theory, budget, window
+                        )
+                        # Estimates compare counts and undecided counts.
+                        case = (seed, window, rounds, budget, theory.name)
+                        assert fast == slow, case
+                        assert runs == needed <= 12 * rounds, case
+
+
+def test_extension_early_stop_skips_settled_rounds(monkeypatch):
+    # The standard crosscheck shape: most rounds come after the set settles.
+    fast, slow, runs, needed = early_stop_against_oracle(
+        monkeypatch, 123, 64, 200, EMPTY_THEORY, 64, 3
+    )
+    assert fast == slow
+    assert runs == needed < 200 * 64 // 3
+    # Axioms that fix every window atom settle the set before any round;
+    # contradictory ones leave it empty. Either way no machine runs.
+    fixed = theory_from_axioms("fixed", [Atom(0), Not(Atom(1)), Atom(2)])
+    clash = theory_from_axioms("clash", [Atom(0), Not(Atom(0))])
+    for theory in (fixed, clash):
+        fast, slow, runs, needed = early_stop_against_oracle(
+            monkeypatch, 123, 64, 50, theory, 64, 3
+        )
+        assert fast == slow
+        assert runs == needed == 0
+    (falsum,) = extension_probabilities([BOTTOM], 123, 64, 50, theory=clash)
+    assert falsum.value == 1
 
 
 def test_extension_trichotomy():

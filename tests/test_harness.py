@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from sentprob.cli import _report_crosscheck
 from sentprob.estimator import MAX_ATOM_WINDOW, Estimate, EstimateMode, extension_probabilities
 from sentprob.harness import (
     REQUIRED_PROPERTIES,
     ConfigError,
+    CrosscheckResult,
+    CrosscheckRow,
     TrendAssertion,
     evaluate_assertion,
     load_config,
@@ -149,6 +152,44 @@ def test_unknown_suite_and_crosscheck_keys_are_rejected(tmp_path):
         proc = run_cli("run", str(path), "--out", str(tmp_path / key))
         assert proc.returncode == 2
         assert key in proc.stderr
+
+
+def test_unknown_sections_and_sequence_keys_are_rejected(tmp_path):
+    # A misspelt section or [sequences] key would otherwise be dropped: the
+    # config would run no assertion on no family and pass with exit 0.
+    body = "[suite]\nid = t\nsamples = 10\n\n[stages]\ncount = 2\n\n"
+    cases = (
+        ("asert", r"unknown section 'asert'", body + "[asert]\nx = approaches atom_chain 1 0.1 1\n"),
+        ("idz", r"\[sequences\] unknown key 'idz'", body + "[sequences]\nidz = atom_chain\n"),
+    )
+    for name, message, text in cases:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        proc = run_cli("run", str(path), "--out", str(tmp_path / name))
+        assert proc.returncode == 2
+        assert name in proc.stderr
+    both = body + "[asert]\nx = approaches atom_chain 1 0.1 1\n[sequences]\nidz = atom_chain\n"
+    with pytest.raises(ConfigError):
+        parse_config(both)
+    with pytest.raises(ConfigError, match=r"<config>: unknown section 'DEFAULTS'"):
+        parse_config(MINIMAL + "[DEFAULTS]\nseed = 2\n")
+
+
+def test_cli_crosscheck_rows_print_the_comparison_that_holds(capsys):
+    def row(label, diff, bound):
+        est = Estimate(Fraction(1, 2), EstimateMode.MONTE_CARLO, 10, 0.1, 1)
+        return CrosscheckRow(label, est, est, diff, bound, diff <= bound)
+
+    rows = (row("close", 0.05, 0.25), row("tie", 0.25, 0.25), row("far", 0.5, 0.25))
+    _report_crosscheck(CrosscheckResult(False, rows, ()))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "PASS close: membership 0.5000 vs extension 0.5000 (diff 0.0500 <= 0.2500)",
+        "PASS tie: membership 0.5000 vs extension 0.5000 (diff 0.2500 <= 0.2500)",
+        "FAIL far: membership 0.5000 vs extension 0.5000 (diff 0.5000 > 0.2500)",
+    ]
 
 
 def test_crosscheck_config_errors():
