@@ -313,7 +313,7 @@ def _certify_or_refute(
     if model is not None:
         certificates[claims.key] = model
         return SATISFIABLE
-    result = refute_bounded(claims.sentences, budget, max_atom)
+    result = refute_bounded(claims.sentences, budget, max_atom, claims.key)
     if not result.refuted and len(added) < len(claims.sentences):
         model = extend_certificate({}, claims.sentences)
         if model is not None:

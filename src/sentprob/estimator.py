@@ -11,9 +11,13 @@ On top of the accumulation loop sit two membership estimators, each counting
 a whole battery of sentences in one pass: exact enumeration of every bit
 vector (tiny stages only), which returns the counts and the vector total, and
 seeded Monte Carlo sampling, whose counts `monte_carlo_estimate` turns into
-rationals with 95% Wilson intervals. A third, independent process samples
-consistent extensions directly: random machines propose claims which are
-accepted under an exact satisfiability check restricted to a small atom
+rationals with 95% Wilson intervals. Exact enumeration runs one accumulation
+per prefix class, not per vector: each machine reads only a prefix of its
+string, so it runs once per block of strings sharing that prefix, and the
+block's size weights what follows. The walk merges each string's output
+through the same step as `accumulate_claims`. A third, independent process
+samples consistent extensions directly: random machines propose claims which
+are accepted under an exact satisfiability check restricted to a small atom
 window, giving a limit oracle the membership trajectories can be compared
 against. A sample's window model set only shrinks, so its rounds stop once
 the set holds at most one valuation, where no later round can change it;
@@ -32,12 +36,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import sqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bits import Bits, child_seeds, derive_seed, random_bits
 from .consistency import ClaimSet, ConCache, ConParams, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of, render_sentence
-from .machine import run_prefix
+from .machine import run_prefix, run_with_extent
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
 
@@ -200,14 +204,20 @@ def accumulate_claims(
             raise ValueError(
                 f"bitstring has {bits.length} bits; this stage needs {needed}"
             )
-        trace = run_prefix(bits, steps)
-        if not trace.emitted:
-            continue
-        merged = claims.union(trace.emitted)
-        if merged is claims:
-            continue
-        if consistent_enough(merged, con, cache):
-            claims = merged
+        claims = _merge(claims, run_prefix(bits, steps).emitted, con, cache)
+    return claims
+
+
+def _merge(
+    claims: ClaimSet, emitted: tuple[Sentence, ...], con: ConParams, cache: ConCache
+) -> ClaimSet:
+    """One string's step of an accumulation: claims grown by the emitted
+    sentences when the merged set passes the gate, else claims itself."""
+    if not emitted:
+        return claims
+    merged = claims.union(emitted)
+    if merged is not claims and consistent_enough(merged, con, cache):
+        return merged
     return claims
 
 
@@ -216,12 +226,15 @@ def sample_strings(stage: StageParams, sample_seed: int) -> list[Bits]:
     return [random_bits(s, width) for s in child_seeds(sample_seed, stage.machines)]
 
 
-def _tally(claims: ClaimSet, keys: Sequence[str], counts: list[int]) -> None:
-    """Count the battery sentences, given by their renderings, that claims holds."""
+def _tally(
+    claims: ClaimSet, keys: Sequence[str], counts: list[int], weight: int = 1
+) -> None:
+    """Add weight to the count of each battery sentence, given by its
+    rendering, that claims holds."""
     held = claims.by_rendering
     for j, r in enumerate(keys):
         if r in held:
-            counts[j] += 1
+            counts[j] += weight
 
 
 def membership_counts(
@@ -244,15 +257,6 @@ def membership_counts(
     return counts
 
 
-def _vector_strings(value: int, machines: int, width: int) -> list[Bits]:
-    total = machines * width
-    mask = (1 << width) - 1
-    return [
-        Bits((value >> (total - (j + 1) * width)) & mask, width)
-        for j in range(machines)
-    ]
-
-
 def membership_counts_exact(
     battery: Sequence[Sentence],
     stage: StageParams,
@@ -260,7 +264,17 @@ def membership_counts_exact(
     cache: Optional[ConCache] = None,
 ) -> tuple[list[int], int]:
     """Exhaustive pass over every bit vector of the stage. Returns counts and
-    the vector total 2**(machines * string bits)."""
+    the vector total 2**(machines * string bits).
+
+    The pass runs one accumulation per prefix class, not per vector. A
+    machine's trace depends only on the leading bits of its string that
+    ``run_with_extent`` reports, so for each machine in turn the walk runs
+    one string per aligned block of strings that share those bits, merges
+    its output with ``_merge`` as ``accumulate_claims`` would, and goes on
+    to the next machine with the block's size as a weight; a claim set that
+    all machines have run through adds its weight to the counts. Gate
+    verdicts depend only on the set and the budget, so the counts are those
+    of accumulating every vector."""
     if bit_budget > MAX_EXACT_BITS:
         raise ValueError(f"bit budget is capped at {MAX_EXACT_BITS}")
     machines, width = stage.machines, stage.string_bits
@@ -274,9 +288,33 @@ def membership_counts_exact(
         cache = ConCache()
     keys = [render_sentence(s) for s in battery]
     counts = [0] * len(keys)
-    for value in range(1 << total_bits):
-        claims = accumulate_claims(_vector_strings(value, machines, width), stage, cache)
-        _tally(claims, keys, counts)
+    steps, con = stage.steps, stage.con
+    size = 1 << width
+
+    def blocks(claims: ClaimSet, weight: int) -> Iterator[tuple[ClaimSet, int]]:
+        """For each block of strings the next machine may read: the claim
+        set after its merge and the number of vectors that set stands for."""
+        value = 0
+        while value < size:
+            trace, extent = run_with_extent(value, width, steps)
+            end = (value | ((1 << (width - extent)) - 1)) + 1
+            yield _merge(claims, trace.emitted, con, cache), weight * (end - value)
+            value = end
+
+    if not machines:
+        _tally(stage.axiom_set, keys, counts)
+        return counts, 1
+    # Depth first, one generator per machine placed so far, so only one
+    # claim set per machine is alive at a time.
+    walks = [blocks(stage.axiom_set, 1)]
+    while walks:
+        step = next(walks[-1], None)
+        if step is None:
+            walks.pop()
+        elif len(walks) == machines:
+            _tally(step[0], keys, counts, step[1])
+        else:
+            walks.append(blocks(*step))
     return counts, 1 << total_bits
 
 

@@ -264,7 +264,8 @@ def _parse_battery(raw: str) -> tuple[Sentence, ...]:
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # No interpolation: a '%' in a value is literal text, not a syntax error.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:

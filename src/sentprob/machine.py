@@ -30,16 +30,19 @@ building sentences no t-step process could use.
 API: ``decode_program(bits)`` decodes the program at the front of a bit
 string and returns it with the position of its first data bit, or None when
 the string ends inside the encoding. ``run_prefix(bits, t)`` decodes and runs
-under a budget of t steps, reading the data as an integer slice of
-``bits.value``: gamma codes are read by counting leading zeros, each
-instruction's 6 bits come out with one mask, LOADBIT shifts its bit out of the
-data integer, and an indexed generator's run is computed in closed form from
-the data's leading-zero count. Stream generators ignore their data, so their
-traces are memoised by (slot, t) in a bounded cache; an indexed generator's
-emitting run depends only on the member index n it reads, so its trace, and
-with it the member, is memoised by (slot, n) in another. Repeated runs share
-the emitted sentence objects and the hashes cached on them, and
-render_sentence's memo finds them by identity.
+under a budget of t steps; ``run_with_extent(value, length, t)`` does the
+same on a bare integer and also returns the run's extent, the number of
+leading string bits its trace depends on, so exact enumeration can run one
+string per block of strings that share those bits. Both read the data as an
+integer slice of ``bits.value``: gamma codes are read by counting leading
+zeros, each instruction's 6 bits come out with one mask, LOADBIT shifts its
+bit out of the data integer, and an indexed generator's run is computed in
+closed form from the data's leading-zero count. Stream generators ignore
+their data, so their traces are memoised by (slot, t) in a bounded cache; an
+indexed generator's emitting run depends only on the member index n it
+reads, so its trace, and with it the member, is memoised by (slot, n) in
+another. Repeated runs share the emitted sentence objects and the hashes
+cached on them, and render_sentence's memo finds them by identity.
 
 Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
 mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
@@ -131,17 +134,26 @@ _WORD_INSTRUCTIONS = tuple(
 def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
     """Decode the program at the front of bits. Returns it with the position
     of its first data bit, or None when bits end inside the encoding."""
-    value, length = bits.value, bits.length
+    program, pos = _decode(bits.value, bits.length)
+    return None if program is None else (program, pos)
+
+
+def _decode(value: int, length: int) -> tuple[Optional[Program], int]:
+    """The program at the front of the length-bit string value and the
+    position of its first data bit, or (None, k) when the string ends inside
+    the encoding, k being the number of leading bits that decide so: every
+    string of this length that shares them ends inside it too."""
     # The header's gamma code, read as read_gamma(value, length, 0) would:
     # value has no bits above length, so it needs no mask.
     pos = 2 * (length - value.bit_length()) + 1
     if pos > length:
-        return None
+        return None, _gamma_cut(length, 0)
     header = value >> (length - pos)
     if header == 1:
         code = read_gamma(value, length, pos)
         if code is None or code[1] == length:
-            return None
+            # The slot's code leaves no room for the mode bit.
+            return None, _gamma_cut(length - 1, pos)
         slot, pos = code
         indexed = (value >> (length - 1 - pos)) & 1
         return _GENERATORS[2 * ((slot - 1) % SLOT_COUNT) + indexed], pos + 1
@@ -150,7 +162,7 @@ def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
     # string cannot hold is incomplete without decoding any instruction; only
     # a jump target's gamma code can use up that room later.
     if pos + 6 * count > length:
-        return None
+        return None, pos
     instructions = []
     for later in range(count - 1, -1, -1):
         pos += 6
@@ -158,14 +170,21 @@ def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
         ins = _WORD_INSTRUCTIONS[word]
         if ins is None:
             code = read_gamma(value, length, pos)
-            if code is None:
-                return None
+            room = length - 6 * later
+            if code is None or code[1] > room:
+                # The target's code leaves no room for the later instructions.
+                return None, _gamma_cut(room, pos)
             target, pos = code
-            if pos + 6 * later > length:
-                return None
             ins = Instruction(_JZ, word & 3, (target - 1) % count)
         instructions.append(ins)
     return MachineProgram(tuple(instructions)), pos
+
+
+def _gamma_cut(room: int, pos: int) -> int:
+    """The leading bits that decide that a gamma code at pos does not end
+    within the first room bits. A code with z zeros ends at pos + 2z + 1,
+    so it does not once its first (room - pos + 1) // 2 bits are zeros."""
+    return pos + (room - pos + 1) // 2
 
 
 def _slot_of(fid: str) -> int:
@@ -198,19 +217,31 @@ def encode_machine_program(p: MachineProgram) -> Bits:
 def run_prefix(bits: Bits, t: int) -> OutputTrace:
     """Decode a program from the front of bits and run it for at most t steps
     on the remainder. An incomplete encoding yields the empty trace."""
+    return run_with_extent(bits.value, bits.length, t)[0]
+
+
+def run_with_extent(value: int, length: int, t: int) -> tuple[OutputTrace, int]:
+    """``run_prefix`` on the length-bit string value, with the run's extent:
+    the number of leading bits its trace depends on. Every string of this
+    length that shares those bits gives the same trace under budget t. The
+    extent is the decode position for a stream generator and for an
+    incomplete encoding, the data bits the gamma code needs (at most all of
+    them) past it for an indexed generator, and the data bits loaded past it
+    for a register machine."""
     if t < 0:
         raise ValueError("step budget must be a natural number")
-    decoded = decode_program(bits)
-    if decoded is None:
-        return _EMPTY_TRACE
-    program, pos = decoded
+    program, pos = _decode(value, length)
+    if program is None:
+        return _EMPTY_TRACE, pos
     if isinstance(program, GeneratorProgram) and not program.indexed:
-        return _stream_trace(program.slot, t)
-    width = bits.length - pos
-    data = bits.value & ((1 << width) - 1)
+        return _stream_trace(program.slot, t), pos
+    width = length - pos
+    data = value & ((1 << width) - 1)
     if isinstance(program, GeneratorProgram):
-        return _run_indexed(program.slot, data, width, t)
-    return _run_machine(program, data, width, t)
+        need = 2 * (width - data.bit_length()) + 1
+        return _run_indexed(program.slot, data, width, need, t), pos + min(need, width)
+    trace = _run_machine(program, data, width, t)
+    return trace, pos + trace.bits_read
 
 
 # A run uses one budget per stage, so a few hundred entries hold every live
@@ -232,12 +263,11 @@ def _indexed_trace(slot: int, n: int) -> OutputTrace:
     return OutputTrace((builtin_catalog()[slot].emit(n),), need + 1, True, need)
 
 
-def _run_indexed(slot: int, data: int, width: int, t: int) -> OutputTrace:
+def _run_indexed(slot: int, data: int, width: int, need: int, t: int) -> OutputTrace:
     """Closed form of reading gamma(n+1) from the width-bit data one bit per
     step: the code spans need = 2z + 1 bits, z being the data's leading zeros
     (all of them when the data has no 1). The read stops at bit min(t, width)
     if that comes first, on the budget when t <= width, else on the data."""
-    need = 2 * (width - data.bit_length()) + 1
     if t < need or width < need:
         if t <= width:
             return OutputTrace((), t, False, t)

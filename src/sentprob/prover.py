@@ -5,7 +5,7 @@ Clauses are frozensets of nonzero ints: literal +(v+1) asserts variable v,
 variables introduced by clausification live above 2**32 (or above the
 largest user atom, whichever is bigger) so the two ranges cannot collide.
 Each sentence's definition variables start at a base derived from a digest
-of its rendering, which lets clause sets be cached per sentence and reused
+of its rendering, which lets clause sets be cached by rendering and reused
 across calls; a digest collision or an oversized sentence falls back to
 positional bases for the whole call, so the outcome stays deterministic.
 
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -194,39 +195,57 @@ class _Prepared:
     base: int
 
 
-def _sentence_base(s: Sentence) -> int:
-    digest = hashlib.sha256(render_sentence(s).encode()).digest()
+def _sentence_base(r: str) -> int:
+    """The definition-variable base of the sentence rendered as r."""
+    digest = hashlib.sha256(r.encode()).digest()
     return _TEMPLATE_BASE + int.from_bytes(digest[:5], "big") * _TEMPLATE_STRIDE
 
 
-@lru_cache(maxsize=1 << 14)
-def _prepared(s: Sentence) -> _Prepared:
-    base = _sentence_base(s)
+# Clause forms by rendering, oldest dropped first past the limit. Keyed by
+# the string, so equal sentences built as distinct objects share an entry
+# and a lookup never compares two sentence trees.
+_PREPARED_LIMIT = 1 << 14
+_PREPARED: OrderedDict[str, _Prepared] = OrderedDict()
+
+
+def _prepared(s: Sentence, r: str) -> _Prepared:
+    """The clause form of s, whose rendering is r."""
+    p = _PREPARED.get(r)
+    if p is not None:
+        return p
+    base = _sentence_base(r)
     root, raw, n_fresh = _build_template(s, base)
     if root is _TRUE or root is _FALSE:
-        return _Prepared(root, (), (), 0, 0)
-    kept: list[Clause] = []
-    seen: set[Clause] = set()
-    for c in raw + (frozenset((root,)),):  # type: ignore[arg-type]
-        if _is_tautology(c) or c in seen:
-            continue
-        seen.add(c)
-        kept.append(c)
-    entries = tuple((len(c), tuple(sorted(c)), c) for c in kept)
-    return _Prepared(root, tuple(kept), entries, n_fresh, base)
+        p = _Prepared(root, (), (), 0, 0)
+    else:
+        kept: list[Clause] = []
+        seen: set[Clause] = set()
+        for c in raw + (frozenset((root,)),):  # type: ignore[arg-type]
+            if _is_tautology(c) or c in seen:
+                continue
+            seen.add(c)
+            kept.append(c)
+        entries = tuple((len(c), tuple(sorted(c)), c) for c in kept)
+        p = _Prepared(root, tuple(kept), entries, n_fresh, base)
+    if len(_PREPARED) >= _PREPARED_LIMIT:
+        _PREPARED.popitem(last=False)
+    _PREPARED[r] = p
+    return p
 
 
-def _collect_prepared(sentences: Seq[Sentence]) -> Optional[list[_Prepared]]:
-    """Per-sentence cached clause forms, or None when two sentences collide
-    on a base or one outgrows its stride and positional bases are needed."""
+def _collect_prepared(
+    sentences: Seq[Sentence], renderings: Seq[str]
+) -> Optional[list[_Prepared]]:
+    """Per-sentence cached clause forms, given the sentences' renderings, or
+    None when two sentences collide on a base or one outgrows its stride and
+    positional bases are needed."""
     bases: dict[int, str] = {}
     preps: list[_Prepared] = []
-    for s in sentences:
-        p = _prepared(s)
+    for s, r in zip(sentences, renderings):
+        p = _prepared(s, r)
         if p.root is not _TRUE and p.root is not _FALSE:
             if p.n_fresh >= _TEMPLATE_STRIDE:
                 return None
-            r = render_sentence(s)
             claimed = bases.get(p.base)
             if claimed is not None and claimed != r:
                 return None
@@ -278,13 +297,19 @@ class RefutationResult:
 
 
 def _initial_entries(
-    ordered: Seq[Sentence], max_atom: Optional[int] = None
+    ordered: Seq[Sentence],
+    max_atom: Optional[int] = None,
+    renderings: Optional[Seq[str]] = None,
 ) -> tuple[bool, list[tuple[int, tuple[int, ...], Clause]]]:
     """(refuted at setup, heap entries for the surviving clauses)."""
     if max_atom is None:
         max_atom = _max_atom(ordered)
     entries: list[tuple[int, tuple[int, ...], Clause]] = []
-    preps = _collect_prepared(ordered) if max_atom < _TEMPLATE_BASE - 1 else None
+    preps = None
+    if max_atom < _TEMPLATE_BASE - 1:
+        if renderings is None:
+            renderings = [render_sentence(s) for s in ordered]
+        preps = _collect_prepared(ordered, renderings)
     if preps is not None:
         for p in preps:
             if p.root is _FALSE:
@@ -379,7 +404,10 @@ def _units_clash(entries: Seq[tuple[int, tuple[int, ...], Clause]]) -> bool:
 
 
 def refute_bounded(
-    sentences: Iterable[Sentence], budget: ProofBudget, max_atom: Optional[int] = None
+    sentences: Iterable[Sentence],
+    budget: ProofBudget,
+    max_atom: Optional[int] = None,
+    renderings: Optional[Seq[str]] = None,
 ) -> RefutationResult:
     """Try to derive the empty clause within `budget` attempted resolutions.
     Ordered resolution: each clause resolves only on its maximal literal
@@ -387,14 +415,15 @@ def refute_bounded(
     small sets within tiny budgets while staying refutation-complete.
 
     A caller whose sentences are already distinct and in ascending rendering
-    order (a ClaimSet's are) may pass their largest atom index as `max_atom`;
-    the sentences are then taken as they are, with no re-sort and no walk
-    over their atoms."""
+    order (a ClaimSet's are) may pass their largest atom index as `max_atom`,
+    and their renderings in the same order as `renderings` (a ClaimSet's
+    key); the sentences are then taken as they are, with no re-sort, no walk
+    over their atoms and no rendering."""
     if max_atom is None:
         ordered: Seq[Sentence] = sorted(set(sentences), key=render_sentence)
     else:
         ordered = sentences  # type: ignore[assignment]
-    refuted, candidates = _initial_entries(ordered, max_atom)
+    refuted, candidates = _initial_entries(ordered, max_atom, renderings)
     if refuted:
         return REFUTED_AT_SETUP
     if _units_clash(candidates):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 640
 HEIGHT = 400
@@ -19,6 +18,13 @@ MARGIN_T = 34
 MARGIN_B = 42
 
 PALETTE = ("#2563eb", "#dc2626", "#059669", "#9333ea", "#d97706", "#0891b2", "#4b5563")
+
+
+def escape(text: str) -> str:
+    """Escape &, > and < for XML character data, in that order, as
+    xml.sax.saxutils.escape does by default; importing that module would
+    load urllib, http and email with it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)

@@ -543,20 +543,20 @@ def test_cache_hits_and_certified_merges_build_no_clauses():
     p = ConParams(64)
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
     grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
-    prover._prepared.cache_clear()
+    prover._PREPARED.clear()
     prover._root_and_top.cache_clear()
     assert consistent_enough(claims, p, cache)
     assert consistent_enough(grown, p, cache)
     assert grown.key in cache.certificates
-    assert prover._prepared.cache_info().currsize == 0
+    assert len(prover._PREPARED) == 0
     folded = prover._root_and_top.cache_info().currsize
     assert folded == 5
     # hits and unions do no summary work either
     assert consistent_enough(grown, p, cache)
     grown.union(parse_all(["(a6 -> a7)"]))
     assert prover._root_and_top.cache_info().currsize == folded
-    assert prover._prepared.cache_info().currsize == 0
+    assert len(prover._PREPARED) == 0
     # a merge that reaches resolution does clausify: the probe works
     refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
     assert not consistent_enough(refuted, p, cache)
-    assert prover._prepared.cache_info().currsize > 0
+    assert len(prover._PREPARED) > 0

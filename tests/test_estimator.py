@@ -26,9 +26,11 @@ from sentprob.logic import (
     EMPTY_THEORY,
     And,
     Atom,
+    Implies,
     Not,
     Or,
     parse_sentence,
+    render_sentence,
     sentence_at,
     theory_from_axioms,
 )
@@ -145,6 +147,80 @@ def test_exact_counts_match_fresh_oracle():
             if phi in got:
                 oracle[j] += 1
     assert oracle == COUNTS_12BIT
+
+
+def exact_counts_per_vector(battery, stage):
+    """The exact pass as first written: split every bit vector of the stage
+    into its machines' strings and run one full accumulation per vector."""
+    machines, width = stage.machines, stage.string_bits
+    total = machines * width
+    mask = (1 << width) - 1
+    keys = [render_sentence(s) for s in battery]
+    counts = [0] * len(keys)
+    cache = ConCache()
+    for value in range(1 << total):
+        strings = [
+            Bits((value >> (total - (j + 1) * width)) & mask, width) for j in range(machines)
+        ]
+        held = accumulate_claims(strings, stage, cache).by_rendering
+        for j, r in enumerate(keys):
+            if r in held:
+                counts[j] += 1
+    return counts, 1 << total
+
+
+def test_exact_counts_match_per_vector_oracle():
+    # Single- and multi-machine stages with and without axioms, at proof
+    # budgets 0-8; the budget decides some merges, with axioms and without.
+    # Thirty machines on empty strings walk thirty levels deep.
+    theory = theory_from_axioms(
+        "three", [Not(Atom(0)), Implies(Atom(1), Atom(0)), Or(Atom(2), Atom(1))]
+    )
+    sentences = battery() + [sentence_at(k) for k in range(40)]
+    binding = set()
+    for machines, width, steps, axiom_counts in (
+        (1, 12, 40, (0, 3)),
+        (2, 6, 8, (0, 3)),
+        (3, 3, 12, (0, 3)),
+        (2, 7, 4, (3,)),
+        (30, 0, 4, (3,)),
+    ):
+        for axioms in axiom_counts:
+            seen = set()
+            for budget in range(9):
+                stage = StageParams(
+                    n=1,
+                    growth=lambda _n, _w=width: _w,
+                    con=ConParams(proof_budget=budget),
+                    theory=theory,
+                    machine_count=machines,
+                    bits_per_string=width,
+                    step_budget=steps,
+                    axiom_count=axioms,
+                )
+                got = membership_counts_exact(sentences, stage, bit_budget=machines * width)
+                where = (machines, width, budget, axioms)
+                assert got == exact_counts_per_vector(sentences, stage), where
+                seen.add(tuple(got[0]))
+            if len(seen) > 1:
+                binding.add(axioms)
+    assert binding == {0, 3}
+    # Sixteen bits leave room for register machines whose output depends on
+    # the data they load.
+    wide = single_machine_stage(16)
+    assert membership_counts_exact(sentences, wide, bit_budget=16) == exact_counts_per_vector(
+        sentences, wide
+    )
+    empty = StageParams(
+        n=1,
+        growth=lambda n: 12,
+        con=ConParams(proof_budget=0),
+        theory=theory,
+        machine_count=0,
+        axiom_count=3,
+    )
+    assert membership_counts_exact(sentences, empty) == exact_counts_per_vector(sentences, empty)
+    assert membership_counts_exact(sentences, empty)[0][:10] == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_exact_estimate_is_dyadic():

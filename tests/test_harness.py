@@ -177,6 +177,25 @@ def test_unknown_sections_and_sequence_keys_are_rejected(tmp_path):
         parse_config(MINIMAL + "[DEFAULTS]\nseed = 2\n")
 
 
+def test_percent_in_values_is_literal(tmp_path):
+    # Values are read without interpolation, so a '%' is plain text and a
+    # bad one is an ordinary value error: exit 2, not a traceback.
+    cfg = parse_config(MINIMAL.replace("id = t", "id = run%1\nout = out%(x)s"))
+    assert (cfg.suite_id, cfg.out_dir) == ("run%1", "out%(x)s")
+    with pytest.raises(ConfigError, match=r"\[suite\] samples: not an integer: '10%'"):
+        parse_config(MINIMAL.replace("samples = 10", "samples = 10%"))
+    path = tmp_path / "percent.ini"
+    path.write_text(MINIMAL.replace("id = t", "id = run%1"))
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "ok"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ok" / "report.txt").read_text().startswith("suite run%1:")
+    path.write_text(MINIMAL.replace("samples = 10", "samples = 10%"))
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "bad"))
+    assert proc.returncode == 2
+    assert "not an integer: '10%'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_crosscheck_rows_print_the_comparison_that_holds(capsys):
     def row(label, diff, bound):
         est = Estimate(Fraction(1, 2), EstimateMode.MONTE_CARLO, 10, 0.1, 1)

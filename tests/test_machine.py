@@ -20,6 +20,7 @@ from sentprob.machine import (
     encode_generator,
     encode_machine_program,
     run_prefix,
+    run_with_extent,
 )
 from sentprob.sequences import SequenceDef, builtin_catalog, sequence_by_id
 
@@ -250,6 +251,92 @@ def test_matches_reference_on_assembled_programs():
             for cut in range(full.length + 1):
                 bits = Bits(full.value >> (full.length - cut), cut)
                 assert_matches_reference(bits, range(0, 2 * n + 14))
+
+
+EXTENT_BUDGETS = (0, 1, 4, 12, 40)
+
+
+def assert_blocks_share_traces(runs, width, where):
+    """runs[v] is run_with_extent of the v-th of consecutive width-bit
+    strings that share all but their last log2(len(runs)) bits. Checks that
+    every one of them that shares a run's reported leading bits gives its
+    trace. Traces are numbered by runs of equal neighbours, so an aligned
+    block has one trace iff its first and last members share a number."""
+    segment = [0] * len(runs)
+    for v in range(1, len(runs)):
+        segment[v] = segment[v - 1] + (runs[v][0] != runs[v - 1][0])
+    for v, (_, extent) in enumerate(runs):
+        assert 0 <= extent <= width
+        free = (1 << (width - extent)) - 1
+        assert segment[v & ~free] == segment[v | free], (where, v, extent)
+
+
+def test_extent_covers_every_string_sharing_its_bits():
+    for width in range(13):
+        for t in EXTENT_BUDGETS:
+            runs = [run_with_extent(v, width, t) for v in range(1 << width)]
+            for v, (trace, _) in enumerate(runs):
+                assert trace == run_prefix(Bits(v, width), t)
+            assert_blocks_share_traces(runs, width, (width, t))
+
+
+def test_extent_covers_random_long_strings():
+    # Past the first 12 bits: redraw every bit after the extent of random
+    # and assembled strings and the trace stays the same.
+    rng = random.Random(12)
+    atoms = encode_generator("atom_chain", indexed=True)
+    loop = encode_machine_program(
+        MachineProgram(
+            (
+                Instruction(Opcode.LOADBIT, 0),
+                Instruction(Opcode.OUT, 0),
+                Instruction(Opcode.JZ, 1, 0),
+            )
+        )
+    )
+    strings = [random_bits(rng.randrange(2**63), 64) for _ in range(2000)]
+    strings += [p.concat(gamma_encode(n + 1)) for p in (atoms, loop) for n in (0, 3, 17, 40)]
+    for bits in strings:
+        bits = bits.concat(random_bits(rng.randrange(2**63), 8))
+        for t in (*EXTENT_BUDGETS, 64):
+            trace, extent = run_with_extent(bits.value, bits.length, t)
+            free = bits.length - extent
+            for _ in range(4):
+                other = (bits.value >> free << free) | rng.getrandbits(free)
+                assert run_with_extent(other, bits.length, t)[0] == trace, (bits.to_string(), t)
+    # Every data string of up to 10 bits behind programs that read their
+    # data, with the block check of the short-string test.
+    for prefix in (atoms, loop):
+        for data_bits in range(11):
+            width = prefix.length + data_bits
+            for t in EXTENT_BUDGETS:
+                base = prefix.value << data_bits
+                runs = [run_with_extent(base | d, width, t) for d in range(1 << data_bits)]
+                assert min(extent for _, extent in runs) >= prefix.length
+                assert_blocks_share_traces(runs, width, (prefix.to_string(), data_bits, t))
+
+
+def test_extent_of_each_kind_of_run():
+    # Incomplete header: its first (length + 1) // 2 zeros decide.
+    assert run_with_extent(0, 16, 16) == (OutputTrace((), 0, True, 0), 8)
+    assert run_with_extent(1, 16, 16)[1] == 8
+    # Stream generator: the encoding only.
+    stream = encode_generator("atom_chain", indexed=False).concat(Bits(0b1011, 4))
+    assert run_with_extent(stream.value, stream.length, 40)[1] == stream.length - 4
+    # Indexed generator: the encoding and the gamma code it reads.
+    code = encode_generator("atom_chain", indexed=True).concat(gamma_encode(6))
+    bits = code.concat(Bits(0b101, 3))
+    assert run_with_extent(bits.value, bits.length, 40) == (
+        run_prefix(bits, 40),
+        code.length,
+    )
+    # Register machine: the encoding and the data bits it loads.
+    loader = encode_machine_program(
+        MachineProgram((Instruction(Opcode.LOADBIT, 0), Instruction(Opcode.OUT, 0)))
+    )
+    bits = loader.concat(Bits(0b1011, 4))
+    trace, extent = run_with_extent(bits.value, bits.length, 40)
+    assert (trace.emitted, trace.bits_read, extent) == ((sentence_at(1),), 1, loader.length + 1)
 
 
 def assemble_emit_one(k: int) -> Bits:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sentprob import prover
 from sentprob.logic import (
     BOTTOM,
     TOP,
@@ -10,6 +11,7 @@ from sentprob.logic import (
     Implies,
     Not,
     Or,
+    render_sentence,
 )
 from sentprob.prover import (
     MAX_TABLE_ATOMS,
@@ -176,3 +178,34 @@ def test_deterministic_across_input_order():
     a = refute_bounded(sents, 64)
     b = refute_bounded(list(reversed(sents)), 64)
     assert a == b
+
+
+def test_clause_memo_is_keyed_by_rendering_and_bounded(monkeypatch):
+    # Equal sentences built as distinct objects share one clause form, found
+    # by rendering without comparing the two trees.
+    def build():
+        return And(Or(Atom(0), Atom(1)), Implies(Not(Atom(2)), Atom(1)))
+
+    a, b = build(), build()
+    assert a == b and a is not b
+    compared = []
+
+    def counted_eq(self, other):
+        compared.append(self)
+        return self is other
+
+    for cls in (And, Or, Implies, Not, Atom):
+        monkeypatch.setattr(cls, "__eq__", counted_eq)
+    prover._PREPARED.clear()
+    r = render_sentence(a)
+    clash = Not(Or(Atom(0), Atom(1)))
+    first = refute_bounded([clash, a], 64, 2, ["!(a0 | a1)", r])
+    assert refute_bounded([clash, b], 64, 2, ["!(a0 | a1)", r]) == first
+    assert first.refuted
+    assert list(prover._PREPARED) == ["!(a0 | a1)", r]
+    assert compared == []
+    # Past the limit the oldest clause forms go first.
+    monkeypatch.setattr(prover, "_PREPARED_LIMIT", 3)
+    for i in range(3, 8):
+        refute_bounded([Atom(i)], 4, i, [f"a{i}"])
+    assert list(prover._PREPARED) == ["a5", "a6", "a7"]
