@@ -6,10 +6,9 @@ experiment harness."""
 
 __version__ = "0.1.0"
 
-from .consistency import ClaimSet, ConCache, ConParams, consistent_enough
+from .consistency import ClaimSet, ConCache, consistent_enough
 from .estimator import (
     Estimate,
-    EstimateMode,
     StageParams,
     accumulate_claims,
     default_schedule,
@@ -24,9 +23,7 @@ from .sequences import builtin_catalog, sequence_by_id
 __all__ = [
     "ClaimSet",
     "ConCache",
-    "ConParams",
     "Estimate",
-    "EstimateMode",
     "Sentence",
     "StageParams",
     "accumulate_claims",

@@ -38,7 +38,6 @@ on a miss, the sets later merges grow from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
@@ -61,15 +60,6 @@ SATISFIABLE = RefutationResult(RefutationVerdict.UNKNOWN, 0, saturated=True)
 # Goal steps one certificate search may take. A search that gives up only
 # sends the set on to the resolution loop, so this bounds cost, not verdicts.
 SEARCH_STEPS = 512
-
-
-@dataclass(frozen=True, slots=True)
-class ConParams:
-    proof_budget: int
-
-    def __post_init__(self) -> None:
-        if self.proof_budget < 0:
-            raise ValueError("proof_budget must be a natural number")
 
 
 class ClaimSet:
@@ -263,16 +253,18 @@ def extend_certificate(base: Certificate, sentences: Iterable[Sentence]) -> Opti
 
 
 def consistent_enough(
-    claims: ClaimSet, params: ConParams, cache: Optional[ConCache] = None
+    claims: ClaimSet, budget: int, cache: Optional[ConCache] = None
 ) -> bool:
-    """False iff ``refute_bounded`` refutes the claims within
-    ``params.proof_budget`` inferences. A set that the clause summary
-    decides (a sentence folds to falsum, or two unit literals clash) gets
-    ``refute_bounded``'s result without running it; a set with a
-    certificate is satisfiable, so it is accepted without running it."""
+    """False iff ``refute_bounded`` refutes the claims within ``budget``
+    inferences. A set that the clause summary decides (a sentence folds to
+    falsum, or two unit literals clash) gets ``refute_bounded``'s result
+    without running it; a set with a certificate is satisfiable, so it is
+    accepted without running it. A negative budget is a ValueError: at one,
+    ``_verdict_at`` would read a cached refutation as an acceptance."""
+    if budget < 0:
+        raise ValueError("proof_budget must be a natural number")
     if cache is None:
         cache = ConCache()
-    budget = params.proof_budget
     key = claims.key
     known = cache.data.get(key)
     if known is not None:

@@ -32,14 +32,13 @@ regardless of call order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import sqrt
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bits import Bits, child_seeds, derive_seed, random_bits
-from .consistency import ClaimSet, ConCache, ConParams, consistent_enough
+from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of, render_sentence
 from .machine import run_prefix, run_with_extent
 from .prover import MAX_TABLE_ATOMS, truth_table
@@ -60,39 +59,22 @@ def default_growth(n: int) -> int:
 
 @dataclass(frozen=True)
 class StageParams:
-    """All budgets for one stage. By default machine count, string length,
-    step budget and axiom prefix all equal min(growth(n), cap); the optional
-    overrides decouple them for hand-traced and exact-enumeration stages."""
+    """All budgets for stage n: machine count, bits per string, step budget,
+    length of the theory's axiom prefix, and the gate's proof budget.
+    default_schedule fills them from the growth schedule; single_machine_stage
+    builds the one-machine stages of exact enumeration and hand traces."""
 
     n: int
-    growth: Callable[[int], int]
-    con: ConParams
-    cap: int = GROWTH_CAP
+    machines: int
+    string_bits: int
+    steps: int
+    axioms: int
+    proof_budget: int
     theory: Theory = EMPTY_THEORY
-    machine_count: Optional[int] = None
-    bits_per_string: Optional[int] = None
-    step_budget: Optional[int] = None
-    axiom_count: Optional[int] = None
 
-    @property
-    def size(self) -> int:
-        return min(self.growth(self.n), self.cap)
-
-    @property
-    def machines(self) -> int:
-        return self.size if self.machine_count is None else self.machine_count
-
-    @property
-    def string_bits(self) -> int:
-        return self.size if self.bits_per_string is None else self.bits_per_string
-
-    @property
-    def steps(self) -> int:
-        return self.size if self.step_budget is None else self.step_budget
-
-    @property
-    def axioms(self) -> int:
-        return self.size if self.axiom_count is None else self.axiom_count
+    def __post_init__(self) -> None:
+        if self.proof_budget < 0:
+            raise ValueError("proof_budget must be a natural number")
 
     @cached_property
     def axiom_set(self) -> ClaimSet:
@@ -104,18 +86,19 @@ class StageParams:
 def default_schedule(
     count: int = 5, cap: int = GROWTH_CAP, proof_floor: int = 256, proof_factor: int = 16
 ) -> list[StageParams]:
-    """Trend stages 1..count. Stage n's budgets all equal min(growth(n), cap),
-    and its proof budget is max(proof_floor, proof_factor * that size). The
-    factor keeps refutations of locally contradictory merges findable once
-    claim sets reach a few hundred clauses; smaller factors let contradictions
-    slip through at late stages."""
+    """Trend stages 1..count. Stage n's machine count, string length, step
+    budget and axiom prefix all equal min(default_growth(n), cap), and its
+    proof budget is max(proof_floor, proof_factor * that size). The factor
+    keeps refutations of locally contradictory merges findable once claim
+    sets reach a few hundred clauses; smaller factors let contradictions slip
+    through at late stages."""
     if cap > GROWTH_CAP:
         raise ValueError(f"cap {cap} exceeds the growth ceiling {GROWTH_CAP}")
     schedule = []
     for n in range(1, count + 1):
         size = min(default_growth(n), cap)
-        con = ConParams(proof_budget=max(proof_floor, proof_factor * size))
-        schedule.append(StageParams(n=n, growth=default_growth, con=con, cap=cap))
+        budget = max(proof_floor, proof_factor * size)
+        schedule.append(StageParams(n, size, size, size, size, budget))
     return schedule
 
 
@@ -127,34 +110,21 @@ def single_machine_stage(
     proof_budget: int = 96,
     n: int = 1,
 ) -> StageParams:
-    """One machine slot of a fixed bit width; the usual shape for exact
-    enumeration and hand traces."""
-    return StageParams(
-        n=n,
-        growth=lambda _n, _b=bits: _b,
-        con=ConParams(proof_budget=proof_budget),
-        theory=theory,
-        machine_count=1,
-        bits_per_string=bits,
-        step_budget=bits if step_budget is None else step_budget,
-        axiom_count=axiom_count,
-    )
-
-
-class EstimateMode(Enum):
-    EXACT = "exact"
-    MONTE_CARLO = "mc"
+    """One machine slot of a fixed bit width, by default with a step budget
+    of one step per bit; the usual shape for exact enumeration and hand
+    traces."""
+    steps = bits if step_budget is None else step_budget
+    return StageParams(n, 1, bits, steps, axiom_count, proof_budget, theory)
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """A rational probability with provenance. Exact estimates are dyadic
-    (denominator divides 2**total enumerated bits) with zero interval width;
-    undecided counts samples where neither the sentence nor its negation was
-    settled (extension estimates only)."""
+    """A Monte Carlo probability with provenance: value is hits / samples
+    over samples drawn from seed, with its 95% Wilson half-width; undecided
+    counts samples where neither the sentence nor its negation was settled
+    (extension estimates only)."""
 
     value: Fraction
-    mode: EstimateMode
     samples: int
     ci_halfwidth: float
     seed: int
@@ -178,12 +148,7 @@ def monte_carlo_estimate(count: int, samples: int, seed: int, undecided: int = 0
     if samples < 1:
         raise ValueError("need at least one sample")
     return Estimate(
-        Fraction(count, samples),
-        EstimateMode.MONTE_CARLO,
-        samples,
-        wilson_halfwidth(count, samples),
-        seed,
-        undecided,
+        Fraction(count, samples), samples, wilson_halfwidth(count, samples), seed, undecided
     )
 
 
@@ -197,26 +162,26 @@ def accumulate_claims(
         cache = ConCache()
     needed = stage.string_bits
     steps = stage.steps
-    con = stage.con
+    budget = stage.proof_budget
     claims = stage.axiom_set
     for bits in bitstrings:
         if bits.length < needed:
             raise ValueError(
                 f"bitstring has {bits.length} bits; this stage needs {needed}"
             )
-        claims = _merge(claims, run_prefix(bits, steps).emitted, con, cache)
+        claims = _merge(claims, run_prefix(bits, steps).emitted, budget, cache)
     return claims
 
 
 def _merge(
-    claims: ClaimSet, emitted: tuple[Sentence, ...], con: ConParams, cache: ConCache
+    claims: ClaimSet, emitted: tuple[Sentence, ...], budget: int, cache: ConCache
 ) -> ClaimSet:
     """One string's step of an accumulation: claims grown by the emitted
     sentences when the merged set passes the gate, else claims itself."""
     if not emitted:
         return claims
     merged = claims.union(emitted)
-    if merged is not claims and consistent_enough(merged, con, cache):
+    if merged is not claims and consistent_enough(merged, budget, cache):
         return merged
     return claims
 
@@ -288,7 +253,7 @@ def membership_counts_exact(
         cache = ConCache()
     keys = [render_sentence(s) for s in battery]
     counts = [0] * len(keys)
-    steps, con = stage.steps, stage.con
+    steps, budget = stage.steps, stage.proof_budget
     size = 1 << width
 
     def blocks(claims: ClaimSet, weight: int) -> Iterator[tuple[ClaimSet, int]]:
@@ -298,7 +263,7 @@ def membership_counts_exact(
         while value < size:
             trace, extent = run_with_extent(value, width, steps)
             end = (value | ((1 << (width - extent)) - 1)) + 1
-            yield _merge(claims, trace.emitted, con, cache), weight * (end - value)
+            yield _merge(claims, trace.emitted, budget, cache), weight * (end - value)
             value = end
 
     if not machines:
@@ -397,6 +362,16 @@ def _extension_models(
     return models
 
 
+def atoms_outside_window(phi: Sentence, atom_window: int) -> list[int]:
+    """The atoms of phi outside the window, ascending. Raises ValueError when
+    they and the window together exceed the truth-table limit, the widest
+    battery sentence extension_probabilities can decide."""
+    extras = sorted(a for a in atoms_of(phi) if a >= atom_window)
+    if len(extras) + atom_window > MAX_TABLE_ATOMS:
+        raise ValueError("sentence atoms exceed the table limit for this window")
+    return extras
+
+
 def _universal_mask(phi: Sentence, atom_window: int, memo: dict) -> int:
     """Window-table mask of the valuations where phi holds for every
     assignment of its atoms outside the window."""
@@ -404,9 +379,7 @@ def _universal_mask(phi: Sentence, atom_window: int, memo: dict) -> int:
     m = memo.get(key)
     if m is not None:
         return m
-    extras = sorted(a for a in atoms_of(phi) if a >= atom_window)
-    if len(extras) + atom_window > MAX_TABLE_ATOMS:
-        raise ValueError("sentence atoms exceed the table limit for this window")
+    extras = atoms_outside_window(phi, atom_window)
     rows = 1 << atom_window
     window_full = (1 << rows) - 1
     if not extras:

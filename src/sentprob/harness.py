@@ -6,8 +6,9 @@ proof_factor to estimator.default_schedule, which holds their defaults, and
 rejects any other key and a cap above the growth ceiling; [sequences] lists
 trajectory families under its one key, ids; [assert] holds one trend
 assertion per line; an optional [crosscheck] section configures the
-membership-vs-extension comparison. Any other section, and an unknown key in
-any section but [assert], is a ConfigError.
+membership-vs-extension comparison, and rejects a battery sentence too wide
+for the extension sampler's tables at its atom window. Any other section,
+and an unknown key in any section but [assert], is a ConfigError.
 
 Assertion grammar (value of each [assert] key, covers tags optional):
 
@@ -39,6 +40,7 @@ from .estimator import (
     MAX_ATOM_WINDOW,
     Estimate,
     StageParams,
+    atoms_outside_window,
     default_schedule,
     extension_probabilities,
     membership_counts,
@@ -248,16 +250,23 @@ def _build_schedule(section: Mapping[str, str]) -> tuple[StageParams, ...]:
         raise ConfigError(f"[stages] {exc}") from exc
 
 
-def _parse_battery(raw: str) -> tuple[Sentence, ...]:
+def _parse_battery(raw: str, atom_window: int) -> tuple[Sentence, ...]:
     battery = []
     for part in raw.split(";"):
         text = part.strip()
         if not text:
             continue
         try:
-            battery.append(parse_sentence(text))
+            phi = parse_sentence(text)
         except ParseError as exc:
             raise ConfigError(f"[crosscheck] battery: {exc} in {text!r}") from exc
+        try:
+            atoms_outside_window(phi, atom_window)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[crosscheck] battery: {exc} (atom_window {atom_window}): {text!r}"
+            ) from exc
+        battery.append(phi)
     if not battery:
         raise ConfigError("[crosscheck] battery: no sentences")
     return tuple(battery)
@@ -303,7 +312,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if atom_window > MAX_ATOM_WINDOW:
             raise ConfigError(f"[crosscheck] atom_window: capped at {MAX_ATOM_WINDOW}")
         crosscheck = CrosscheckSpec(
-            battery=_parse_battery(section.get("battery", "")),
+            battery=_parse_battery(section.get("battery", ""), atom_window),
             rounds=_natural(section.get("rounds", "64"), "[crosscheck] rounds", 1),
             machine_budget=_natural(
                 section.get("machine_budget", "64"), "[crosscheck] machine_budget", 1
@@ -404,7 +413,7 @@ def _trajectory_rows(cfg: ExperimentConfig, trajectories: dict) -> list[dict]:
                     "ci": est.ci_halfwidth,
                     "samples": est.samples,
                     "seed": est.seed,
-                    "mode": est.mode.value,
+                    "mode": "mc",
                 }
             )
     return rows

@@ -15,17 +15,17 @@ produced counts one inference against the budget; the exploration order does
 not depend on the budget, so a refutation found at budget b is found at any
 larger budget. Resolution is refutation-complete for propositional logic, so
 when the queue drains without deriving the empty clause the set is
-satisfiable (reported as Unknown with `saturated` set). When two initial
-unit clauses clash, the loop's first inference would derive the empty clause,
-so that result is returned without building the queue.
+satisfiable (reported as Unknown with `saturated` set).
 
-The sets refute_bounded decides before its first resolution step are those
-with a sentence that folds to falsum (refuted after 0 inferences) and those
-with two clashing unit clauses. The only unit clauses are sentence roots, and
-roots on definition variables never clash, so both facts can be read from
-`_fold` alone: `summarize` keeps a set's atom-literal root units, whether two
-of them clash, and its largest atom, and grows a summary by the sentences a
-merge adds; `settled_by_summary` turns it into refute_bounded's exact result.
+Two kinds of set have a result fixed by their initial clauses: those with a
+sentence that folds to falsum (refuted at setup, after 0 inferences) and
+those with two clashing unit clauses (units pop first, so the loop's first
+inference derives the empty clause). The only unit clauses are sentence
+roots, and roots on definition variables never clash, so both facts can be
+read from `_fold` alone: `summarize` keeps a set's atom-literal root units,
+whether two of them clash, and its largest atom, and grows a summary by the
+sentences a merge adds; `settled_by_summary` turns it into refute_bounded's
+exact result.
 A caller that keeps summaries (the consistency gate does) decides these sets
 with no clausification, and hands only the rest to refute_bounded, together
 with the largest atom so the setup skips its re-sort and atom walk.
@@ -398,11 +398,6 @@ def _max_literal(lits: tuple[int, ...]) -> int:
     return lits[0] if -lits[0] >= lits[-1] else lits[-1]
 
 
-def _units_clash(entries: Seq[tuple[int, tuple[int, ...], Clause]]) -> bool:
-    units = {lits[0] for size, lits, _ in entries if size == 1}
-    return any(-l in units for l in units)
-
-
 def refute_bounded(
     sentences: Iterable[Sentence],
     budget: ProofBudget,
@@ -426,8 +421,6 @@ def refute_bounded(
     refuted, candidates = _initial_entries(ordered, max_atom, renderings)
     if refuted:
         return REFUTED_AT_SETUP
-    if _units_clash(candidates):
-        return _clash_result(budget)
     seen: set[Clause] = set()
     heap: list[tuple[int, tuple[int, ...], Clause]] = []
     for entry in candidates:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sentprob.bits import Bits
-from sentprob.consistency import ClaimSet, ConCache, ConParams, consistent_enough
+from sentprob.consistency import ClaimSet, ConCache, consistent_enough
 from sentprob.estimator import (
     membership_counts,
     membership_counts_exact,
@@ -100,20 +100,20 @@ def test_prover_agrees_with_semantic_oracle(capsys):
 
 def test_gate_soundness_and_antitonicity(capsys):
     t0 = time.time()
-    params = ConParams(proof_budget=512)
+    budget = 512
     cache = ConCache()
     rng = random.Random(20260818)
     sound_violations = 0
     for _ in range(1000):
         claims = ClaimSet.of([rand_sentence(rng, 2) for _ in range(rng.randrange(0, 4))])
-        if not consistent_enough(claims, params, cache):
+        if not consistent_enough(claims, budget, cache):
             if semantic_consistent(list(claims)):
                 sound_violations += 1
     antitone_violations = 0
     for _ in range(1000):
         claims = ClaimSet.of([rand_sentence(rng, 2) for _ in range(rng.randrange(0, 3))])
         extra = rand_sentence(rng, 2)
-        if not antitone_check(claims, extra, params, cache):
+        if not antitone_check(claims, extra, budget, cache):
             antitone_violations += 1
     elapsed = time.time() - t0
     report(

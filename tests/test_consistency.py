@@ -1,5 +1,6 @@
 import heapq
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,14 +10,13 @@ from sentprob.consistency import (
     SEARCH_STEPS,
     ClaimSet,
     ConCache,
-    ConParams,
     consistent_enough,
     extend_certificate,
 )
 from sentprob.estimator import (
     StageParams,
     accumulate_claims,
-    default_growth,
+    default_schedule,
     sample_strings,
     single_machine_stage,
 )
@@ -42,15 +42,15 @@ BINDING_BUDGETS = (0, 1, 2, 3, 4, 8, 16, 64, 4096)
 EMPTY_CLAIMS = ClaimSet.of(())
 
 
-def antitone_check(claims, extra, params, cache=None):
+def antitone_check(claims, extra, budget, cache=None):
     """True unless adding ``extra`` turned a rejected set into an accepted
     one. The gate guarantees this only where the budget does not bind: at
     small budgets the added clauses can reorder the search and push a
     refutation past the budget."""
     if cache is None:
         cache = ConCache()
-    base = consistent_enough(claims, params, cache)
-    grown = consistent_enough(claims.union((extra,)), params, cache)
+    base = consistent_enough(claims, budget, cache)
+    grown = consistent_enough(claims.union((extra,)), budget, cache)
     return not (base is False and grown is True)
 
 
@@ -80,9 +80,17 @@ def assert_certificates_hold(cache, sets):
             assert kleene(s, cert) is True, (key, render_sentence(s))
 
 
+def units_clash(entries):
+    """Whether two of the initial clause entries are clashing unit clauses:
+    the oracle for ClauseSummary.clash."""
+    units = {lits[0] for size, lits, _ in entries if size == 1}
+    return any(-l in units for l in units)
+
+
 def full_loop(sentences, budget):
-    """The resolution loop as it ran before the unit-clash exit and the
-    end-picking maximal literal: the reference those must agree with."""
+    """The resolution loop with no setup exit but falsum and with the
+    maximal literal picked by a full scan: the reference refute_bounded must
+    agree with."""
     ordered = sorted(set(sentences), key=render_sentence)
     refuted, candidates = prover._initial_entries(ordered)
     if refuted:
@@ -113,22 +121,30 @@ def full_loop(sentences, budget):
 
 
 def test_params_defaults_and_validation():
-    assert ConParams(proof_budget=64).proof_budget == 64
-    assert ConParams(0).proof_budget == 0
-    with pytest.raises(ValueError):
-        ConParams(proof_budget=-1)
+    # The proof budget is a natural number wherever it enters: a negative
+    # one would make _verdict_at read a cached refutation as an acceptance.
+    st = single_machine_stage(12, proof_budget=0)
+    assert (st.machines, st.string_bits, st.steps, st.axioms, st.proof_budget) == (1, 12, 12, 0, 0)
+    with pytest.raises(ValueError, match="proof_budget must be a natural number"):
+        single_machine_stage(12, proof_budget=-1)
+    claims = ClaimSet.of([Atom(0), Not(Atom(0))])
+    cache = ConCache()
+    assert not consistent_enough(claims, 64, cache)
+    for c in (None, cache):
+        with pytest.raises(ValueError, match="proof_budget must be a natural number"):
+            consistent_enough(claims, -1, c)
     with pytest.raises(TypeError):
-        ConParams(proof_budget=4, probe_depth=1)
+        StageParams(n=1, machines=1, string_bits=12, steps=12, axioms=0, proof_budget=4, probe_depth=1)
 
 
 def test_gate_examples():
-    p = ConParams(proof_budget=64)
-    assert consistent_enough(EMPTY_CLAIMS, p)
-    assert not consistent_enough(ClaimSet.of([BOTTOM]), p)
-    assert not consistent_enough(ClaimSet.of([Or(Atom(0), Atom(1)), Not(Atom(0)), Not(Atom(1))]), p)
-    assert consistent_enough(ClaimSet.of([Atom(0), Not(Atom(1))]), p)
+    budget = 64
+    assert consistent_enough(EMPTY_CLAIMS, budget)
+    assert not consistent_enough(ClaimSet.of([BOTTOM]), budget)
+    assert not consistent_enough(ClaimSet.of([Or(Atom(0), Atom(1)), Not(Atom(0)), Not(Atom(1))]), budget)
+    assert consistent_enough(ClaimSet.of([Atom(0), Not(Atom(1))]), budget)
     # no size cap: a large satisfiable set is accepted, not refused
-    assert consistent_enough(ClaimSet.of([Atom(i) for i in range(40)]), p)
+    assert consistent_enough(ClaimSet.of([Atom(i) for i in range(40)]), budget)
 
 
 def test_claim_set_is_keyed_by_rendering():
@@ -158,21 +174,21 @@ def test_union_dedups():
 
 
 def test_memoization_is_transparent():
-    p = ConParams(proof_budget=128)
+    budget = 128
     rng = random.Random(909)
     cache = ConCache()
     for _ in range(40):
         claims = ClaimSet.of([rand_sentence(rng, 2) for _ in range(rng.randrange(1, 4))])
-        assert consistent_enough(claims, p, cache) == consistent_enough(claims, p, None)
+        assert consistent_enough(claims, budget, cache) == consistent_enough(claims, budget, None)
 
 
 def test_cache_stats():
-    p = ConParams(proof_budget=64)
+    budget = 64
     cache = ConCache()
     claims = ClaimSet.of([Atom(0), Not(Atom(1))])
-    consistent_enough(claims, p, cache)
+    consistent_enough(claims, budget, cache)
     first = cache.stats()
-    consistent_enough(claims, p, cache)
+    consistent_enough(claims, budget, cache)
     second = cache.stats()
     assert first["entries"] == second["entries"]
     assert second["hits"] > first["hits"]
@@ -197,46 +213,46 @@ def test_shared_cache_answers_at_every_budget():
         for claims in sets:
             for b in order:
                 plain = not refute_bounded(claims.sentences, b).refuted
-                assert consistent_enough(claims, ConParams(b), cache) == plain, (claims.key, b)
-    assert consistent_enough(sets[0], ConParams(0), cache)
-    assert not consistent_enough(sets[0], ConParams(4096), cache)
+                assert consistent_enough(claims, b, cache) == plain, (claims.key, b)
+    assert consistent_enough(sets[0], 0, cache)
+    assert not consistent_enough(sets[0], 4096, cache)
 
 
 def test_rejections_are_budget_monotone():
     rng = random.Random(2024)
     for _ in range(150):
         claims = ClaimSet.of([rand_sentence(rng, 3) for _ in range(rng.randrange(1, 4))])
-        low = consistent_enough(claims, ConParams(proof_budget=8))
-        high = consistent_enough(claims, ConParams(proof_budget=4096))
+        low = consistent_enough(claims, 8)
+        high = consistent_enough(claims, 4096)
         if not low:
             assert not high
 
 
 def test_antitone_examples():
-    p = ConParams(proof_budget=64)
-    assert antitone_check(ClaimSet.of([Atom(0)]), Not(Atom(0)), p)
-    assert antitone_check(ClaimSet.of([BOTTOM]), Atom(1), p)
+    budget = 64
+    assert antitone_check(ClaimSet.of([Atom(0)]), Not(Atom(0)), budget)
+    assert antitone_check(ClaimSet.of([BOTTOM]), Atom(1), budget)
 
 
 def test_deep_chain_claims_do_not_overflow():
     # Indexed machine programs accept member indexes up to the stage step
     # budget, so chain-shaped claims nest hundreds of levels. Keying,
     # clause extraction, and the gate itself must all survive that depth.
-    p = ConParams(proof_budget=64)
+    budget = 64
     for fid in ("monotone_chain", "mutex_family"):
         deep = generate(sequence_by_id(fid), 900)
         assert len(atoms_of(deep)) == 901
-        assert consistent_enough(ClaimSet.of([deep]), p)
+        assert consistent_enough(ClaimSet.of([deep]), budget)
 
 
 def test_antitone_over_random_sets():
-    p = ConParams(proof_budget=256)
+    budget = 256
     rng = random.Random(515)
     cache = ConCache()
     for _ in range(200):
         claims = ClaimSet.of([rand_sentence(rng, 2) for _ in range(rng.randrange(0, 3))])
         extra = rand_sentence(rng, 2)
-        assert antitone_check(claims, extra, p, cache)
+        assert antitone_check(claims, extra, budget, cache)
 
 
 def test_union_merges_agree_with_plain_refutation_where_budget_binds():
@@ -254,7 +270,7 @@ def test_union_merges_agree_with_plain_refutation_where_budget_binds():
                 [rand_sentence(rng, rng.randrange(1, 4), 4) for _ in range(rng.randrange(1, 3))]
             )
             b = rng.choice(BINDING_BUDGETS)
-            verdict = consistent_enough(merged, ConParams(b), cache)
+            verdict = consistent_enough(merged, b, cache)
             assert verdict == (not refute_bounded(merged.sentences, b).refuted), (merged.key, b)
             certified += merged.key in cache.certificates
             seen.append(merged)
@@ -273,7 +289,7 @@ def test_accumulation_matches_plain_gate_where_budget_binds():
     binding = 0
     for n in (2, 3):
         for budget in (1, 2, 4, 8):
-            stage = StageParams(n=n, growth=default_growth, con=ConParams(budget))
+            stage = replace(default_schedule(n)[-1], proof_budget=budget)
             for sample_seed in (7000 + n, 8000 + budget):
                 strings = sample_strings(stage, sample_seed)
                 reference = stage.axiom_set
@@ -306,10 +322,12 @@ def test_certificate_search_extends_its_base():
     # gives up after SEARCH_STEPS goal steps rather than search on
     wide = [Or(Atom(i), Atom(i + 1)) for i in range(0, 4 * SEARCH_STEPS, 2)]
     assert extend_certificate({}, wide) is None
-    assert consistent_enough(ClaimSet.of(wide), ConParams(64))
+    assert consistent_enough(ClaimSet.of(wide), 64)
 
 
 def test_unit_clash_exit_matches_full_loop():
+    # Sets with two clashing unit clauses: the loop's first inference refutes
+    # them, which is the result the gate takes from a set's clause summary.
     rng = random.Random(3131)
     clashes = 0
     for _ in range(400):
@@ -319,9 +337,13 @@ def test_unit_clash_exit_matches_full_loop():
         sentences = [rand_sentence(rng, 2, 4) for _ in range(rng.randrange(0, 4))] + [lit, neg]
         ordered = sorted(set(sentences), key=render_sentence)
         refuted_at_setup, entries = prover._initial_entries(ordered)
-        clashes += not refuted_at_setup and prover._units_clash(entries)
+        clash = not refuted_at_setup and units_clash(entries)
+        clashes += clash
         for b in range(4):
-            assert refute_bounded(sentences, b) == full_loop(sentences, b), ([render_sentence(s) for s in sentences], b)
+            where = ([render_sentence(s) for s in sentences], b)
+            assert refute_bounded(sentences, b) == full_loop(sentences, b), where
+            if clash:
+                assert refute_bounded(sentences, b) == prover._clash_result(b), where
     assert clashes > 200
 
 
@@ -344,11 +366,11 @@ def test_gate_is_not_antitone_where_budget_binds():
     grown = claims.union([parse_sentence("(a1 | (a1 & a1))")])
     cache = ConCache()
     for c in (claims, grown):
-        assert consistent_enough(c, ConParams(2), cache) == (not refute_bounded(c.sentences, 2).refuted)
-    assert not consistent_enough(claims, ConParams(2), cache)
-    assert consistent_enough(grown, ConParams(2), cache)
-    assert not antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), ConParams(2))
-    assert antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), ConParams(64))
+        assert consistent_enough(c, 2, cache) == (not refute_bounded(c.sentences, 2).refuted)
+    assert not consistent_enough(claims, 2, cache)
+    assert consistent_enough(grown, 2, cache)
+    assert not antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), 2)
+    assert antitone_check(claims, parse_sentence("(a1 | (a1 & a1))"), 64)
 
 
 SUMMARY_BUDGETS = (0, 1, 2, 4096)
@@ -360,7 +382,7 @@ def decided_at_setup(sentences):
     resolution step: falsum among the roots, or two clashing unit clauses."""
     ordered = sorted(set(sentences), key=render_sentence)
     refuted, entries = prover._initial_entries(ordered)
-    return refuted or prover._units_clash(entries)
+    return refuted or units_clash(entries)
 
 
 @pytest.fixture
@@ -381,7 +403,7 @@ def gate_matches_plain(claims, budget, cache, runs):
     and any stored certificate against plain refute_bounded. Returns the
     verdict."""
     misses, before = cache.misses, len(runs)
-    verdict = consistent_enough(claims, ConParams(budget), cache)
+    verdict = consistent_enough(claims, budget, cache)
     assert cache.misses == misses + 1
     plain = refute_bounded(claims.sentences, budget)
     where = ([render_sentence(s) for s in claims.sentences], budget)
@@ -400,7 +422,7 @@ def gate_matches_plain(claims, budget, cache, runs):
         top = prover._max_atom(claims.sentences)
         _, entries = prover._initial_entries(sorted(claims.sentences, key=render_sentence))
         units = {lits[0] for size, lits, _ in entries if size == 1 and abs(lits[0]) <= top + 1}
-        assert (summary.units, summary.clash, summary.max_atom) == (units, prover._units_clash(entries), top), where
+        assert (summary.units, summary.clash, summary.max_atom) == (units, units_clash(entries), top), where
     if decided_at_setup(claims.sentences):
         # decided from the summary: no resolution run, no certificate
         assert len(runs) == before and cert is None, where
@@ -540,23 +562,23 @@ def test_cache_hits_and_certified_merges_build_no_clauses():
     # The summary is read from _fold alone: gating a merge that a
     # certificate accepts, or answering from the cache, must not clausify.
     cache = ConCache()
-    p = ConParams(64)
+    budget = 64
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
     grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
     prover._PREPARED.clear()
     prover._root_and_top.cache_clear()
-    assert consistent_enough(claims, p, cache)
-    assert consistent_enough(grown, p, cache)
+    assert consistent_enough(claims, budget, cache)
+    assert consistent_enough(grown, budget, cache)
     assert grown.key in cache.certificates
     assert len(prover._PREPARED) == 0
     folded = prover._root_and_top.cache_info().currsize
     assert folded == 5
     # hits and unions do no summary work either
-    assert consistent_enough(grown, p, cache)
+    assert consistent_enough(grown, budget, cache)
     grown.union(parse_all(["(a6 -> a7)"]))
     assert prover._root_and_top.cache_info().currsize == folded
     assert len(prover._PREPARED) == 0
     # a merge that reaches resolution does clausify: the probe works
     refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
-    assert not consistent_enough(refuted, p, cache)
+    assert not consistent_enough(refuted, budget, cache)
     assert len(prover._PREPARED) > 0

@@ -1,13 +1,13 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from sentprob import estimator
 from sentprob.bits import Bits, derive_seed, random_bits
-from sentprob.consistency import ConCache, ConParams
+from sentprob.consistency import ConCache
 from sentprob.estimator import (
-    EstimateMode,
     StageParams,
     accumulate_claims,
     default_growth,
@@ -70,20 +70,35 @@ def test_growth_and_schedule_shapes():
     assert [default_growth(n) for n in range(1, 8)] == [24, 48, 96, 192, 384, 512, 512]
     sch = default_schedule()
     assert [s.n for s in sch] == [1, 2, 3, 4, 5]
-    for s in sch:
-        assert s.machines == s.string_bits == s.steps == s.axioms == s.size
+    for s, size in zip(sch, (24, 48, 96, 192, 384)):
+        assert (s.machines, s.string_bits, s.steps, s.axioms) == (size,) * 4
 
 
 def test_standard_con_budgets_track_growth():
-    budgets = [s.con.proof_budget for s in default_schedule(9)]
+    budgets = [s.proof_budget for s in default_schedule(9)]
     assert budgets[0] == 384
     assert budgets[4] == 16 * 384
     assert budgets[8] == 16 * 512
     capped = default_schedule(4, cap=50, proof_floor=1000, proof_factor=32)
-    assert [s.size for s in capped] == [24, 48, 50, 50]
-    assert [s.con.proof_budget for s in capped] == [1000, 1536, 1600, 1600]
+    assert [s.machines for s in capped] == [24, 48, 50, 50]
+    assert [s.proof_budget for s in capped] == [1000, 1536, 1600, 1600]
     with pytest.raises(ValueError, match="exceeds the growth ceiling 512"):
         default_schedule(cap=513)
+
+
+def test_stage_record_and_public_surface():
+    # A stage is a plain record of the values the pipeline reads, and every
+    # public name resolves; the budget wrapper and the one-member mode enum
+    # are gone.
+    import sentprob
+
+    assert [f.name for f in fields(StageParams)] == [
+        "n", "machines", "string_bits", "steps", "axioms", "proof_budget", "theory"
+    ]
+    for name in sentprob.__all__:
+        assert hasattr(sentprob, name), name
+    assert not {"ConParams", "EstimateMode"} & set(sentprob.__all__)
+    assert not hasattr(sentprob, "ConParams") and not hasattr(sentprob, "EstimateMode")
 
 
 def test_single_machine_stage_overrides():
@@ -190,13 +205,12 @@ def test_exact_counts_match_per_vector_oracle():
             for budget in range(9):
                 stage = StageParams(
                     n=1,
-                    growth=lambda _n, _w=width: _w,
-                    con=ConParams(proof_budget=budget),
+                    machines=machines,
+                    string_bits=width,
+                    steps=steps,
+                    axioms=axioms,
+                    proof_budget=budget,
                     theory=theory,
-                    machine_count=machines,
-                    bits_per_string=width,
-                    step_budget=steps,
-                    axiom_count=axioms,
                 )
                 got = membership_counts_exact(sentences, stage, bit_budget=machines * width)
                 where = (machines, width, budget, axioms)
@@ -212,12 +226,7 @@ def test_exact_counts_match_per_vector_oracle():
         sentences, wide
     )
     empty = StageParams(
-        n=1,
-        growth=lambda n: 12,
-        con=ConParams(proof_budget=0),
-        theory=theory,
-        machine_count=0,
-        axiom_count=3,
+        n=1, machines=0, string_bits=12, steps=12, axioms=3, proof_budget=0, theory=theory
     )
     assert membership_counts_exact(sentences, empty) == exact_counts_per_vector(sentences, empty)
     assert membership_counts_exact(sentences, empty)[0][:10] == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -235,13 +244,7 @@ def test_exact_estimate_is_dyadic():
 def test_exact_zero_cases():
     st = single_machine_stage(12)
     assert membership_counts_exact([BOTTOM], st, bit_budget=12) == ([0], 4096)
-    empty = StageParams(
-        n=1,
-        growth=lambda n: 12,
-        con=ConParams(proof_budget=96),
-        machine_count=0,
-        axiom_count=0,
-    )
+    empty = StageParams(n=1, machines=0, string_bits=12, steps=12, axioms=0, proof_budget=96)
     assert membership_counts_exact([Atom(0)], empty, bit_budget=12) == ([0], 1)
 
 
@@ -277,7 +280,6 @@ def test_mc_reproducible_and_seed_sensitive():
     assert membership_counts(battery(), st, 500, 12) != a
     est = monte_carlo_estimate(a[0], 500, 11)
     assert (est.value, est.samples, est.seed) == (Fraction(a[0], 500), 500, 11)
-    assert est.mode is EstimateMode.MONTE_CARLO
     assert est.ci_halfwidth > 0
 
 
@@ -306,12 +308,7 @@ def test_simplicity_lower_bound_small():
 
 
 def test_probability_law_is_permutation_invariant():
-    st = StageParams(
-        n=1,
-        growth=lambda n: 12,
-        con=ConParams(proof_budget=96),
-        machine_count=2,
-    )
+    st = StageParams(n=1, machines=2, string_bits=12, steps=12, axioms=12, proof_budget=96)
     target = Atom(0)
     (base,) = membership_counts([target], st, 4000, 333)
     rng = random.Random(1)

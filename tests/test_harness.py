@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sentprob.cli import _report_crosscheck
-from sentprob.estimator import MAX_ATOM_WINDOW, Estimate, EstimateMode, extension_probabilities
+from sentprob.estimator import MAX_ATOM_WINDOW, Estimate, extension_probabilities
 from sentprob.harness import (
     REQUIRED_PROPERTIES,
     ConfigError,
@@ -20,7 +20,7 @@ from sentprob.harness import (
     parse_config,
     run_suite,
 )
-from sentprob.logic import Atom
+from sentprob.logic import Atom, parse_sentence
 
 MINIMAL = """
 [suite]
@@ -50,7 +50,7 @@ def traj(*rows):
     out = {}
     for sid, vals in rows:
         out[sid] = [
-            Estimate(Fraction(v), EstimateMode.MONTE_CARLO, 10, 0.1, 1) for v in vals
+            Estimate(Fraction(v), 10, 0.1, 1) for v in vals
         ]
     return out
 
@@ -134,7 +134,7 @@ def test_stage_cap_above_growth_ceiling_is_rejected(tmp_path):
     assert proc.returncode == 2
     assert "growth ceiling" in proc.stderr
     cfg = parse_config(text.replace("cap = 1024", "cap = 512"))
-    assert [s.size for s in cfg.schedule] == [24, 48, 96, 192, 384, 512, 512, 512]
+    assert [s.machines for s in cfg.schedule] == [24, 48, 96, 192, 384, 512, 512, 512]
 
 
 def test_unknown_suite_and_crosscheck_keys_are_rejected(tmp_path):
@@ -198,7 +198,7 @@ def test_percent_in_values_is_literal(tmp_path):
 
 def test_cli_crosscheck_rows_print_the_comparison_that_holds(capsys):
     def row(label, diff, bound):
-        est = Estimate(Fraction(1, 2), EstimateMode.MONTE_CARLO, 10, 0.1, 1)
+        est = Estimate(Fraction(1, 2), 10, 0.1, 1)
         return CrosscheckRow(label, est, est, diff, bound, diff <= bound)
 
     rows = (row("close", 0.05, 0.25), row("tie", 0.25, 0.25), row("far", 0.5, 0.25))
@@ -216,6 +216,40 @@ def test_crosscheck_config_errors():
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = 5\n")
     with pytest.raises(ConfigError, match="expected sentence"):
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; (a0 &\n")
+
+
+def wide_disjunction(count):
+    """((a30 | a31) | ...) over count atoms, all outside any atom window."""
+    text = "a30"
+    for i in range(31, 30 + count):
+        text = f"({text} | a{i})"
+    return text
+
+
+def test_too_wide_battery_sentence_is_a_config_error(tmp_path):
+    # The extension sampler tabulates a battery sentence over the window and
+    # its atoms outside it, 24 atoms at most: at window 3 a sentence may
+    # have 21 outside atoms. A wider one is refused when the config is read,
+    # before any membership work, not when the sampler reaches it.
+    head = MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nsamples = 10\n"
+    fits, wide = wide_disjunction(21), wide_disjunction(22)
+    assert parse_config(f"{head}battery = a0 ; {fits}\n").crosscheck.battery[1] == parse_sentence(fits)
+    message = r"\[crosscheck\] battery: sentence atoms exceed the table limit"
+    with pytest.raises(ConfigError, match=message + r".*atom_window 3"):
+        parse_config(f"{head}battery = a0 ; {wide}\n")
+    with pytest.raises(ConfigError, match=message + r".*atom_window 4"):
+        parse_config(f"{head}atom_window = 4\nbattery = a0 ; {fits}\n")
+    path = tmp_path / "wide.ini"
+    path.write_text(f"{head}battery = a0 ; {fits}\n")
+    proc = run_cli("crosscheck", str(path), "--out", str(tmp_path / "fits"))
+    assert proc.returncode in (0, 1), proc.stderr
+    assert (tmp_path / "fits" / "crosscheck.csv").exists()
+    path.write_text(f"{head}battery = a0 ; {wide}\n")
+    proc = run_cli("crosscheck", str(path), "--out", str(tmp_path / "wide"))
+    assert proc.returncode == 2
+    assert "table limit" in proc.stderr and wide in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "wide").exists()
 
 
 def test_atom_window_limit_is_shared():
@@ -321,17 +355,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_cli(*args):
+def run_python(*args):
     # The child needs src on its path whether or not the test process got
     # it from PYTHONPATH or from pytest's own pythonpath setting.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "sentprob", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "sentprob", *args)
 
 
 def test_cli_usage_errors():
@@ -361,3 +399,38 @@ def test_cli_demo_and_failing_run(tmp_path):
     proc = run_cli("run", str(failing))
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_benchmark_tracer_wraps_the_demo_run(tmp_path):
+    # perfbench/tracer.py patches sentprob functions by name and reads some
+    # arguments by position: the gate's cache (consistent_enough, args[2]),
+    # refute_bounded's budget (args[1]) and accumulate_claims' stage. A
+    # traced demo run must still pass, write the committed artifacts and
+    # record every one of those. -B keeps the child from writing bytecode
+    # into perfbench/.
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracer import Tracer, install\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "tracer.begin_run('demo')\n"
+        "from sentprob import cli\n"
+        "code = cli.main(['demo', '--out', sys.argv[1]])\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        "    json.dump(tracer.summary(), fh)\n"
+        "sys.exit(code)\n"
+    )
+    out, summary_path = tmp_path / "demo", tmp_path / "summary.json"
+    proc = run_python("-B", "-c", script, str(out), str(summary_path))
+    assert proc.returncode == 0, proc.stderr
+    assert_matches_committed(sorted(out.iterdir()), ROOT / "demo_run")
+    import json
+
+    summary = json.loads(summary_path.read_text())
+    spans, counters, samples = summary["spans"], summary["counters"], summary["samples"]
+    for name in ("consistency.consistent_enough", "prover.refute_bounded", "estimator.accumulate_claims"):
+        assert spans[name][0] > 0, name
+    assert counters["consistency.cache_hits"] + counters["consistency.cache_misses"] > 0
+    assert samples["prover.budget_use"]
+    assert set(samples["estimator.accumulate_stage"]) == {1, 2}
