@@ -25,8 +25,7 @@ EXIT_USAGE = 2
 
 def _report_suite(result: SuiteResult) -> None:
     for o in result.outcomes:
-        status = "PASS" if o.passed else "FAIL"
-        print(f"{status} {o.assertion.name}: {o.detail}")
+        print(o.line)
     for path in result.artifacts:
         print(f"wrote {path}")
 

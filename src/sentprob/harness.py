@@ -13,26 +13,32 @@ and an unknown key in any section but [assert], is a ConfigError.
 Assertion grammar (value of each [assert] key, covers tags optional):
 
     approaches <seq> <target> <tol> <window>      tail mean within tol
-    sum <target> <tol> <window> <seq> <seq...>    tail mean of per-stage sums
+    sum <target> <tol> <window> <seq...>          tail mean of per-stage sums
     diff <seq_a> <seq_b> <tol> <window>           tail mean of |a - b|
     nonincreasing <seq> <window>                  exact, ties allowed
     nondecreasing <seq> <window>                  exact, ties allowed
     stabilizes <seq> <tol> <window>               max - min over the window
     ... :: tag, tag                               property-coverage tags
 
-Assertions are evaluated on exact rationals; windows count trajectory points
-from the end. Artifacts (CSV, JSON-lines, one SVG per assertion, a text
-report) are byte-deterministic given the same config and seed.
+<seq...> is one or more sequence ids. An [assert] key names the assertion
+and its chart, assert_<key>.svg, so it is letters, digits, '_' and '-'.
+Each kind is one row of _KINDS: its argument layout, the per-stage series
+it judges (the chart draws that series too) and its judge. Assertions are
+evaluated on exact rationals; windows count trajectory points from the
+end. Artifacts (CSV, JSON-lines, one SVG per assertion, a text report) are
+byte-deterministic given the same config and seed.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .bits import derive_seed
 from .consistency import ConCache
@@ -65,15 +71,6 @@ REQUIRED_PROPERTIES = frozenset(
         "complement-additivity",
     }
 )
-
-_KINDS = {
-    "approaches",
-    "sum",
-    "diff",
-    "nonincreasing",
-    "nondecreasing",
-    "stabilizes",
-}
 
 
 class ConfigError(Exception):
@@ -118,6 +115,11 @@ class AssertionOutcome:
     assertion: TrendAssertion
     passed: bool
     detail: str
+
+    @property
+    def line(self) -> str:
+        """The outcome as report.txt records it and `sentprob run` prints it."""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.assertion.name}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -169,59 +171,114 @@ def _natural(token: str, what: str, minimum: int = 0) -> int:
     return value
 
 
+# --- assertion kinds --------------------------------------------------------
+
+
+def _mean(tail: list[Fraction]) -> Fraction:
+    return sum(tail, Fraction(0)) / len(tail)
+
+
+def _within(label: str, statistic: Callable[[list[Fraction]], Fraction]) -> Callable:
+    """Judge: the tail statistic is within tol of the target. A kind with no
+    target has a nonnegative statistic and is judged against 0."""
+
+    def judge(tail: list[Fraction], a: TrendAssertion) -> tuple[bool, str]:
+        value = statistic(tail)
+        passed = abs(value - (a.target or 0)) <= a.tol
+        target = "" if a.target is None else f", target {float(a.target):.4f}"
+        return passed, f"{label} {float(value):.4f}{target}, tol {float(a.tol):.4f}"
+
+    return judge
+
+
+def _ordered(step: Callable[[Fraction, Fraction], bool]) -> Callable:
+    """Judge: every consecutive pair of the tail satisfies step."""
+
+    def judge(tail: list[Fraction], a: TrendAssertion) -> tuple[bool, str]:
+        passed = all(step(x, y) for x, y in zip(tail, tail[1:]))
+        return passed, "tail " + " ".join(f"{float(v):.4f}" for v in tail)
+
+    return judge
+
+
+class _Kind(NamedTuple):
+    # Argument slots after the kind word: seq* slots are sequence ids, the
+    # others TrendAssertion fields; a final "seq..." takes one or more ids.
+    layout: tuple[str, ...]
+    # The per-stage series judged, from the value columns of the seq ids.
+    series: Callable[[list[list[Fraction]]], list[Fraction]]
+    # Its name in the chart, or None when it is the one sequence's own.
+    chart_label: Optional[str]
+    # (window tail of the series, assertion) -> (passed, detail)
+    judge: Callable[[list[Fraction], TrendAssertion], tuple[bool, str]]
+
+
+_only = operator.itemgetter(0)
+
+_KINDS = {
+    "approaches": _Kind(
+        ("seq", "target", "tol", "window"), _only, None, _within("tail mean", _mean)
+    ),
+    "sum": _Kind(
+        ("target", "tol", "window", "seq..."),
+        lambda columns: [sum(col, Fraction(0)) for col in zip(*columns)],
+        "sum",
+        _within("tail mean", _mean),
+    ),
+    "diff": _Kind(
+        ("seq_a", "seq_b", "tol", "window"),
+        lambda columns: [abs(x - y) for x, y in zip(*columns)],
+        "|diff|",
+        _within("tail mean |diff|", _mean),
+    ),
+    "nonincreasing": _Kind(("seq", "window"), _only, None, _ordered(operator.ge)),
+    "nondecreasing": _Kind(("seq", "window"), _only, None, _ordered(operator.le)),
+    "stabilizes": _Kind(
+        ("seq", "tol", "window"), _only, None, _within("tail spread", lambda t: max(t) - min(t))
+    ),
+}
+
+_SLOT_PARSERS = {
+    "target": _fraction,
+    "tol": _tolerance,
+    "window": lambda token, what: _natural(token, what, 1),
+}
+
+# An assertion's name is its [assert] key and names its chart file.
+_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
 def _parse_assertion(name: str, raw: str, stage_count: int) -> TrendAssertion:
+    where = f"assertion {name}"
+    if not _NAME.fullmatch(name):
+        raise ConfigError(f"[assert] key {name!r}: a name is letters, digits, '_' and '-' only")
     covers: tuple[str, ...] = ()
     if "::" in raw:
         raw, tag_part = raw.split("::", 1)
         covers = tuple(t.strip() for t in tag_part.split(",") if t.strip())
     tokens = raw.split()
     if not tokens:
-        raise ConfigError(f"assertion {name}: empty")
-    kind = tokens[0]
-    args = tokens[1:]
-    where = f"assertion {name}"
+        raise ConfigError(f"{where}: empty")
+    kind, args = tokens[0], tokens[1:]
     if kind not in _KINDS:
         raise ConfigError(f"{where}: unknown kind {kind!r}")
-    if kind == "approaches":
-        if len(args) != 4:
-            raise ConfigError(f"{where}: expected <seq> <target> <tol> <window>")
-        seq_ids = (args[0],)
-        target = _fraction(args[1], where)
-        tol = _tolerance(args[2], where)
-        window = _natural(args[3], where, 1)
-    elif kind == "sum":
-        if len(args) < 4:
-            raise ConfigError(f"{where}: expected <target> <tol> <window> <seq...>")
-        target = _fraction(args[0], where)
-        tol = _tolerance(args[1], where)
-        window = _natural(args[2], where, 1)
-        seq_ids = tuple(args[3:])
-    elif kind == "diff":
-        if len(args) != 4:
-            raise ConfigError(f"{where}: expected <seq_a> <seq_b> <tol> <window>")
-        seq_ids = (args[0], args[1])
-        target = None
-        tol = _tolerance(args[2], where)
-        window = _natural(args[3], where, 1)
-    elif kind in ("nonincreasing", "nondecreasing"):
-        if len(args) != 2:
-            raise ConfigError(f"{where}: expected <seq> <window>")
-        seq_ids = (args[0],)
-        target = None
-        tol = None
-        window = _natural(args[1], where, 1)
-    else:  # stabilizes
-        if len(args) != 3:
-            raise ConfigError(f"{where}: expected <seq> <tol> <window>")
-        seq_ids = (args[0],)
-        target = None
-        tol = _tolerance(args[1], where)
-        window = _natural(args[2], where, 1)
-    if window > stage_count:
+    layout = _KINDS[kind].layout
+    rest = layout[-1] == "seq..."
+    if len(args) < len(layout) or (len(args) > len(layout) and not rest):
+        raise ConfigError(f"{where}: expected " + " ".join(f"<{slot}>" for slot in layout))
+    seq_ids: list[str] = []
+    values: dict = {"target": None, "tol": None}
+    for slot, token in zip(layout, args):
+        if slot.startswith("seq"):
+            seq_ids.append(token)
+        else:
+            values[slot] = _SLOT_PARSERS[slot](token, where)
+    seq_ids.extend(args[len(layout) :])  # the rest of a final "seq..."
+    if values["window"] > stage_count:
         raise ConfigError(
-            f"{where}: window {window} exceeds the {stage_count}-stage schedule"
+            f"{where}: window {values['window']} exceeds the {stage_count}-stage schedule"
         )
-    return TrendAssertion(name, kind, seq_ids, target, tol, window, covers)
+    return TrendAssertion(name, kind, tuple(seq_ids), covers=covers, **values)
 
 
 _SECTIONS = ("suite", "stages", "sequences", "assert", "crosscheck")
@@ -345,45 +402,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # --- evaluation -------------------------------------------------------------
 
 
-def _values(trajectories: dict, sid: str) -> list[Fraction]:
-    return [e.value for e in trajectories[sid]]
+def _series(a: TrendAssertion, trajectories: dict) -> list[Fraction]:
+    """The per-stage series a's kind judges and its chart draws."""
+    return _KINDS[a.kind].series([[e.value for e in trajectories[sid]] for sid in a.seq_ids])
+
+
+def _judge(a: TrendAssertion, series: list[Fraction]) -> AssertionOutcome:
+    return AssertionOutcome(a, *_KINDS[a.kind].judge(series[-a.window :], a))
 
 
 def evaluate_assertion(a: TrendAssertion, trajectories: dict) -> AssertionOutcome:
-    w = a.window
-    if a.kind == "approaches":
-        tail = _values(trajectories, a.seq_ids[0])[-w:]
-        mean = sum(tail, Fraction(0)) / len(tail)
-        passed = abs(mean - a.target) <= a.tol
-        detail = f"tail mean {float(mean):.4f}, target {float(a.target):.4f}, tol {float(a.tol):.4f}"
-    elif a.kind == "sum":
-        series = [_values(trajectories, sid) for sid in a.seq_ids]
-        sums = [sum(col, Fraction(0)) for col in zip(*series)]
-        tail = sums[-w:]
-        mean = sum(tail, Fraction(0)) / len(tail)
-        passed = abs(mean - a.target) <= a.tol
-        detail = f"tail mean {float(mean):.4f}, target {float(a.target):.4f}, tol {float(a.tol):.4f}"
-    elif a.kind == "diff":
-        va = _values(trajectories, a.seq_ids[0])
-        vb = _values(trajectories, a.seq_ids[1])
-        diffs = [abs(x - y) for x, y in zip(va, vb)]
-        tail = diffs[-w:]
-        mean = sum(tail, Fraction(0)) / len(tail)
-        passed = mean <= a.tol
-        detail = f"tail mean |diff| {float(mean):.4f}, tol {float(a.tol):.4f}"
-    elif a.kind in ("nonincreasing", "nondecreasing"):
-        tail = _values(trajectories, a.seq_ids[0])[-w:]
-        if a.kind == "nonincreasing":
-            passed = all(x >= y for x, y in zip(tail, tail[1:]))
-        else:
-            passed = all(x <= y for x, y in zip(tail, tail[1:]))
-        detail = "tail " + " ".join(f"{float(v):.4f}" for v in tail)
-    else:  # stabilizes
-        tail = _values(trajectories, a.seq_ids[0])[-w:]
-        spread = max(tail) - min(tail)
-        passed = spread <= a.tol
-        detail = f"tail spread {float(spread):.4f}, tol {float(a.tol):.4f}"
-    return AssertionOutcome(a, passed, detail)
+    return _judge(a, _series(a, trajectories))
 
 
 # --- artifacts --------------------------------------------------------------
@@ -430,41 +459,21 @@ def _rows_to_jsonl(rows: list[dict]) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
 
 
-def _assertion_chart(a: TrendAssertion, cfg: ExperimentConfig, trajectories: dict) -> str:
+def _estimate_series(name: str, xs: Iterable[int], estimates: Iterable[Estimate]) -> Series:
+    points = (SeriesPoint(float(x), float(e.value), e.ci_halfwidth) for x, e in zip(xs, estimates))
+    return Series(name, tuple(points))
+
+
+def _assertion_chart(
+    a: TrendAssertion, cfg: ExperimentConfig, trajectories: dict, series: list[Fraction]
+) -> str:
     ns = [stage.n for stage in cfg.schedule]
-    series = []
-    for sid in a.seq_ids:
-        pts = tuple(
-            SeriesPoint(float(n), float(e.value), e.ci_halfwidth)
-            for n, e in zip(ns, trajectories[sid])
-        )
-        series.append(Series(sid, pts))
-    if a.kind == "sum":
-        cols = list(zip(*(_values(trajectories, sid) for sid in a.seq_ids)))
-        pts = tuple(
-            SeriesPoint(float(n), float(sum(col, Fraction(0))), 0.0)
-            for n, col in zip(ns, cols)
-        )
-        series.append(Series("sum", pts))
-    elif a.kind == "diff":
-        va = _values(trajectories, a.seq_ids[0])
-        vb = _values(trajectories, a.seq_ids[1])
-        pts = tuple(
-            SeriesPoint(float(n), float(abs(x - y)), 0.0)
-            for n, x, y in zip(ns, va, vb)
-        )
-        series.append(Series("|diff|", pts))
-    return render_chart(f"{a.name} ({a.kind})", series)
-
-
-def emit_plots(
-    cfg: ExperimentConfig, trajectories: dict, out: Path
-) -> list[str]:
-    paths = []
-    for a in cfg.assertions:
-        chart = _assertion_chart(a, cfg, trajectories)
-        paths.append(_write_text(out / f"assert_{a.name}.svg", chart))
-    return paths
+    lines = [_estimate_series(sid, ns, trajectories[sid]) for sid in a.seq_ids]
+    label = _KINDS[a.kind].chart_label
+    if label is not None:
+        points = tuple(SeriesPoint(float(n), float(v), 0.0) for n, v in zip(ns, series))
+        lines.append(Series(label, points))
+    return render_chart(f"{a.name} ({a.kind})", lines)
 
 
 def run_suite(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> SuiteResult:
@@ -474,25 +483,27 @@ def run_suite(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> SuiteResu
     trajectories = sequence_trajectories(
         seqs, cfg.schedule, cfg.samples, cfg.seed, cache
     )
-    outcomes = tuple(evaluate_assertion(a, trajectories) for a in cfg.assertions)
     rows = _trajectory_rows(cfg, trajectories)
     columns = ["seq_id", "n", "value", "ci", "samples", "seed", "mode"]
     artifacts = [
         _write_text(out / "trajectories.csv", _rows_to_csv(rows, columns)),
         _write_text(out / "trajectories.jsonl", _rows_to_jsonl(rows)),
     ]
-    artifacts.extend(emit_plots(cfg, trajectories, out))
-    report_lines = [f"suite {cfg.suite_id}: samples={cfg.samples} seed={cfg.seed}"]
-    for o in outcomes:
-        status = "PASS" if o.passed else "FAIL"
-        report_lines.append(f"{status} {o.assertion.name}: {o.detail}")
-    report_lines.append(
-        "gate cache: entries={entries} hits={hits} misses={misses}".format(**cache.stats())
-    )
+    outcomes = []
+    for a in cfg.assertions:
+        series = _series(a, trajectories)
+        outcomes.append(_judge(a, series))
+        chart = _assertion_chart(a, cfg, trajectories, series)
+        artifacts.append(_write_text(out / f"assert_{a.name}.svg", chart))
+    report_lines = [
+        f"suite {cfg.suite_id}: samples={cfg.samples} seed={cfg.seed}",
+        *(o.line for o in outcomes),
+        "gate cache: entries={entries} hits={hits} misses={misses}".format(**cache.stats()),
+    ]
     artifacts.append(_write_text(out / "report.txt", "\n".join(report_lines) + "\n"))
     return SuiteResult(
         passed=all(o.passed for o in outcomes),
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
         artifacts=tuple(artifacts),
         trajectories=trajectories,
     )
@@ -557,20 +568,8 @@ def run_crosscheck(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Cros
         for r in rows
     ]
     series = [
-        Series(
-            "membership",
-            tuple(
-                SeriesPoint(float(i), float(r.membership.value), r.membership.ci_halfwidth)
-                for i, r in enumerate(rows)
-            ),
-        ),
-        Series(
-            "extension",
-            tuple(
-                SeriesPoint(float(i), float(r.extension.value), r.extension.ci_halfwidth)
-                for i, r in enumerate(rows)
-            ),
-        ),
+        _estimate_series("membership", range(len(rows)), memberships),
+        _estimate_series("extension", range(len(rows)), extensions),
     ]
     artifacts = [
         _write_text(out / "crosscheck.csv", _rows_to_csv(table, columns)),

@@ -27,13 +27,11 @@ spends one step emitting member n and halts; an index beyond the step budget
 is dropped (the member is never materialized), which keeps a t-step run from
 building sentences no t-step process could use.
 
-API: ``decode_program(bits)`` decodes the program at the front of a bit
-string and returns it with the position of its first data bit, or None when
-the string ends inside the encoding. ``run_prefix(bits, t)`` decodes and runs
-under a budget of t steps; ``run_with_extent(value, length, t)`` does the
-same on a bare integer and also returns the run's extent, the number of
-leading string bits its trace depends on, so exact enumeration can run one
-string per block of strings that share those bits. Both read the data as an
+API: ``run_prefix(bits, t)`` decodes the program at the front of a bit
+string and runs it under a budget of t steps; ``run_with_extent(value,
+length, t)`` does the same on a bare integer and also returns the run's
+extent, the number of leading string bits its trace depends on, so exact
+enumeration can run one string per block of strings that share those bits. Both read the data as an
 integer slice of ``bits.value``: gamma codes are read by counting leading
 zeros, each instruction's 6 bits come out with one mask, LOADBIT shifts its
 bit out of the data integer, and an indexed generator's run is computed in
@@ -129,13 +127,6 @@ _WORD_INSTRUCTIONS = tuple(
     None if _OPCODES[(word >> 2) & 7] is _JZ else Instruction(_OPCODES[(word >> 2) & 7], word & 3)
     for word in range(64)
 )
-
-
-def decode_program(bits: Bits) -> Optional[tuple[Program, int]]:
-    """Decode the program at the front of bits. Returns it with the position
-    of its first data bit, or None when bits end inside the encoding."""
-    program, pos = _decode(bits.value, bits.length)
-    return None if program is None else (program, pos)
 
 
 def _decode(value: int, length: int) -> tuple[Optional[Program], int]:

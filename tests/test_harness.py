@@ -1,5 +1,6 @@
 import importlib.resources
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sentprob import harness
 from sentprob.cli import _report_crosscheck
 from sentprob.estimator import MAX_ATOM_WINDOW, Estimate, extension_probabilities
 from sentprob.harness import (
@@ -106,6 +108,63 @@ def test_config_errors():
     bad("x = sum 1 0.1 1")
     bad("x = nonincreasing atom_chain")
     bad("x = stabilizes atom_chain 0.1")
+
+
+def test_assertion_arity_messages():
+    # The parser derives each message from the kind's argument layout.
+    cases = {
+        "frobnicate atom_chain 1 0.1 1": "unknown kind 'frobnicate'",
+        "approaches atom_chain 1 0.1": "expected <seq> <target> <tol> <window>",
+        "approaches atom_chain 1 0.1 1 1": "expected <seq> <target> <tol> <window>",
+        "sum 1 0.1 1": "expected <target> <tol> <window> <seq...>",
+        "diff atom_chain 0.1 1": "expected <seq_a> <seq_b> <tol> <window>",
+        "diff atom_chain atom_chain atom_chain 0.1 1": "expected <seq_a> <seq_b> <tol> <window>",
+        "nonincreasing atom_chain": "expected <seq> <window>",
+        "nondecreasing atom_chain 1 1": "expected <seq> <window>",
+        "stabilizes atom_chain 0.1": "expected <seq> <tol> <window>",
+    }
+    for line, message in cases.items():
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL + f"x = {line}\n")
+        assert str(info.value) == f"assertion x: {message}", line
+    (a,) = parse_config(MINIMAL + "x = sum 1 0.1 2 atom_chain split_next split_rest\n").assertions
+    assert (a.seq_ids, a.target, a.tol, a.window) == (
+        ("atom_chain", "split_next", "split_rest"), Fraction(1), Fraction(1, 10), 2
+    )
+
+
+def test_assertion_names_stay_inside_the_output_directory(tmp_path):
+    # The name becomes the chart's file name, assert_<name>.svg, so only
+    # letters, digits, '_' and '-' are accepted.
+    line = " = approaches atom_chain 1 0.1 1\n"
+    assert parse_config(MINIMAL + "ok-name_2" + line).assertions[0].name == "ok-name_2"
+    for name in ("../../../escaped2", "a/b", "a.b", "sp ace"):
+        with pytest.raises(ConfigError, match=r"\[assert\] key " + re.escape(repr(name))):
+            parse_config(MINIMAL + name + line)
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    path = work / "escape.ini"
+    path.write_text(MINIMAL + "../../../escaped" + line)
+    proc = run_cli("run", str(path), "--out", str(work / "out"))
+    assert proc.returncode == 2
+    assert "'../../../escaped'" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (work / "out").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["escape.ini"]
+
+
+def test_doc_grammar_lists_every_kind():
+    # The grammar in the module docstring names exactly the kinds of the
+    # table, each with the argument layout its parser reads.
+    doc = harness.__doc__.split("Assertion grammar", 1)[1].split("\n\n")[1]
+    documented = {}
+    for line in doc.splitlines():
+        usage = line.strip().split("  ")[0]
+        if not usage.startswith("..."):
+            kind, _, layout = usage.partition(" ")
+            documented[kind] = layout
+    assert documented == {
+        kind: " ".join(f"<{slot}>" for slot in row.layout) for kind, row in harness._KINDS.items()
+    }
 
 
 def test_unknown_stage_keys_are_rejected(tmp_path):
@@ -317,6 +376,53 @@ def test_evaluate_stabilizes():
     assert not check("stabilizes", ["s"], None, Fraction(1, 16), 3, t).passed
 
 
+def test_chart_draws_the_series_the_verdict_judged(tmp_path, monkeypatch):
+    # sum and diff charts add the per-stage series their verdict judges:
+    # column sums and absolute differences, one value per stage.
+    a = ["1/4", "1/2", "3/4"]
+    b = ["1/2", "3/8", "1/8"]
+    monkeypatch.setattr(
+        harness,
+        "sequence_trajectories",
+        lambda *args: traj(("atom_chain", a), ("neg_atom_chain", b)),
+    )
+    charts = {}
+
+    def render(title, series):
+        charts[title] = series
+        return "<svg/>\n"
+
+    monkeypatch.setattr(harness, "render_chart", render)
+    judged = {}
+    for kind in ("sum", "diff"):
+        row = harness._KINDS[kind]
+
+        def judge(tail, assertion, row=row):
+            judged[assertion.name] = list(tail)
+            return row.judge(tail, assertion)
+
+        monkeypatch.setitem(harness._KINDS, kind, row._replace(judge=judge))
+    text = MINIMAL.replace("count = 2", "count = 3") + (
+        "total = sum 1 0.5 2 atom_chain neg_atom_chain\n"
+        "gap = diff atom_chain neg_atom_chain 0.5 2\n"
+    )
+    result = run_suite(parse_config(text), out_dir=str(tmp_path))
+    expected = {
+        ("total (sum)", "sum"): [Fraction(x) + Fraction(y) for x, y in zip(a, b)],
+        ("gap (diff)", "|diff|"): [abs(Fraction(x) - Fraction(y)) for x, y in zip(a, b)],
+    }
+    for (title, label), values in expected.items():
+        drawn = charts[title][-1]
+        assert drawn.label == label
+        assert [pt.y for pt in drawn.points] == [float(v) for v in values]
+        assert [pt.x for pt in drawn.points] == [1.0, 2.0, 3.0]
+        assert judged[title.split()[0]] == values[-2:]
+    assert [o.detail for o in result.outcomes] == [
+        "tail mean 0.8750, target 1.0000, tol 0.5000",
+        "tail mean |diff| 0.3750, tol 0.5000",
+    ]
+
+
 def assert_matches_committed(written, committed_dir):
     """Every written artifact is byte-identical to the committed file of the
     same name, and every committed file was written."""
@@ -388,6 +494,10 @@ def test_cli_demo_and_failing_run(tmp_path):
     ok = run_cli("demo", "--out", str(tmp_path / "demo"))
     assert ok.returncode == 0
     assert "PASS" in ok.stdout
+    # stdout and report.txt carry the same outcome lines.
+    report = (tmp_path / "demo" / "report.txt").read_text().splitlines()
+    printed = [line for line in ok.stdout.splitlines() if not line.startswith("wrote ")]
+    assert printed == report[1:-1] and len(printed) == 4
     failing = tmp_path / "failing.ini"
     failing.write_text(
         "[suite]\nid = failing\nsamples = 16\nseed = 3\n"
@@ -399,6 +509,10 @@ def test_cli_demo_and_failing_run(tmp_path):
     proc = run_cli("run", str(failing))
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+    report = (tmp_path / "run" / "report.txt").read_text().splitlines()
+    assert proc.stdout.splitlines()[0] == report[1] == (
+        "FAIL impossible: tail mean 0.0000, target 1.0000, tol 0.0500"
+    )
 
 
 def test_benchmark_tracer_wraps_the_demo_run(tmp_path):

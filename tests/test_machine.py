@@ -14,9 +14,9 @@ from sentprob.machine import (
     MachineProgram,
     Opcode,
     OutputTrace,
+    _decode,
     _indexed_trace,
     _stream_trace,
-    decode_program,
     encode_generator,
     encode_machine_program,
     run_prefix,
@@ -206,8 +206,15 @@ def ref_decode(bits: Bits):
     return program, reader.pos
 
 
+def decode(bits: Bits):
+    """machine._decode on a Bits: (program, end), or None when bits end
+    inside the encoding."""
+    program, end = _decode(bits.value, bits.length)
+    return None if program is None else (program, end)
+
+
 def assert_matches_reference(bits: Bits, budgets) -> None:
-    assert decode_program(bits) == ref_decode(bits), bits.to_string()
+    assert decode(bits) == ref_decode(bits), bits.to_string()
     for t in budgets:
         assert run_prefix(bits, t) == ref_run_prefix(bits, t), (bits.to_string(), t)
 
@@ -396,11 +403,11 @@ def test_decode_is_prefix_free():
     decodable = 0
     for _ in range(1000):
         base = random_bits(rng.randrange(2**31), 40)
-        decoded = decode_program(base)
+        decoded = decode(base)
         if decoded is None:
             continue
         longer = base.concat(random_bits(rng.randrange(2**31), 8))
-        assert decode_program(longer) == decoded
+        assert decode(longer) == decoded
         decodable += 1
     assert decodable > 500
 
@@ -424,12 +431,12 @@ def test_truncated_encoding_is_incomplete():
         ),
     ]
     for full in programs:
-        _, end = decode_program(full)
+        _, end = decode(full)
         assert end == full.length
         for cut in range(full.length):
-            assert decode_program(Bits(full.value >> (full.length - cut), cut)) is None
+            assert decode(Bits(full.value >> (full.length - cut), cut)) is None
     # A 4-bit opcode field selects its instruction mod 8, MSB first.
-    assert decode_program(Bits.from_string("010" "1101" "10")) == (
+    assert decode(Bits.from_string("010" "1101" "10")) == (
         MachineProgram((Instruction(Opcode.LOADBIT, 2),)),
         9,
     )
@@ -510,9 +517,9 @@ def test_register_machine_round_trip():
         )
     )
     bits = encode_machine_program(p)
-    assert decode_program(bits) == (p, bits.length)
+    assert decode(bits) == (p, bits.length)
     data = Bits.from_string("0110")
-    assert decode_program(bits.concat(data)) == (p, bits.length)
+    assert decode(bits.concat(data)) == (p, bits.length)
 
 
 def test_encode_machine_program_validation():
@@ -535,7 +542,7 @@ def test_out_emits_register_indexed_sentence():
 
 def test_negative_budget_is_rejected_for_every_input():
     undecodable = Bits(0, 3)
-    assert decode_program(undecodable) is None
+    assert decode(undecodable) is None
     for bits in (
         undecodable,
         assemble_emit_one(3),
@@ -562,22 +569,22 @@ def test_decoded_generators_are_interned():
         slot = builtin_catalog().index(sequence_by_id(fid))
         for indexed in (False, True):
             bits = encode_generator(fid, indexed)
-            first, _ = decode_program(bits)
+            first, _ = decode(bits)
             assert first == GeneratorProgram(slot, indexed)
-            again, _ = decode_program(bits.concat(Bits.from_string("0110")))
+            again, _ = decode(bits.concat(Bits.from_string("0110")))
             assert again is first
             # A slot code past the catalog wraps onto the same program.
             wrapped = gamma_encode(1).concat(gamma_encode(slot + 1 + SLOT_COUNT))
-            assert decode_program(wrapped.concat(Bits(int(indexed), 1)))[0] is first
+            assert decode(wrapped.concat(Bits(int(indexed), 1)))[0] is first
 
 
 def test_repeated_instruction_words_share_one_instruction():
     inc, out = Instruction(Opcode.INC, 1), Instruction(Opcode.OUT, 2)
     program = MachineProgram((inc, out, inc, Instruction(Opcode.JZ, 0, 1)))
-    decoded, _ = decode_program(encode_machine_program(program))
+    decoded, _ = decode(encode_machine_program(program))
     assert decoded == program
     assert decoded.instructions[0] is decoded.instructions[2]
-    other, _ = decode_program(encode_machine_program(MachineProgram((out, inc))))
+    other, _ = decode(encode_machine_program(MachineProgram((out, inc))))
     assert other.instructions[0] is decoded.instructions[1]
     assert other.instructions[1] is decoded.instructions[0]
 
