@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .harness import (
@@ -40,6 +42,19 @@ def _report_crosscheck(result: CrosscheckResult) -> None:
         )
     for path in result.artifacts:
         print(f"wrote {path}")
+
+
+def _prepare_output(out_dir: str) -> Optional[str]:
+    """Create the output directory, or say why it cannot be used. Run before
+    any work, so a bad --out fails at once and not after the accumulation."""
+    path = Path(out_dir)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return f"cannot create output directory {path}: {exc.strerror or exc}"
+    if not os.access(path, os.W_OK | os.X_OK):
+        return f"cannot write to output directory {path}"
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,6 +93,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = parse_config(text, source="demo.ini")
         else:
             cfg = load_config(args.config)
+        problem = _prepare_output(args.out if args.out is not None else cfg.out_dir)
+        if problem is not None:
+            print(f"output error: {problem}", file=sys.stderr)
+            return EXIT_USAGE
         if args.command == "crosscheck":
             cc = run_crosscheck(cfg, args.out)
             _report_crosscheck(cc)

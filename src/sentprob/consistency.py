@@ -34,6 +34,15 @@ result from the summary and never reaches resolution or the certificate
 search. The summary is read from ``_fold`` alone and built only on misses,
 never on hits or in ``union``. The cache keeps one for each set it accepted
 on a miss, the sets later merges grow from.
+
+From its parent a merge carries three things: the parent's key and the added
+sentences, which find the parent's summary and certificate in the cache, and
+its ``order``, a ``prover.ClauseOrder`` linked to the parent's order. When
+the loop runs, it walks the clause order the parent carries, built on first
+need from the nearest ancestor that has one, and puts only the added
+sentences' clauses on its heap. Orders live on the sets of the live merge
+chain, not in the cache, and a set whose order is built drops its link to
+the parent's.
 """
 
 from __future__ import annotations
@@ -42,7 +51,9 @@ from typing import Iterable, Iterator, Optional
 
 from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
 from .prover import (
+    EMPTY_ORDER,
     EMPTY_SUMMARY,
+    ClauseOrder,
     ClauseSummary,
     RefutationResult,
     RefutationVerdict,
@@ -73,9 +84,11 @@ class ClaimSet:
 
     A set made by ``union`` records the key of the set it grew from
     (``parent``) and the sentences the merge added (``added``); the gate
-    uses them to extend the parent's certificate."""
+    uses them to extend the parent's certificate. Its ``order`` is a
+    ``ClauseOrder`` linked to the parent's order by those sentences, so the
+    resolution loop walks the clause order the parent carries."""
 
-    __slots__ = ("sentences", "key", "by_rendering", "parent", "added")
+    __slots__ = ("sentences", "key", "by_rendering", "parent", "added", "_order")
 
     def __init__(self, named: dict[str, Sentence]):
         self.key = tuple(sorted(named))
@@ -83,6 +96,16 @@ class ClaimSet:
         self.by_rendering = named
         self.parent: Optional[tuple[str, ...]] = None
         self.added: tuple[Sentence, ...] = ()
+        self._order: Optional[ClauseOrder] = None
+
+    @property
+    def order(self) -> ClauseOrder:
+        """The clause order of this set, for ``refute_bounded``: grown from
+        the parent's by the added sentences for a merge, and over the whole
+        set, from the empty set's, otherwise. Made on first use."""
+        if self._order is None:
+            self._order = ClauseOrder(EMPTY_ORDER, self.sentences, self.key)
+        return self._order
 
     @classmethod
     def of(cls, items: Iterable[Sentence] = ()) -> "ClaimSet":
@@ -101,6 +124,7 @@ class ClaimSet:
         grown = ClaimSet(merged)
         grown.parent = self.key
         grown.added = tuple(extra.values())
+        grown._order = ClauseOrder(self.order, grown.added, tuple(extra))
         return grown
 
     def __contains__(self, s: Sentence) -> bool:
@@ -305,7 +329,7 @@ def _certify_or_refute(
     if model is not None:
         certificates[claims.key] = model
         return SATISFIABLE
-    result = refute_bounded(claims.sentences, budget, max_atom, claims.key)
+    result = refute_bounded(claims.sentences, budget, max_atom, claims.key, claims.order)
     if not result.refuted and len(added) < len(claims.sentences):
         model = extend_certificate({}, claims.sentences)
         if model is not None:

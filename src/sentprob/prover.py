@@ -9,13 +9,28 @@ of its rendering, which lets clause sets be cached by rendering and reused
 across calls; a digest collision or an oversized sentence falls back to
 positional bases for the whole call, so the outcome stays deterministic.
 
-refute_bounded runs a given-clause resolution loop over a deterministic
-queue ordered by clause size with lexicographic tie-break. Each resolvent
-produced counts one inference against the budget; the exploration order does
-not depend on the budget, so a refutation found at budget b is found at any
-larger budget. Resolution is refutation-complete for propositional logic, so
-when the queue drains without deriving the empty clause the set is
-satisfiable (reported as Unknown with `saturated` set).
+refute_bounded runs one given-clause resolution loop. It takes clauses in
+walk order: by size, then by sorted literals. After deduplication no two
+clauses share that key, so the order is total. The set's own clauses come
+in a sorted walk; the resolvents it derives wait in a heap, and each step
+takes the smaller of the two heads, which is the order a single queue of
+everything would pop. Each resolvent produced counts one inference against
+the budget; the exploration order does not depend on the budget, so a
+refutation found at budget b is found at any larger budget. Resolution is
+refutation-complete for propositional logic, so when the walk and the heap
+drain without deriving the empty clause the set is satisfiable (reported
+as Unknown with `saturated` set).
+
+A claim set differs from the set it grew from only by the few sentences a
+merge added, so its walk is carried down the merge chain in a ClauseOrder:
+a node holds its parent's node and the added sentences, and is built, from
+the nearest built ancestor's walk with the added clauses inserted, only
+when a refutation of a set grown from it needs it. Refuting a set walks its
+parent's walk and puts the clauses its own sentences add on the heap. A set
+that needs positional bases (an atom from 2**32 - 1 on, a digest
+collision, an oversized sentence) carries no walk, and neither does any set
+grown from it: its clauses are built and sorted once per call, as they are
+for callers that pass no order.
 
 Two kinds of set have a result fixed by their initial clauses: those with a
 sentence that folds to falsum (refuted at setup, after 0 inferences) and
@@ -28,7 +43,8 @@ sentences a merge adds; `settled_by_summary` turns it into refute_bounded's
 exact result.
 A caller that keeps summaries (the consistency gate does) decides these sets
 with no clausification, and hands only the rest to refute_bounded, together
-with the largest atom so the setup skips its re-sort and atom walk.
+with the largest atom and the set's ClauseOrder, so the setup skips its
+re-sort, its atom walk and the sort of the clauses the parent already had.
 
 semantic_consistent, truth_table and entails are exact, via truth-table
 bitmaps, and are limited to MAX_TABLE_ATOMS distinct atoms.
@@ -38,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -57,22 +74,43 @@ _TRUE = "T"
 _FALSE = "F"
 
 
-def _fold(s: Sentence):
-    """Constant-propagate falsum upward. Returns a Sentence or _TRUE/_FALSE."""
-    if isinstance(s, Bottom):
-        return _FALSE
-    if isinstance(s, Atom):
-        return s
-    if isinstance(s, Not):
-        inner = _fold(s.inner)
-        if inner is _TRUE:
-            return _FALSE
-        if inner is _FALSE:
-            return _TRUE
-        return Not(inner)
-    left = _fold(s.left)
-    right = _fold(s.right)
-    if isinstance(s, And):
+def _fold(s: Sentence) -> tuple[object, int]:
+    """(fold, top): s with falsum propagated upward (a Sentence, or _TRUE or
+    _FALSE), and its largest atom index, or -1. Iterative, so nesting depth
+    costs no Python frames: a compound node pushes its type as a marker
+    under its parts, and the marker pops once their folds are on the value
+    stack. Every atom is visited, including those a fold drops."""
+    values: list = []
+    stack: list = [s]
+    top = -1
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is Atom:
+            values.append(item)
+            if item.index > top:
+                top = item.index
+        elif t is Bottom:
+            values.append(_FALSE)
+        elif t is Not:
+            stack.append(Not)
+            stack.append(item.inner)
+        elif t is not type:
+            stack.append(t)
+            stack.append(item.right)
+            stack.append(item.left)
+        elif item is Not:
+            inner = values.pop()
+            values.append(_FALSE if inner is _TRUE else _TRUE if inner is _FALSE else Not(inner))
+        else:
+            right = values.pop()
+            values.append(_fold_binary(item, values.pop(), right))
+    return values[0], top
+
+
+def _fold_binary(t: type, left, right):
+    """The fold of a binary node of type t whose parts fold to left and right."""
+    if t is And:
         if left is _FALSE or right is _FALSE:
             return _FALSE
         if left is _TRUE:
@@ -80,7 +118,7 @@ def _fold(s: Sentence):
         if right is _TRUE:
             return left
         return And(left, right)
-    if isinstance(s, Or):
+    if t is Or:
         if left is _TRUE or right is _TRUE:
             return _TRUE
         if left is _FALSE:
@@ -108,22 +146,9 @@ def _root_and_top(s: Sentence) -> tuple[object, int]:
 
     Only atom-literal roots are reported: they are the same literal on the
     digest and the positional path, while a definition variable's number
-    depends on the path and can never clash with another root. The walk for
-    top memoises nothing per subterm, unlike `atoms_of`."""
-    top = -1
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Atom:
-            if node.index > top:
-                top = node.index
-        elif t is Not:
-            stack.append(node.inner)
-        elif t is not Bottom:
-            stack.append(node.left)
-            stack.append(node.right)
-    folded = _fold(s)
+    depends on the path and can never clash with another root. The fold's
+    walk finds top, memoising nothing per subterm, unlike `atoms_of`."""
+    folded, top = _fold(s)
     if folded is _FALSE:
         return _FALSE, top
     sign = 1
@@ -147,18 +172,38 @@ class _TseitinBuilder:
         return lit
 
     def label(self, s: Sentence) -> int:
-        if isinstance(s, Atom):
-            return s.index + 1
-        if isinstance(s, Not):
-            return -self.label(s.inner)
-        a = self.label(s.left)
-        b = self.label(s.right)
+        """The literal naming folded sentence s, adding a definition variable
+        and its three clauses per binary node. Nodes are numbered in post-
+        order, left part before right. Iterative like `_fold`: a compound
+        node pushes its type as a marker under its parts."""
+        labels: list[int] = []
+        stack: list = [s]
+        while stack:
+            item = stack.pop()
+            t = type(item)
+            if t is Atom:
+                labels.append(item.index + 1)
+            elif t is Not:
+                stack.append(Not)
+                stack.append(item.inner)
+            elif t is not type:
+                stack.append(t)
+                stack.append(item.right)
+                stack.append(item.left)
+            elif item is Not:
+                labels.append(-labels.pop())
+            else:
+                b = labels.pop()
+                labels.append(self._define(item, labels.pop(), b))
+        return labels[0]
+
+    def _define(self, t: type, a: int, b: int) -> int:
         v = self.fresh_lit()
-        if isinstance(s, And):
+        if t is And:
             self.clauses.append(frozenset((-v, a)))
             self.clauses.append(frozenset((-v, b)))
             self.clauses.append(frozenset((v, -a, -b)))
-        elif isinstance(s, Or):
+        elif t is Or:
             self.clauses.append(frozenset((-v, a, b)))
             self.clauses.append(frozenset((v, -a)))
             self.clauses.append(frozenset((v, -b)))
@@ -170,7 +215,7 @@ class _TseitinBuilder:
 
 
 def _build_template(s: Sentence, fresh_base: int) -> tuple[object, tuple[Clause, ...], int]:
-    folded = _fold(s)
+    folded, _ = _fold(s)
     if folded is _TRUE or folded is _FALSE:
         return folded, (), 0
     builder = _TseitinBuilder(fresh_base)
@@ -182,15 +227,44 @@ def _is_tautology(c: Clause) -> bool:
     return any(-l in c for l in c)
 
 
+# A clause's walk entry: its walk key (size, sorted literals), the clause, its
+# maximal literal and the rest of the clause. After deduplication no two
+# entries share a key, so entries compare by key alone.
+Entry = tuple[int, tuple[int, ...], Clause, int, Clause]
+
+
+def _entry(c: Clause) -> Entry:
+    """The walk entry of clause c. Its maximal literal is the one on the
+    largest variable, the negative one on a tie; ``lits`` is sorted, so it
+    sits at one end. The empty clause gets 0, which is no literal."""
+    lits = tuple(sorted(c))
+    if not lits:
+        return (0, lits, c, 0, c)
+    m = lits[0] if -lits[0] >= lits[-1] else lits[-1]
+    return (len(lits), lits, c, m, c - {m})
+
+
+def _sentence_entries(root: object, clauses: tuple[Clause, ...]) -> tuple[Entry, ...]:
+    """The entries of one sentence's clause form: its definition clauses and
+    root unit, tautologies and repeats dropped; none for a sentence that
+    folds to a tautology, and the empty clause for one that folds to
+    falsum."""
+    if root is _TRUE:
+        return ()
+    if root is _FALSE:
+        return (_entry(frozenset()),)
+    kept = dict.fromkeys(c for c in clauses + (frozenset((root,)),) if not _is_tautology(c))  # type: ignore[arg-type]
+    return tuple(_entry(c) for c in kept)
+
+
 @dataclass(frozen=True, slots=True)
 class _Prepared:
     """Cached clause form of one sentence, shifted to its own base: the root
-    constant (or _TRUE/_FALSE), the clauses including the root unit with
-    tautologies dropped, heap-ready entries, and the fresh-variable span."""
+    constant (or _TRUE/_FALSE), the entries of its clauses, the
+    fresh-variable span, and the base (0 when the root is a constant)."""
 
     root: object
-    clauses: tuple[Clause, ...]
-    entries: tuple[tuple[int, tuple[int, ...], Clause], ...]
+    entries: tuple[Entry, ...]
     n_fresh: int
     base: int
 
@@ -216,55 +290,54 @@ def _prepared(s: Sentence, r: str) -> _Prepared:
     base = _sentence_base(r)
     root, raw, n_fresh = _build_template(s, base)
     if root is _TRUE or root is _FALSE:
-        p = _Prepared(root, (), (), 0, 0)
-    else:
-        kept: list[Clause] = []
-        seen: set[Clause] = set()
-        for c in raw + (frozenset((root,)),):  # type: ignore[arg-type]
-            if _is_tautology(c) or c in seen:
-                continue
-            seen.add(c)
-            kept.append(c)
-        entries = tuple((len(c), tuple(sorted(c)), c) for c in kept)
-        p = _Prepared(root, tuple(kept), entries, n_fresh, base)
+        base = 0
+    p = _Prepared(root, _sentence_entries(root, raw), n_fresh, base)
     if len(_PREPARED) >= _PREPARED_LIMIT:
         _PREPARED.popitem(last=False)
     _PREPARED[r] = p
     return p
 
 
-def _collect_prepared(
-    sentences: Seq[Sentence], renderings: Seq[str]
-) -> Optional[list[_Prepared]]:
-    """Per-sentence cached clause forms, given the sentences' renderings, or
-    None when two sentences collide on a base or one outgrows its stride and
-    positional bases are needed."""
-    bases: dict[int, str] = {}
-    preps: list[_Prepared] = []
+def _add_new(entries: Iterable[Entry], seen: set[Clause], out: list[Entry]) -> None:
+    """Append to out each entry whose clause is not in seen, and note it."""
+    for e in entries:
+        c = e[2]
+        if c not in seen:
+            seen.add(c)
+            out.append(e)
+
+
+def _claim(
+    sentences: Seq[Sentence],
+    renderings: Seq[str],
+    bases: set[int],
+    seen: set[Clause],
+    out: list[Entry],
+) -> bool:
+    """Append the cached entries of sentences to out, skipping clauses in
+    seen, and add their bases to ``bases``, which sentences of other
+    renderings claimed. False when two sentences share a base or one
+    outgrows its stride: the set then needs positional bases."""
     for s, r in zip(sentences, renderings):
         p = _prepared(s, r)
-        if p.root is not _TRUE and p.root is not _FALSE:
-            if p.n_fresh >= _TEMPLATE_STRIDE:
-                return None
-            claimed = bases.get(p.base)
-            if claimed is not None and claimed != r:
-                return None
-            bases[p.base] = r
-        preps.append(p)
-    return preps
+        if p.base:
+            if p.n_fresh >= _TEMPLATE_STRIDE or p.base in bases:
+                return False
+            bases.add(p.base)
+        _add_new(p.entries, seen, out)
+    return True
 
 
-def _positional_clauses(sentences: Seq[Sentence], max_atom: int) -> list[Clause]:
+def _positional_entries(sentences: Seq[Sentence], max_atom: int) -> list[Entry]:
+    """The distinct entries of sentences with definition variables numbered
+    from above the largest atom, sentence after sentence."""
     base = max(max_atom + 1, _TEMPLATE_BASE)
-    out: list[Clause] = []
+    out: list[Entry] = []
+    seen: set[Clause] = set()
     offset = 0
     for s in sentences:
         root, clauses, n_fresh = _build_template(s, base + offset)
-        if root is _FALSE:
-            out.append(frozenset())
-        elif root is not _TRUE:
-            out.extend(clauses)
-            out.append(frozenset((root,)))  # type: ignore[arg-type]
+        _add_new(_sentence_entries(root, clauses), seen, out)
         offset += n_fresh
     return out
 
@@ -276,6 +349,85 @@ def _max_atom(sentences: Iterable[Sentence]) -> int:
             if a > top:
                 top = a
     return top
+
+
+def _initial_entries(
+    ordered: Seq[Sentence],
+    max_atom: Optional[int] = None,
+    renderings: Optional[Seq[str]] = None,
+) -> tuple[bool, list[Entry]]:
+    """(refuted at setup, the distinct clause entries in walk order) for
+    distinct sentences in ascending rendering order: digest bases when
+    every atom is below 2**32 - 1 and no two bases collide, else
+    positional ones."""
+    if max_atom is None:
+        max_atom = _max_atom(ordered)
+    entries: list[Entry] = []
+    digest = max_atom < _TEMPLATE_BASE - 1
+    if digest:
+        if renderings is None:
+            renderings = [render_sentence(s) for s in ordered]
+        digest = _claim(ordered, renderings, set(), set(), entries)
+    if not digest:
+        entries = _positional_entries(ordered, max_atom)
+    entries.sort()
+    if entries and not entries[0][0]:
+        return True, []
+    return False, entries
+
+
+class ClauseOrder:
+    """A claim set's clause entries in walk order, carried down its merge
+    chain. A node stands for the set its ``parent`` stands for plus
+    ``sentences``, whose renderings are ``renderings``; ``EMPTY_ORDER``
+    stands for the empty set.
+
+    A node is built when a refutation needs it (see ``_built``): ``walk``
+    then holds the set's distinct entries in walk order, ``clauses`` their
+    clauses and ``bases`` the digest bases its sentences claim, and the
+    parent link is dropped, so a node's parent is None exactly when it is
+    built. A set that needs positional bases (two sentences share a base, or
+    one outgrows its stride) builds with ``walk`` None, and so does every
+    set grown from it."""
+
+    __slots__ = ("parent", "sentences", "renderings", "walk", "clauses", "bases")
+
+    def __init__(
+        self, parent: Optional["ClauseOrder"], sentences: Seq[Sentence], renderings: Seq[str]
+    ) -> None:
+        self.parent = parent
+        self.sentences = sentences
+        self.renderings = renderings
+
+
+EMPTY_ORDER = ClauseOrder(None, (), ())
+EMPTY_ORDER.walk = []
+EMPTY_ORDER.clauses = frozenset()
+EMPTY_ORDER.bases = frozenset()
+
+
+def _built(node: ClauseOrder) -> ClauseOrder:
+    """node, built. The walk of its nearest built ancestor is copied and the
+    entries the nodes in between add are inserted; those nodes stay unbuilt.
+    Every set on the chain is a subset of the one being refuted, so none has
+    an atom that needs positional bases."""
+    path = []
+    while node.parent is not None:
+        path.append(node)
+        node = node.parent
+    if not path:
+        return node
+    target = path[0]
+    target.walk = None
+    if node.walk is not None:
+        seen, bases, new = set(node.clauses), set(node.bases), []
+        if all(_claim(n.sentences, n.renderings, bases, seen, new) for n in reversed(path)):
+            walk = list(node.walk)
+            for e in new:
+                insort(walk, e)
+            target.walk, target.clauses, target.bases = walk, seen, bases
+    target.parent = None
+    return target
 
 
 class RefutationVerdict(Enum):
@@ -294,36 +446,6 @@ class RefutationResult:
     @property
     def refuted(self) -> bool:
         return self.verdict is RefutationVerdict.REFUTED
-
-
-def _initial_entries(
-    ordered: Seq[Sentence],
-    max_atom: Optional[int] = None,
-    renderings: Optional[Seq[str]] = None,
-) -> tuple[bool, list[tuple[int, tuple[int, ...], Clause]]]:
-    """(refuted at setup, heap entries for the surviving clauses)."""
-    if max_atom is None:
-        max_atom = _max_atom(ordered)
-    entries: list[tuple[int, tuple[int, ...], Clause]] = []
-    preps = None
-    if max_atom < _TEMPLATE_BASE - 1:
-        if renderings is None:
-            renderings = [render_sentence(s) for s in ordered]
-        preps = _collect_prepared(ordered, renderings)
-    if preps is not None:
-        for p in preps:
-            if p.root is _FALSE:
-                return True, []
-        for p in preps:
-            entries.extend(p.entries)
-        return False, entries
-    for c in _positional_clauses(ordered, max_atom):
-        if not c:
-            return True, []
-        if _is_tautology(c):
-            continue
-        entries.append((len(c), tuple(sorted(c)), c))
-    return False, entries
 
 
 class ClauseSummary:
@@ -392,10 +514,20 @@ def settled_by_summary(
     return None
 
 
-def _max_literal(lits: tuple[int, ...]) -> int:
-    """The literal on the largest variable, the negative one on a tie.
-    ``lits`` is sorted, so it sits at one end."""
-    return lits[0] if -lits[0] >= lits[-1] else lits[-1]
+def _carried(order: ClauseOrder) -> Optional[tuple[list[Entry], list[Entry], set[Clause]]]:
+    """(walk, heap, seen) from a set's carried order: its parent's walk, and
+    on the heap the entries its own sentences add; the walk alone when the
+    order is built already. None when the set needs positional bases."""
+    if order.parent is None:
+        return None if order.walk is None else (order.walk, [], set(order.clauses))
+    base = _built(order.parent)
+    if base.walk is None:
+        return None
+    seen, heap = set(base.clauses), []
+    if not _claim(order.sentences, order.renderings, set(base.bases), seen, heap):
+        return None
+    heapq.heapify(heap)
+    return base.walk, heap, seen
 
 
 def refute_bounded(
@@ -403,6 +535,7 @@ def refute_bounded(
     budget: ProofBudget,
     max_atom: Optional[int] = None,
     renderings: Optional[Seq[str]] = None,
+    order: Optional[ClauseOrder] = None,
 ) -> RefutationResult:
     """Try to derive the empty clause within `budget` attempted resolutions.
     Ordered resolution: each clause resolves only on its maximal literal
@@ -413,38 +546,59 @@ def refute_bounded(
     order (a ClaimSet's are) may pass their largest atom index as `max_atom`,
     and their renderings in the same order as `renderings` (a ClaimSet's
     key); the sentences are then taken as they are, with no re-sort, no walk
-    over their atoms and no rendering."""
+    over their atoms and no rendering. Such a caller may also pass the
+    set's `ClauseOrder` as `order` (a ClaimSet's ``order``): the loop then
+    walks the order its parent carries instead of sorting every clause."""
     if max_atom is None:
         ordered: Seq[Sentence] = sorted(set(sentences), key=render_sentence)
+        max_atom = _max_atom(ordered)
     else:
         ordered = sentences  # type: ignore[assignment]
-    refuted, candidates = _initial_entries(ordered, max_atom, renderings)
-    if refuted:
+    start = None
+    if order is not None and max_atom < _TEMPLATE_BASE - 1:
+        start = _carried(order)
+    if start is None:
+        refuted, walk = _initial_entries(ordered, max_atom, renderings)
+        if refuted:
+            return REFUTED_AT_SETUP
+        start = walk, [], {e[2] for e in walk}
+    walk, heap, seen = start
+    if (walk and not walk[0][0]) or (heap and not heap[0][0]):
+        # the empty clause of a sentence that folds to falsum
         return REFUTED_AT_SETUP
-    seen: set[Clause] = set()
-    heap: list[tuple[int, tuple[int, ...], Clause]] = []
-    for entry in candidates:
-        if entry[2] not in seen:
-            seen.add(entry[2])
-            heap.append(entry)
-    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     by_max: dict[int, list[Clause]] = {}
     inferences = 0
-    while heap:
-        _, lits, given = heapq.heappop(heap)
-        m = _max_literal(lits)
-        by_max.setdefault(m, []).append(given)
+    i, n = 0, len(walk)
+    while i < n or heap:
+        # Pop the smaller of the walk's next entry and the heap's top.
+        if heap and (i == n or heap[0] < walk[i]):
+            _, _, _, m, rest = heappop(heap)
+        else:
+            _, _, _, m, rest = walk[i]
+            i += 1
+        mine = by_max.get(m)
+        if mine is None:
+            by_max[m] = [rest]
+        else:
+            mine.append(rest)
         for other in by_max.get(-m, ()):
             if inferences >= budget:
                 return RefutationResult(RefutationVerdict.UNKNOWN, inferences)
             inferences += 1
-            resolvent = (given - {m}) | (other - {-m})
+            resolvent = rest | other
             if not resolvent:
                 return RefutationResult(RefutationVerdict.REFUTED, inferences)
-            if _is_tautology(resolvent) or resolvent in seen:
+            if resolvent in seen:
                 continue
-            seen.add(resolvent)
-            heapq.heappush(heap, (len(resolvent), tuple(sorted(resolvent)), resolvent))
+            # Neither part holds a clashing pair, so only a pair across the
+            # two parts makes the resolvent a tautology.
+            for lit in rest:
+                if -lit in other:
+                    break
+            else:
+                seen.add(resolvent)
+                heappush(heap, _entry(resolvent))
     return RefutationResult(RefutationVerdict.UNKNOWN, inferences, saturated=True)
 
 

@@ -1,5 +1,7 @@
 import heapq
+import importlib.resources
 import random
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -33,6 +35,7 @@ from sentprob.logic import (
     render_sentence,
     theory_from_axioms,
 )
+from sentprob.harness import load_config, run_suite
 from sentprob.machine import run_prefix
 from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded
 from sentprob.sequences import generate, sequence_by_id
@@ -83,7 +86,7 @@ def assert_certificates_hold(cache, sets):
 def units_clash(entries):
     """Whether two of the initial clause entries are clashing unit clauses:
     the oracle for ClauseSummary.clash."""
-    units = {lits[0] for size, lits, _ in entries if size == 1}
+    units = {lits[0] for size, lits, *_ in entries if size == 1}
     return any(-l in units for l in units)
 
 
@@ -103,7 +106,7 @@ def full_loop(sentences, budget):
     heapq.heapify(heap)
     by_max, inferences = {}, 0
     while heap:
-        _, lits, given = heapq.heappop(heap)
+        _, lits, given = heapq.heappop(heap)[:3]
         m = max(lits, key=lambda l: (abs(l), l < 0))
         by_max.setdefault(m, []).append(given)
         for other in by_max.get(-m, ()):
@@ -421,7 +424,7 @@ def gate_matches_plain(claims, budget, cache, runs):
         summary = cache.summaries[claims.key]
         top = prover._max_atom(claims.sentences)
         _, entries = prover._initial_entries(sorted(claims.sentences, key=render_sentence))
-        units = {lits[0] for size, lits, _ in entries if size == 1 and abs(lits[0]) <= top + 1}
+        units = {lits[0] for size, lits, *_ in entries if size == 1 and abs(lits[0]) <= top + 1}
         assert (summary.units, summary.clash, summary.max_atom) == (units, units_clash(entries), top), where
     if decided_at_setup(claims.sentences):
         # decided from the summary: no resolution run, no certificate
@@ -582,3 +585,137 @@ def test_cache_hits_and_certified_merges_build_no_clauses():
     refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
     assert not consistent_enough(refuted, budget, cache)
     assert len(prover._PREPARED) > 0
+
+
+CARRY_BUDGETS = (0, 1, 2, 16, 4096)
+
+
+def carried_matches_full_loop(claims, budget):
+    """refute_bounded walking the claims' carried order, as the gate calls it,
+    against full_loop. Returns the result."""
+    top = prover._max_atom(claims.sentences)
+    result = refute_bounded(claims.sentences, budget, top, claims.key, claims.order)
+    assert result == full_loop(claims.sentences, budget), ([render_sentence(s) for s in claims.sentences], budget)
+    return result
+
+
+def built_walk(claims):
+    """The walk a claim set's order carries, or None when it is unbuilt or
+    positional."""
+    order = claims.order
+    return order.walk if order.parent is None else None
+
+
+def assert_walk_is_the_sorted_clause_form(claims):
+    """A carried walk holds what building the set from scratch would: the
+    distinct entries in walk order, with the empty clause first for falsum."""
+    walk = built_walk(claims)
+    refuted, entries = prover._initial_entries(claims.sentences)
+    if refuted:
+        assert walk[0][0] == 0
+    else:
+        assert walk == entries
+    assert len({e[1] for e in walk}) == len(walk)
+
+
+def test_carried_orders_match_full_loop_along_union_chains():
+    # Each chain grows from random parents, so merges hang off unbuilt sets
+    # (several levels up to a built one), siblings share a parent's walk,
+    # and some sets are refuted only after their children.
+    rng = random.Random(1201)
+    sets = []
+    for budget in CARRY_BUDGETS:
+        for _ in range(60):
+            family = [ClaimSet.of([rand_sentence(rng, 3, 4) for _ in range(rng.randrange(0, 3))])]
+            for _ in range(rng.randrange(1, 9)):
+                parent = rng.choice(family)
+                child = parent.union(
+                    rand_sentence(rng, rng.randrange(1, 4), 4) for _ in range(rng.randrange(1, 3))
+                )
+                family.append(child)
+                if rng.random() < 0.6:
+                    carried_matches_full_loop(child, budget)
+            for claims in rng.sample(family, len(family) // 3):
+                carried_matches_full_loop(claims, budget)
+            sets += family
+    carried = [c for c in sets if built_walk(c) is not None]
+    for claims in carried:
+        assert_walk_is_the_sorted_clause_form(claims)
+    assert len(carried) > 150 and sum(len(built_walk(c)) > 20 for c in carried) > 50
+
+
+def test_positional_sets_start_over():
+    # Atoms from 2**32 - 1 on need positional bases: such a set and every
+    # set grown from it are built from scratch and never carry a walk.
+    rng = random.Random(1202)
+    positional = 0
+    for budget in CARRY_BUDGETS:
+        for _ in range(40):
+            claims = ClaimSet.of([rand_sentence(rng, 2, 4)])
+            chain = [claims]
+            for _ in range(rng.randrange(1, 8)):
+                claims = claims.union(literal_heavy_sentence(rng) for _ in range(rng.randrange(1, 3)))
+                chain.append(claims)
+                carried_matches_full_loop(claims, budget)
+            for claims in chain:
+                if prover._max_atom(claims.sentences) >= HUGE:
+                    positional += 1
+                    assert claims.order.parent is not None
+                elif built_walk(claims) is not None:
+                    assert_walk_is_the_sorted_clause_form(claims)
+    assert positional > 100
+
+
+def test_digest_collision_falls_back_for_the_set_and_its_descendants(monkeypatch):
+    # Two renderings forced onto one digest base: the set holding both, and
+    # every set grown from it, take positional bases, as plain refutation
+    # does; the parent before the collision keeps its carried walk.
+    real_base = prover._sentence_base
+    clashing = {"(a1 & a2)": "(a0 | a1)"}
+    monkeypatch.setattr(prover, "_sentence_base", lambda r: real_base(clashing.get(r, r)))
+    monkeypatch.setattr(prover, "_PREPARED", OrderedDict())
+    for budget in CARRY_BUDGETS:
+        parent = ClaimSet.of(parse_all(["(a0 | a1)", "(a2 -> a3)", "!a3"]))
+        child = parent.union(parse_all(["(a1 & a2)"]))
+        grandchild = child.union(parse_all(["!(a0 & a3)", "(a3 | !a1)"]))
+        great = grandchild.union(parse_all(["(a0 -> a2)"]))
+        for claims in (parent, child, grandchild, great):
+            carried_matches_full_loop(claims, budget)
+        assert_walk_is_the_sorted_clause_form(parent)
+        for claims in (child, grandchild):
+            assert claims.order.parent is None and claims.order.walk is None
+        # positional bases number definition variables from 2**32 up
+        _, entries = prover._initial_entries(great.sentences)
+        assert max(abs(l) for e in entries for l in e[1]) < prover._TEMPLATE_BASE + 64
+
+
+def test_clauses_shared_between_sentences_keep_one_entry():
+    # a0, !!a0, (a0 | _|_) and (_|_ | a0) all assert the root unit a0.
+    parent = ClaimSet.of(parse_all(["a0", "(a1 | a2)"]))
+    child = parent.union(parse_all(["!!a0", "(a0 | _|_)", "(!a1 & (a2 -> a0))"]))
+    grandchild = child.union(parse_all(["(_|_ | a0)", "!a2"]))
+    great = grandchild.union(parse_all(["(a1 -> !!a0)", "!a1"]))
+    for budget in CARRY_BUDGETS:
+        for claims in (child, grandchild, great, parent):
+            carried_matches_full_loop(claims, budget)
+    for claims in (parent, child, grandchild):
+        assert_walk_is_the_sorted_clause_form(claims)
+        assert [e[1] for e in built_walk(claims)].count((1,)) == 1
+
+
+def test_every_gate_miss_of_a_standard_run_matches_full_loop(monkeypatch, tmp_path):
+    standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
+    cfg = replace(load_config(str(standard)), samples=3)
+    carried = []
+
+    def checked(sentences, budget, *rest):
+        result = refute_bounded(sentences, budget, *rest)
+        assert result == full_loop(sentences, budget), ([render_sentence(s) for s in sentences], budget)
+        parent = rest[-1].parent
+        carried.append(parent is not None and bool(parent.walk))
+        return result
+
+    monkeypatch.setattr(consistency, "refute_bounded", checked)
+    run_suite(cfg, str(tmp_path))
+    # every miss walks the non-empty walk its parent set carries
+    assert len(carried) == 99 and all(carried)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sentprob import harness
+from sentprob import cli, harness
 from sentprob.cli import _report_crosscheck
 from sentprob.estimator import MAX_ATOM_WINDOW, Estimate, extension_probabilities
 from sentprob.harness import (
@@ -513,6 +513,26 @@ def test_cli_demo_and_failing_run(tmp_path):
     assert proc.stdout.splitlines()[0] == report[1] == (
         "FAIL impossible: tail mean 0.0000, target 1.0000, tol 0.0500"
     )
+
+
+def test_unusable_output_directory_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # An --out under a regular file cannot be created. Every command must
+    # say so and exit 2 before it accumulates anything.
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    bad = blocker / "sub"
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "run_crosscheck", lambda *args: calls.append(args))
+    standard = str(SRC / "sentprob" / "configs" / "standard.ini")
+    for argv in (["demo"], ["run", standard], ["crosscheck", standard]):
+        assert cli.main([*argv, "--out", str(bad)]) == 2, argv
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err, argv
+    assert calls == []
+    proc = run_cli("demo", "--out", str(bad))
+    assert proc.returncode == 2
+    assert str(bad) in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_benchmark_tracer_wraps_the_demo_run(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -8,9 +9,11 @@ from sentprob.logic import (
     TOP,
     And,
     Atom,
+    Bottom,
     Implies,
     Not,
     Or,
+    atoms_of,
     render_sentence,
 )
 from sentprob.prover import (
@@ -77,8 +80,9 @@ def test_duplicate_sentences_collapse():
 
 def test_clausify_basics():
     assert _initial_entries([BOTTOM]) == (True, [])
-    assert _initial_entries([Atom(0)]) == (False, [(1, (1,), frozenset({1}))])
-    assert _initial_entries([Not(Atom(2))]) == (False, [(1, (-3,), frozenset({-3}))])
+    # an entry is (size, sorted literals, clause, maximal literal, rest)
+    assert _initial_entries([Atom(0)]) == (False, [(1, (1,), frozenset({1}), 1, frozenset())])
+    assert _initial_entries([Not(Atom(2))]) == (False, [(1, (-3,), frozenset({-3}), -3, frozenset())])
     assert _initial_entries([TOP]) == (False, [])
 
 
@@ -90,7 +94,7 @@ def test_clausify_fresh_atoms_clear_source_range():
         refuted, entries = _initial_entries(sentences)
         assert not refuted
         atom_lits = {1, 2, big + 1}
-        fresh = {abs(lit) for _, _, cl in entries for lit in cl} - atom_lits
+        fresh = {abs(lit) for entry in entries for lit in entry[2]} - atom_lits
         assert len(fresh) == 2
         assert min(fresh) > max(big + 1, 2**32)
 
@@ -209,3 +213,86 @@ def test_clause_memo_is_keyed_by_rendering_and_bounded(monkeypatch):
     for i in range(3, 8):
         refute_bounded([Atom(i)], 4, i, [f"a{i}"])
     assert list(prover._PREPARED) == ["a5", "a6", "a7"]
+
+
+def fold_recursive(s):
+    """The recursive constant propagation that prover._fold replaced: the
+    reference it must agree with."""
+    T, F = prover._TRUE, prover._FALSE
+    if isinstance(s, Bottom):
+        return F
+    if isinstance(s, Atom):
+        return s
+    if isinstance(s, Not):
+        inner = fold_recursive(s.inner)
+        return F if inner is T else T if inner is F else Not(inner)
+    left, right = fold_recursive(s.left), fold_recursive(s.right)
+    if isinstance(s, And):
+        if left is F or right is F:
+            return F
+        return right if left is T else left if right is T else And(left, right)
+    if isinstance(s, Or):
+        if left is T or right is T:
+            return T
+        return right if left is F else left if right is F else Or(left, right)
+    if left is F or right is T:
+        return T
+    return right if left is T else Not(left) if right is F else Implies(left, right)
+
+
+def template_recursive(s, fresh_base):
+    """(root, clauses, fresh count) by the recursive Tseitin labelling that
+    _TseitinBuilder.label replaced: definition variables in post-order, left
+    part before right."""
+    folded = fold_recursive(s)
+    if folded is prover._TRUE or folded is prover._FALSE:
+        return folded, (), 0
+    clauses = []
+
+    def label(node):
+        if isinstance(node, Atom):
+            return node.index + 1
+        if isinstance(node, Not):
+            return -label(node.inner)
+        a, b = label(node.left), label(node.right)
+        v = fresh_base + len(clauses) // 3 + 1
+        if isinstance(node, And):
+            clauses.extend([frozenset((-v, a)), frozenset((-v, b)), frozenset((v, -a, -b))])
+        elif isinstance(node, Or):
+            clauses.extend([frozenset((-v, a, b)), frozenset((v, -a)), frozenset((v, -b))])
+        else:
+            clauses.extend([frozenset((-v, -a, b)), frozenset((v, a)), frozenset((v, -b))])
+        return v
+
+    root = label(folded)
+    return root, tuple(clauses), len(clauses) // 3
+
+
+def test_iterative_fold_and_labelling_match_the_recursive_ones():
+    rng = random.Random(1203)
+    for _ in range(2000):
+        s = rand_sentence(rng, rng.randrange(0, 7), 5)
+        assert prover._fold(s) == (fold_recursive(s), max(atoms_of(s), default=-1)), render_sentence(s)
+        assert prover._build_template(s, 1 << 32) == template_recursive(s, 1 << 32), render_sentence(s)
+
+
+def test_chains_deeper_than_the_recursion_limit_clausify():
+    # Built bottom up, hashing each level as it is made, so only the
+    # functions under test walk the whole chain.
+    depth = sys.getrecursionlimit() + 500
+    chain = Atom(0)
+    for i in range(1, depth):
+        chain = Or(Not(chain), Atom(i % 7)) if i % 2 else Implies(chain, Not(Atom(i % 5)))
+        hash(chain)
+    root, clauses, n_fresh = prover._build_template(chain, 1 << 32)
+    assert n_fresh == depth - 1 and len(clauses) == 3 * n_fresh
+    # the top node is labelled last
+    assert root == (1 << 32) + n_fresh
+    assert prover._fold(chain)[1] == 6
+    # falsum under every level folds away, level by level, to the innermost atom
+    core = padded = Atom(3)
+    for _ in range(depth):
+        padded = Or(BOTTOM, And(padded, TOP))
+        hash(padded)
+    assert prover._fold(padded) == (core, 3) and prover._fold(padded)[0] is core
+    assert prover._build_template(padded, 1 << 32) == (4, (), 0)
