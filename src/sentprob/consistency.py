@@ -40,9 +40,11 @@ sentences, which find the parent's summary and certificate in the cache, and
 its ``order``, a ``prover.ClauseOrder`` linked to the parent's order. When
 the loop runs, it walks the clause order the parent carries, built on first
 need from the nearest ancestor that has one, and puts only the added
-sentences' clauses on its heap. Orders live on the sets of the live merge
-chain, not in the cache, and a set whose order is built drops its link to
-the parent's.
+sentences' clauses on its heap. That walk holds for every set grown from
+the parent because a sentence's clause form, variable numbers included,
+depends on that sentence alone (see ``prover``). Orders live on the sets of
+the live merge chain, not in the cache, and a set whose order is built drops
+its link to the parent's.
 """
 
 from __future__ import annotations
@@ -306,8 +308,7 @@ def consistent_enough(
         summary = summarize(claims.sentences)
     result = settled_by_summary(summary, budget)
     if result is None:
-        assert summary is not None
-        result = _certify_or_refute(claims, budget, cache, summary.max_atom)
+        result = _certify_or_refute(claims, budget, cache)
     cache.data[key] = result
     if result.refuted:
         return False
@@ -315,9 +316,7 @@ def consistent_enough(
     return True
 
 
-def _certify_or_refute(
-    claims: ClaimSet, budget: int, cache: ConCache, max_atom: int
-) -> RefutationResult:
+def _certify_or_refute(claims: ClaimSet, budget: int, cache: ConCache) -> RefutationResult:
     """``SATISFIABLE`` when a certificate for the claims is found, else the
     result of ``refute_bounded``; a certificate found for an accepted set is
     kept in the cache."""
@@ -329,7 +328,7 @@ def _certify_or_refute(
     if model is not None:
         certificates[claims.key] = model
         return SATISFIABLE
-    result = refute_bounded(claims.sentences, budget, max_atom, claims.key, claims.order)
+    result = refute_bounded(claims.sentences, budget, claims.order)
     if not result.refuted and len(added) < len(claims.sentences):
         model = extend_certificate({}, claims.sentences)
         if model is not None:

@@ -34,41 +34,42 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 
 class _HashSlot:
-    # Nodes nest hundreds of levels deep, so the recursive structural hash is
-    # computed once per node and cached here rather than on every lookup.
+    # Nodes nest thousands of levels deep, so each node's structural hash is
+    # computed once, when the node is made, from its parts' stored hashes:
+    # hashing a node never recurses.
     __slots__ = ("_hs",)
+
+
+def _stored_hash(self: _HashSlot) -> int:
+    return self._hs  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)
 class Bottom(_HashSlot):
-    def __hash__(self) -> int:
-        return 0x5F0
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hs", 0x5F0)
 
 
 @dataclass(frozen=True, slots=True)
 class Atom(_HashSlot):
     index: int
 
-    def __hash__(self) -> int:
-        try:
-            return self._hs
-        except AttributeError:
-            h = hash((0, self.index))
-            object.__setattr__(self, "_hs", h)
-            return h
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hs", hash((0, self.index)))
 
 
 @dataclass(frozen=True, slots=True)
 class Not(_HashSlot):
     inner: "Sentence"
 
-    def __hash__(self) -> int:
-        try:
-            return self._hs
-        except AttributeError:
-            h = hash((1, hash(self.inner)))
-            object.__setattr__(self, "_hs", h)
-            return h
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hs", hash((1, self.inner._hs)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,13 +77,10 @@ class And(_HashSlot):
     left: "Sentence"
     right: "Sentence"
 
-    def __hash__(self) -> int:
-        try:
-            return self._hs
-        except AttributeError:
-            h = hash((2, hash(self.left), hash(self.right)))
-            object.__setattr__(self, "_hs", h)
-            return h
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hs", hash((2, self.left._hs, self.right._hs)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +88,10 @@ class Or(_HashSlot):
     left: "Sentence"
     right: "Sentence"
 
-    def __hash__(self) -> int:
-        try:
-            return self._hs
-        except AttributeError:
-            h = hash((3, hash(self.left), hash(self.right)))
-            object.__setattr__(self, "_hs", h)
-            return h
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hs", hash((3, self.left._hs, self.right._hs)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,13 +99,10 @@ class Implies(_HashSlot):
     left: "Sentence"
     right: "Sentence"
 
-    def __hash__(self) -> int:
-        try:
-            return self._hs
-        except AttributeError:
-            h = hash((4, hash(self.left), hash(self.right)))
-            object.__setattr__(self, "_hs", h)
-            return h
+    __hash__ = _stored_hash
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hs", hash((4, self.left._hs, self.right._hs)))
 
 
 Sentence = Union[Bottom, Atom, Not, And, Or, Implies]

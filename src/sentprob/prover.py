@@ -1,50 +1,52 @@
 """Refutation search with an inference budget, plus exact semantic checks.
 
-Clauses are frozensets of nonzero ints: literal +(v+1) asserts variable v,
--(v+1) denies it. User atoms keep their own indices as variables; definition
-variables introduced by clausification live above 2**32 (or above the
-largest user atom, whichever is bigger) so the two ranges cannot collide.
-Each sentence's definition variables start at a base derived from a digest
-of its rendering, which lets clause sets be cached by rendering and reused
-across calls; a digest collision or an oversized sentence falls back to
-positional bases for the whole call, so the outcome stays deterministic.
+Clauses are frozensets of nonzero ints: literal +v asserts variable v, -v
+denies it. A sentence's clause form depends on that sentence alone, so it
+is cached by rendering and reused across calls. There is one numbering:
+- atom i is variable i + 1 while that is below 2**32, and i + 1 + 2**192
+  from there on;
+- the definition variables that clausification introduces for the sentence
+  rendered r are base + 1, base + 2, ..., where base is 2**32 plus the
+  first 16 bytes of SHA-256(r), read as an integer, times 2**64.
+Two distinct renderings get disjoint ranges of 2**64 variables unless
+SHA-256 collides on its first 128 bits, which nobody can construct; no
+sentence whose clausification can finish needs 2**64 variables; and every
+range lies above the small atoms and below the shifted ones. So no two
+sentences share a definition variable, and none is taken for an atom.
 
 refute_bounded runs one given-clause resolution loop. It takes clauses in
 walk order: by size, then by sorted literals. After deduplication no two
-clauses share that key, so the order is total. The set's own clauses come
-in a sorted walk; the resolvents it derives wait in a heap, and each step
+clauses share that key, so the order is total. The set's clauses come in a
+sorted walk or wait in a heap with the resolvents derived, and each step
 takes the smaller of the two heads, which is the order a single queue of
 everything would pop. Each resolvent produced counts one inference against
 the budget; the exploration order does not depend on the budget, so a
 refutation found at budget b is found at any larger budget. Resolution is
 refutation-complete for propositional logic, so when the walk and the heap
 drain without deriving the empty clause the set is satisfiable (reported
-as Unknown with `saturated` set).
+as Unknown with `saturated` set). Only the order and equality of literals
+reach a result, never their values.
 
 A claim set differs from the set it grew from only by the few sentences a
 merge added, so its walk is carried down the merge chain in a ClauseOrder:
 a node holds its parent's node and the added sentences, and is built, from
 the nearest built ancestor's walk with the added clauses inserted, only
 when a refutation of a set grown from it needs it. Refuting a set walks its
-parent's walk and puts the clauses its own sentences add on the heap. A set
-that needs positional bases (an atom from 2**32 - 1 on, a digest
-collision, an oversized sentence) carries no walk, and neither does any set
-grown from it: its clauses are built and sorted once per call, as they are
-for callers that pass no order.
+parent's walk and puts the clauses its own sentences add on the heap. A
+caller with no order gets one grown from the empty set, so all its clauses
+go on the heap.
 
 Two kinds of set have a result fixed by their initial clauses: those with a
 sentence that folds to falsum (refuted at setup, after 0 inferences) and
 those with two clashing unit clauses (units pop first, so the loop's first
 inference derives the empty clause). The only unit clauses are sentence
 roots, and roots on definition variables never clash, so both facts can be
-read from `_fold` alone: `summarize` keeps a set's atom-literal root units,
-whether two of them clash, and its largest atom, and grows a summary by the
-sentences a merge adds; `settled_by_summary` turns it into refute_bounded's
-exact result.
-A caller that keeps summaries (the consistency gate does) decides these sets
-with no clausification, and hands only the rest to refute_bounded, together
-with the largest atom and the set's ClauseOrder, so the setup skips its
-re-sort, its atom walk and the sort of the clauses the parent already had.
+read from `_fold` alone: `summarize` keeps a set's atom-literal root units
+and whether two of them clash, and grows a summary by the sentences a
+merge adds; `settled_by_summary` turns it into refute_bounded's exact
+result. A caller that keeps summaries (the consistency gate does) decides
+these sets with no clausification, and hands only the rest to
+refute_bounded, together with the set's ClauseOrder.
 
 semantic_consistent, truth_table and entails are exact, via truth-table
 bitmaps, and are limited to MAX_TABLE_ATOMS distinct atoms.
@@ -68,28 +70,33 @@ ProofBudget = int
 Clause = frozenset[int]
 
 _TEMPLATE_BASE = 1 << 32
-_TEMPLATE_STRIDE = 1 << 22
+_TEMPLATE_STRIDE = 1 << 64
+# Every definition variable is below _TEMPLATE_BASE + 2**128 * _TEMPLATE_STRIDE.
+_ATOM_SHIFT = 1 << 192
 
 _TRUE = "T"
 _FALSE = "F"
 
 
-def _fold(s: Sentence) -> tuple[object, int]:
-    """(fold, top): s with falsum propagated upward (a Sentence, or _TRUE or
-    _FALSE), and its largest atom index, or -1. Iterative, so nesting depth
-    costs no Python frames: a compound node pushes its type as a marker
-    under its parts, and the marker pops once their folds are on the value
-    stack. Every atom is visited, including those a fold drops."""
+def _atom_literal(i: int) -> int:
+    """The positive literal of atom i: i + 1, moved above every definition
+    range from 2**32 on."""
+    lit = i + 1
+    return lit if lit < _TEMPLATE_BASE else lit + _ATOM_SHIFT
+
+
+def _fold(s: Sentence) -> object:
+    """s with falsum propagated upward: a Sentence, or _TRUE or _FALSE.
+    Iterative, so nesting depth costs no Python frames: a compound node
+    pushes its type as a marker under its parts, and the marker pops once
+    their folds are on the value stack."""
     values: list = []
     stack: list = [s]
-    top = -1
     while stack:
         item = stack.pop()
         t = type(item)
         if t is Atom:
             values.append(item)
-            if item.index > top:
-                top = item.index
         elif t is Bottom:
             values.append(_FALSE)
         elif t is Not:
@@ -105,7 +112,7 @@ def _fold(s: Sentence) -> tuple[object, int]:
         else:
             right = values.pop()
             values.append(_fold_binary(item, values.pop(), right))
-    return values[0], top
+    return values[0]
 
 
 def _fold_binary(t: type, left, right):
@@ -137,27 +144,22 @@ def _fold_binary(t: type, left, right):
 
 
 @lru_cache(maxsize=1 << 14)
-def _root_and_top(s: Sentence) -> tuple[object, int]:
-    """(root, top) for one sentence, with no clauses built. root is what its
-    clause form asserts at its root, read from `_fold` alone: _FALSE when s
-    folds to falsum, the atom literal +-(i+1) when it folds to atom i under
-    zero or more negations, and None otherwise (a tautology, or a root on a
-    definition variable). top is its largest atom index, or -1.
-
-    Only atom-literal roots are reported: they are the same literal on the
-    digest and the positional path, while a definition variable's number
-    depends on the path and can never clash with another root. The fold's
-    walk finds top, memoising nothing per subterm, unlike `atoms_of`."""
-    folded, top = _fold(s)
+def _root(s: Sentence) -> object:
+    """What the clause form of s asserts at its root, with no clauses built,
+    read from `_fold` alone: _FALSE when s folds to falsum, the atom literal
+    +-_atom_literal(i) when it folds to atom i under zero or more negations,
+    and None otherwise (a tautology, or a root on a definition variable,
+    which never clashes with another root)."""
+    folded = _fold(s)
     if folded is _FALSE:
-        return _FALSE, top
+        return _FALSE
     sign = 1
     while type(folded) is Not:
         folded = folded.inner
         sign = -sign
     if type(folded) is Atom:
-        return sign * (folded.index + 1), top
-    return None, top
+        return sign * _atom_literal(folded.index)
+    return None
 
 
 class _TseitinBuilder:
@@ -182,7 +184,7 @@ class _TseitinBuilder:
             item = stack.pop()
             t = type(item)
             if t is Atom:
-                labels.append(item.index + 1)
+                labels.append(_atom_literal(item.index))
             elif t is Not:
                 stack.append(Not)
                 stack.append(item.inner)
@@ -214,13 +216,15 @@ class _TseitinBuilder:
         return v
 
 
-def _build_template(s: Sentence, fresh_base: int) -> tuple[object, tuple[Clause, ...], int]:
-    folded, _ = _fold(s)
+def _build_template(s: Sentence, fresh_base: int) -> tuple[object, tuple[Clause, ...]]:
+    """(root, definition clauses) of s with definition variables numbered
+    from fresh_base + 1; the root is _TRUE or _FALSE when s folds to one."""
+    folded = _fold(s)
     if folded is _TRUE or folded is _FALSE:
-        return folded, (), 0
+        return folded, ()
     builder = _TseitinBuilder(fresh_base)
     root = builder.label(folded)
-    return root, tuple(builder.clauses), builder.n_fresh
+    return root, tuple(builder.clauses)
 
 
 def _is_tautology(c: Clause) -> bool:
@@ -257,123 +261,41 @@ def _sentence_entries(root: object, clauses: tuple[Clause, ...]) -> tuple[Entry,
     return tuple(_entry(c) for c in kept)
 
 
-@dataclass(frozen=True, slots=True)
-class _Prepared:
-    """Cached clause form of one sentence, shifted to its own base: the root
-    constant (or _TRUE/_FALSE), the entries of its clauses, the
-    fresh-variable span, and the base (0 when the root is a constant)."""
-
-    root: object
-    entries: tuple[Entry, ...]
-    n_fresh: int
-    base: int
-
-
 def _sentence_base(r: str) -> int:
     """The definition-variable base of the sentence rendered as r."""
     digest = hashlib.sha256(r.encode()).digest()
-    return _TEMPLATE_BASE + int.from_bytes(digest[:5], "big") * _TEMPLATE_STRIDE
+    return _TEMPLATE_BASE + int.from_bytes(digest[:16], "big") * _TEMPLATE_STRIDE
 
 
-# Clause forms by rendering, oldest dropped first past the limit. Keyed by
-# the string, so equal sentences built as distinct objects share an entry
-# and a lookup never compares two sentence trees.
+# Clause-form entries by rendering, oldest dropped first past the limit.
+# Keyed by the string, so equal sentences built as distinct objects share an
+# entry and a lookup never compares two sentence trees.
 _PREPARED_LIMIT = 1 << 14
-_PREPARED: OrderedDict[str, _Prepared] = OrderedDict()
+_PREPARED: OrderedDict[str, tuple[Entry, ...]] = OrderedDict()
 
 
-def _prepared(s: Sentence, r: str) -> _Prepared:
-    """The clause form of s, whose rendering is r."""
-    p = _PREPARED.get(r)
-    if p is not None:
-        return p
-    base = _sentence_base(r)
-    root, raw, n_fresh = _build_template(s, base)
-    if root is _TRUE or root is _FALSE:
-        base = 0
-    p = _Prepared(root, _sentence_entries(root, raw), n_fresh, base)
-    if len(_PREPARED) >= _PREPARED_LIMIT:
-        _PREPARED.popitem(last=False)
-    _PREPARED[r] = p
-    return p
-
-
-def _add_new(entries: Iterable[Entry], seen: set[Clause], out: list[Entry]) -> None:
-    """Append to out each entry whose clause is not in seen, and note it."""
-    for e in entries:
-        c = e[2]
-        if c not in seen:
-            seen.add(c)
-            out.append(e)
+def _prepared(s: Sentence, r: str) -> tuple[Entry, ...]:
+    """The entries of the clause form of s, whose rendering is r."""
+    entries = _PREPARED.get(r)
+    if entries is None:
+        entries = _sentence_entries(*_build_template(s, _sentence_base(r)))
+        if len(_PREPARED) >= _PREPARED_LIMIT:
+            _PREPARED.popitem(last=False)
+        _PREPARED[r] = entries
+    return entries
 
 
 def _claim(
-    sentences: Seq[Sentence],
-    renderings: Seq[str],
-    bases: set[int],
-    seen: set[Clause],
-    out: list[Entry],
-) -> bool:
-    """Append the cached entries of sentences to out, skipping clauses in
-    seen, and add their bases to ``bases``, which sentences of other
-    renderings claimed. False when two sentences share a base or one
-    outgrows its stride: the set then needs positional bases."""
+    sentences: Seq[Sentence], renderings: Seq[str], seen: set[Clause], out: list[Entry]
+) -> None:
+    """Append to out the cached entries of sentences, whose renderings are
+    renderings, that are not in seen, and note their clauses in seen."""
     for s, r in zip(sentences, renderings):
-        p = _prepared(s, r)
-        if p.base:
-            if p.n_fresh >= _TEMPLATE_STRIDE or p.base in bases:
-                return False
-            bases.add(p.base)
-        _add_new(p.entries, seen, out)
-    return True
-
-
-def _positional_entries(sentences: Seq[Sentence], max_atom: int) -> list[Entry]:
-    """The distinct entries of sentences with definition variables numbered
-    from above the largest atom, sentence after sentence."""
-    base = max(max_atom + 1, _TEMPLATE_BASE)
-    out: list[Entry] = []
-    seen: set[Clause] = set()
-    offset = 0
-    for s in sentences:
-        root, clauses, n_fresh = _build_template(s, base + offset)
-        _add_new(_sentence_entries(root, clauses), seen, out)
-        offset += n_fresh
-    return out
-
-
-def _max_atom(sentences: Iterable[Sentence]) -> int:
-    top = -1
-    for s in sentences:
-        for a in atoms_of(s):
-            if a > top:
-                top = a
-    return top
-
-
-def _initial_entries(
-    ordered: Seq[Sentence],
-    max_atom: Optional[int] = None,
-    renderings: Optional[Seq[str]] = None,
-) -> tuple[bool, list[Entry]]:
-    """(refuted at setup, the distinct clause entries in walk order) for
-    distinct sentences in ascending rendering order: digest bases when
-    every atom is below 2**32 - 1 and no two bases collide, else
-    positional ones."""
-    if max_atom is None:
-        max_atom = _max_atom(ordered)
-    entries: list[Entry] = []
-    digest = max_atom < _TEMPLATE_BASE - 1
-    if digest:
-        if renderings is None:
-            renderings = [render_sentence(s) for s in ordered]
-        digest = _claim(ordered, renderings, set(), set(), entries)
-    if not digest:
-        entries = _positional_entries(ordered, max_atom)
-    entries.sort()
-    if entries and not entries[0][0]:
-        return True, []
-    return False, entries
+        for e in _prepared(s, r):
+            c = e[2]
+            if c not in seen:
+                seen.add(c)
+                out.append(e)
 
 
 class ClauseOrder:
@@ -383,14 +305,11 @@ class ClauseOrder:
     stands for the empty set.
 
     A node is built when a refutation needs it (see ``_built``): ``walk``
-    then holds the set's distinct entries in walk order, ``clauses`` their
-    clauses and ``bases`` the digest bases its sentences claim, and the
-    parent link is dropped, so a node's parent is None exactly when it is
-    built. A set that needs positional bases (two sentences share a base, or
-    one outgrows its stride) builds with ``walk`` None, and so does every
-    set grown from it."""
+    then holds the set's distinct entries in walk order and ``clauses``
+    their clauses, and the parent link is dropped, so a node's parent is
+    None exactly when it is built."""
 
-    __slots__ = ("parent", "sentences", "renderings", "walk", "clauses", "bases")
+    __slots__ = ("parent", "sentences", "renderings", "walk", "clauses")
 
     def __init__(
         self, parent: Optional["ClauseOrder"], sentences: Seq[Sentence], renderings: Seq[str]
@@ -403,30 +322,26 @@ class ClauseOrder:
 EMPTY_ORDER = ClauseOrder(None, (), ())
 EMPTY_ORDER.walk = []
 EMPTY_ORDER.clauses = frozenset()
-EMPTY_ORDER.bases = frozenset()
 
 
 def _built(node: ClauseOrder) -> ClauseOrder:
     """node, built. The walk of its nearest built ancestor is copied and the
-    entries the nodes in between add are inserted; those nodes stay unbuilt.
-    Every set on the chain is a subset of the one being refuted, so none has
-    an atom that needs positional bases."""
+    entries the nodes in between add are inserted; those nodes stay
+    unbuilt."""
     path = []
     while node.parent is not None:
         path.append(node)
         node = node.parent
     if not path:
         return node
+    seen, new = set(node.clauses), []
+    for n in reversed(path):
+        _claim(n.sentences, n.renderings, seen, new)
+    walk = list(node.walk)
+    for e in new:
+        insort(walk, e)
     target = path[0]
-    target.walk = None
-    if node.walk is not None:
-        seen, bases, new = set(node.clauses), set(node.bases), []
-        if all(_claim(n.sentences, n.renderings, bases, seen, new) for n in reversed(path)):
-            walk = list(node.walk)
-            for e in new:
-                insort(walk, e)
-            target.walk, target.clauses, target.bases = walk, seen, bases
-    target.parent = None
+    target.walk, target.clauses, target.parent = walk, seen, None
     return target
 
 
@@ -450,22 +365,21 @@ class RefutationResult:
 
 class ClauseSummary:
     """What `refute_bounded`'s setup finds in a set with no sentence that
-    folds to falsum, read from `_root_and_top` alone: the atom-literal root
-    units, whether two of them clash, and the largest atom index (-1 when
-    there is none). The only unit clauses of a set are its sentences' roots,
-    and roots on definition variables never clash, so `clash` is exactly
-    the setup's unit-clash test. A plain slotted class, not a dataclass:
-    building a dataclass costs about a millisecond at every import."""
+    folds to falsum, read from `_root` alone: the atom-literal root units
+    and whether two of them clash. The only unit clauses of a set are its
+    sentences' roots, and roots on definition variables never clash, so
+    `clash` is exactly the setup's unit-clash test. A plain slotted class,
+    not a dataclass: building a dataclass costs about a millisecond at
+    every import."""
 
-    __slots__ = ("units", "clash", "max_atom")
+    __slots__ = ("units", "clash")
 
-    def __init__(self, units: frozenset[int], clash: bool, max_atom: int) -> None:
+    def __init__(self, units: frozenset[int], clash: bool) -> None:
         self.units = units
         self.clash = clash
-        self.max_atom = max_atom
 
 
-EMPTY_SUMMARY = ClauseSummary(frozenset(), False, -1)
+EMPTY_SUMMARY = ClauseSummary(frozenset(), False)
 
 REFUTED_AT_SETUP = RefutationResult(RefutationVerdict.REFUTED, 0)
 
@@ -475,22 +389,19 @@ def summarize(
 ) -> Optional[ClauseSummary]:
     """The summary of the set `base` describes grown by `sentences`, or None
     when one of them folds to falsum. Builds no clauses; `base` itself comes
-    back when the sentences add no unit and no larger atom."""
+    back when the sentences add no unit."""
     new: list[int] = []
-    top = base.max_atom
     for s in sentences:
-        lit, s_top = _root_and_top(s)
+        lit = _root(s)
         if lit is _FALSE:
             return None
         if lit is not None:
             new.append(lit)  # type: ignore[arg-type]
-        if s_top > top:
-            top = s_top
     units = base.units.union(new) if new else base.units
-    if len(units) == len(base.units) and top == base.max_atom:
+    if len(units) == len(base.units):
         return base
     clash = base.clash or any(-l in units for l in new)
-    return ClauseSummary(units, clash, top)
+    return ClauseSummary(units, clash)
 
 
 def _clash_result(budget: ProofBudget) -> RefutationResult:
@@ -514,18 +425,15 @@ def settled_by_summary(
     return None
 
 
-def _carried(order: ClauseOrder) -> Optional[tuple[list[Entry], list[Entry], set[Clause]]]:
+def _carried(order: ClauseOrder) -> tuple[list[Entry], list[Entry], set[Clause]]:
     """(walk, heap, seen) from a set's carried order: its parent's walk, and
     on the heap the entries its own sentences add; the walk alone when the
-    order is built already. None when the set needs positional bases."""
+    order is built already."""
     if order.parent is None:
-        return None if order.walk is None else (order.walk, [], set(order.clauses))
+        return order.walk, [], set(order.clauses)
     base = _built(order.parent)
-    if base.walk is None:
-        return None
     seen, heap = set(base.clauses), []
-    if not _claim(order.sentences, order.renderings, set(base.bases), seen, heap):
-        return None
+    _claim(order.sentences, order.renderings, seen, heap)
     heapq.heapify(heap)
     return base.walk, heap, seen
 
@@ -533,36 +441,22 @@ def _carried(order: ClauseOrder) -> Optional[tuple[list[Entry], list[Entry], set
 def refute_bounded(
     sentences: Iterable[Sentence],
     budget: ProofBudget,
-    max_atom: Optional[int] = None,
-    renderings: Optional[Seq[str]] = None,
     order: Optional[ClauseOrder] = None,
 ) -> RefutationResult:
     """Try to derive the empty clause within `budget` attempted resolutions.
     Ordered resolution: each clause resolves only on its maximal literal
-    (by atom index), which keeps the search directed enough to saturate
+    (by variable), which keeps the search directed enough to saturate
     small sets within tiny budgets while staying refutation-complete.
 
-    A caller whose sentences are already distinct and in ascending rendering
-    order (a ClaimSet's are) may pass their largest atom index as `max_atom`,
-    and their renderings in the same order as `renderings` (a ClaimSet's
-    key); the sentences are then taken as they are, with no re-sort, no walk
-    over their atoms and no rendering. Such a caller may also pass the
-    set's `ClauseOrder` as `order` (a ClaimSet's ``order``): the loop then
-    walks the order its parent carries instead of sorting every clause."""
-    if max_atom is None:
-        ordered: Seq[Sentence] = sorted(set(sentences), key=render_sentence)
-        max_atom = _max_atom(ordered)
-    else:
-        ordered = sentences  # type: ignore[assignment]
-    start = None
-    if order is not None and max_atom < _TEMPLATE_BASE - 1:
-        start = _carried(order)
-    if start is None:
-        refuted, walk = _initial_entries(ordered, max_atom, renderings)
-        if refuted:
-            return REFUTED_AT_SETUP
-        start = walk, [], {e[2] for e in walk}
-    walk, heap, seen = start
+    A caller that holds the set's `ClauseOrder` (a ClaimSet's ``order``)
+    passes it as `order`; `sentences` are then not read, and the loop walks
+    the order the set's parent carries instead of sorting every clause.
+    Without one, the distinct sentences get an order grown from the empty
+    set's."""
+    if order is None:
+        named = {render_sentence(s): s for s in sentences}
+        order = ClauseOrder(EMPTY_ORDER, tuple(named.values()), tuple(named))
+    walk, heap, seen = _carried(order)
     if (walk and not walk[0][0]) or (heap and not heap[0][0]):
         # the empty clause of a sentence that folds to falsum
         return REFUTED_AT_SETUP

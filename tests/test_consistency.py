@@ -1,7 +1,6 @@
 import heapq
 import importlib.resources
 import random
-from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -37,9 +36,15 @@ from sentprob.logic import (
 )
 from sentprob.harness import load_config, run_suite
 from sentprob.machine import run_prefix
-from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded
+from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded, semantic_consistent
 from sentprob.sequences import generate, sequence_by_id
-from test_prover import rand_sentence
+from test_prover import (
+    COLLIDING,
+    DEFINITION_CEILING,
+    initial_entries,
+    rand_sentence,
+    reference_base,
+)
 
 BINDING_BUDGETS = (0, 1, 2, 3, 4, 8, 16, 64, 4096)
 EMPTY_CLAIMS = ClaimSet.of(())
@@ -95,7 +100,7 @@ def full_loop(sentences, budget):
     maximal literal picked by a full scan: the reference refute_bounded must
     agree with."""
     ordered = sorted(set(sentences), key=render_sentence)
-    refuted, candidates = prover._initial_entries(ordered)
+    refuted, candidates = initial_entries(ordered)
     if refuted:
         return RefutationResult(RefutationVerdict.REFUTED, 0)
     seen, heap = set(), []
@@ -248,6 +253,14 @@ def test_deep_chain_claims_do_not_overflow():
         assert consistent_enough(ClaimSet.of([deep]), budget)
 
 
+def test_chains_deeper_than_the_recursion_limit_pass_the_gate():
+    # A mutex_family member at n = 9000 nests about 9000 levels, past the
+    # recursion limit: hashing it for the memo dicts must not recurse.
+    deep = generate(sequence_by_id("mutex_family"), 9000)
+    assert consistent_enough(ClaimSet.of([deep]), 64)
+    assert not refute_bounded([deep], 64).refuted
+
+
 def test_antitone_over_random_sets():
     budget = 256
     rng = random.Random(515)
@@ -339,7 +352,7 @@ def test_unit_clash_exit_matches_full_loop():
         neg = Not(Not(Not(lit))) if rng.random() < 0.3 else Not(lit)
         sentences = [rand_sentence(rng, 2, 4) for _ in range(rng.randrange(0, 4))] + [lit, neg]
         ordered = sorted(set(sentences), key=render_sentence)
-        refuted_at_setup, entries = prover._initial_entries(ordered)
+        refuted_at_setup, entries = initial_entries(ordered)
         clash = not refuted_at_setup and units_clash(entries)
         clashes += clash
         for b in range(4):
@@ -377,14 +390,18 @@ def test_gate_is_not_antitone_where_budget_binds():
 
 
 SUMMARY_BUDGETS = (0, 1, 2, 4096)
-HUGE = 2**32 - 1  # atoms from here on take the positional clause path
+HUGE = 2**32 - 1  # atoms from here on have literals above every definition variable
+
+
+def is_definition(lit):
+    """Whether lit is on a definition variable rather than an atom."""
+    return prover._TEMPLATE_BASE < abs(lit) < DEFINITION_CEILING
 
 
 def decided_at_setup(sentences):
     """Whether plain refute_bounded decides the set before its first
     resolution step: falsum among the roots, or two clashing unit clauses."""
-    ordered = sorted(set(sentences), key=render_sentence)
-    refuted, entries = prover._initial_entries(ordered)
+    refuted, entries = initial_entries(set(sentences))
     return refuted or units_clash(entries)
 
 
@@ -422,10 +439,9 @@ def gate_matches_plain(claims, budget, cache, runs):
     if verdict:
         # the stored summary agrees with the clause form plain refutation builds
         summary = cache.summaries[claims.key]
-        top = prover._max_atom(claims.sentences)
-        _, entries = prover._initial_entries(sorted(claims.sentences, key=render_sentence))
-        units = {lits[0] for size, lits, *_ in entries if size == 1 and abs(lits[0]) <= top + 1}
-        assert (summary.units, summary.clash, summary.max_atom) == (units, units_clash(entries), top), where
+        _, entries = initial_entries(claims.sentences)
+        units = {lits[0] for size, lits, *_ in entries if size == 1 and not is_definition(lits[0])}
+        assert (summary.units, summary.clash) == (units, units_clash(entries)), where
     if decided_at_setup(claims.sentences):
         # decided from the summary: no resolution run, no certificate
         assert len(runs) == before and cert is None, where
@@ -466,7 +482,7 @@ SUMMARY_CASES = [
     ("of", ["a0", "!a0"], ["a1"], "clash"),
     ("of", ["a0"], ["!a0", "(a0 | a1)"], "clash"),
     ("of", ["a0"], ["(a1 | a2)"], None),
-    # atoms at and above 2**32 - 1 take the positional fallback
+    # atoms at and above 2**32 - 1, whose literals are shifted
     ("gated", [f"a{HUGE}"], [f"!a{HUGE}"], "clash"),
     ("gated", [f"a{HUGE + 5}", "a0"], [f"!!a{HUGE + 5}", f"!a{HUGE + 5}"], "clash"),
     ("of", [f"a{HUGE + 1}"], ["(a0 & _|_)"], "falsum"),
@@ -506,7 +522,7 @@ def test_summary_decisions_match_plain_refutation(resolution_runs, kind, parent_
 
 def test_summary_cases_cover_the_positional_path():
     merges = [ClaimSet.of(parse_all(p + a)) for _, p, a, _ in SUMMARY_CASES]
-    assert sum(prover._max_atom(m.sentences) >= HUGE for m in merges) == 5
+    assert sum(any(a >= HUGE for s in m.sentences for a in atoms_of(s)) for m in merges) == 5
 
 
 def test_inherited_clash_is_kept_by_a_budget_zero_parent(resolution_runs):
@@ -526,7 +542,7 @@ def test_inherited_clash_is_kept_by_a_budget_zero_parent(resolution_runs):
 
 def literal_heavy_sentence(rng):
     """Mostly sentences whose roots are literals, some folding to falsum or
-    hiding a literal under falsum, and some with positional-range atoms."""
+    hiding a literal under falsum, and some with atoms from 2**32 - 1 on."""
     atom = Atom(rng.randrange(4) if rng.random() < 0.9 else HUGE + rng.randrange(2))
     lit = atom if rng.random() < 0.5 else Not(atom)
     roll = rng.random()
@@ -569,17 +585,17 @@ def test_cache_hits_and_certified_merges_build_no_clauses():
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
     grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
     prover._PREPARED.clear()
-    prover._root_and_top.cache_clear()
+    prover._root.cache_clear()
     assert consistent_enough(claims, budget, cache)
     assert consistent_enough(grown, budget, cache)
     assert grown.key in cache.certificates
     assert len(prover._PREPARED) == 0
-    folded = prover._root_and_top.cache_info().currsize
+    folded = prover._root.cache_info().currsize
     assert folded == 5
     # hits and unions do no summary work either
     assert consistent_enough(grown, budget, cache)
     grown.union(parse_all(["(a6 -> a7)"]))
-    assert prover._root_and_top.cache_info().currsize == folded
+    assert prover._root.cache_info().currsize == folded
     assert len(prover._PREPARED) == 0
     # a merge that reaches resolution does clausify: the probe works
     refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
@@ -593,15 +609,13 @@ CARRY_BUDGETS = (0, 1, 2, 16, 4096)
 def carried_matches_full_loop(claims, budget):
     """refute_bounded walking the claims' carried order, as the gate calls it,
     against full_loop. Returns the result."""
-    top = prover._max_atom(claims.sentences)
-    result = refute_bounded(claims.sentences, budget, top, claims.key, claims.order)
+    result = refute_bounded(claims.sentences, budget, claims.order)
     assert result == full_loop(claims.sentences, budget), ([render_sentence(s) for s in claims.sentences], budget)
     return result
 
 
 def built_walk(claims):
-    """The walk a claim set's order carries, or None when it is unbuilt or
-    positional."""
+    """The walk a claim set's order carries, or None when it is unbuilt."""
     order = claims.order
     return order.walk if order.parent is None else None
 
@@ -610,7 +624,7 @@ def assert_walk_is_the_sorted_clause_form(claims):
     """A carried walk holds what building the set from scratch would: the
     distinct entries in walk order, with the empty clause first for falsum."""
     walk = built_walk(claims)
-    refuted, entries = prover._initial_entries(claims.sentences)
+    refuted, entries = initial_entries(claims.sentences)
     if refuted:
         assert walk[0][0] == 0
     else:
@@ -644,11 +658,12 @@ def test_carried_orders_match_full_loop_along_union_chains():
     assert len(carried) > 150 and sum(len(built_walk(c)) > 20 for c in carried) > 50
 
 
-def test_positional_sets_start_over():
-    # Atoms from 2**32 - 1 on need positional bases: such a set and every
-    # set grown from it are built from scratch and never carry a walk.
+def test_huge_atom_sets_carry_walks():
+    # Atoms from 2**32 - 1 on have their literals shifted above every
+    # definition range, so sets holding them carry walks down the merge
+    # chain like any other set, and every refutation matches full_loop.
     rng = random.Random(1202)
-    positional = 0
+    huge = 0
     for budget in CARRY_BUDGETS:
         for _ in range(40):
             claims = ClaimSet.of([rand_sentence(rng, 2, 4)])
@@ -658,35 +673,33 @@ def test_positional_sets_start_over():
                 chain.append(claims)
                 carried_matches_full_loop(claims, budget)
             for claims in chain:
-                if prover._max_atom(claims.sentences) >= HUGE:
-                    positional += 1
-                    assert claims.order.parent is not None
-                elif built_walk(claims) is not None:
+                if built_walk(claims) is not None:
                     assert_walk_is_the_sorted_clause_form(claims)
-    assert positional > 100
+                    huge += any(a >= HUGE for s in claims.sentences for a in atoms_of(s))
+    assert huge > 100, huge
 
 
-def test_digest_collision_falls_back_for_the_set_and_its_descendants(monkeypatch):
-    # Two renderings forced onto one digest base: the set holding both, and
-    # every set grown from it, take positional bases, as plain refutation
-    # does; the parent before the collision keeps its carried walk.
-    real_base = prover._sentence_base
-    clashing = {"(a1 & a2)": "(a0 | a1)"}
-    monkeypatch.setattr(prover, "_sentence_base", lambda r: real_base(clashing.get(r, r)))
-    monkeypatch.setattr(prover, "_PREPARED", OrderedDict())
+def test_a_real_digest_collision_keeps_carried_walks():
+    # The two sentences shared one base under 40-bit digests, which sent the
+    # set holding both, and every set grown from it, onto another numbering.
+    # Their 128-bit bases differ, so those sets carry walks like any other.
+    first, second = COLLIDING
+    assert reference_base(first) == reference_base(second)
+    assert prover._sentence_base(first) != prover._sentence_base(second)
     for budget in CARRY_BUDGETS:
-        parent = ClaimSet.of(parse_all(["(a0 | a1)", "(a2 -> a3)", "!a3"]))
-        child = parent.union(parse_all(["(a1 & a2)"]))
-        grandchild = child.union(parse_all(["!(a0 & a3)", "(a3 | !a1)"]))
-        great = grandchild.union(parse_all(["(a0 -> a2)"]))
-        for claims in (parent, child, grandchild, great):
+        parent = ClaimSet.of(parse_all([first, "(a2 -> a3)", "!a3"]))
+        child = parent.union(parse_all([second]))
+        grandchild = child.union(parse_all(["!(a0 & a3)", "(a2266169 -> a1361226)"]))
+        great = grandchild.union(parse_all(["!a0", "!a1361226"]))
+        both = ClaimSet.of(parse_all(COLLIDING + ("!a0", "!a2266169")))
+        for claims in (parent, child, grandchild, great, both):
             carried_matches_full_loop(claims, budget)
-        assert_walk_is_the_sorted_clause_form(parent)
-        for claims in (child, grandchild):
-            assert claims.order.parent is None and claims.order.walk is None
-        # positional bases number definition variables from 2**32 up
-        _, entries = prover._initial_entries(great.sentences)
-        assert max(abs(l) for e in entries for l in e[1]) < prover._TEMPLATE_BASE + 64
+        for claims in (parent, child, grandchild):
+            assert built_walk(claims) is not None
+            assert_walk_is_the_sorted_clause_form(claims)
+    for claims in (parent, child, grandchild, great, both):
+        assert consistent_enough(claims, 4096) == semantic_consistent(claims.sentences)
+    assert not semantic_consistent(great.sentences) and not semantic_consistent(both.sentences)
 
 
 def test_clauses_shared_between_sentences_keep_one_entry():
@@ -719,3 +732,23 @@ def test_every_gate_miss_of_a_standard_run_matches_full_loop(monkeypatch, tmp_pa
     run_suite(cfg, str(tmp_path))
     # every miss walks the non-empty walk its parent set carries
     assert len(carried) == 99 and all(carried)
+
+
+def test_every_gate_miss_where_the_budget_binds_matches_full_loop(monkeypatch, tmp_path):
+    # The standard suite with every proof budget at its smallest: stage n
+    # gets a budget of its claim-set size, so many refutations are cut off.
+    standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
+    cfg = load_config(str(standard))
+    cfg = replace(cfg, samples=3, schedule=tuple(default_schedule(proof_floor=1, proof_factor=1)))
+    results = []
+
+    def checked(sentences, budget, *rest):
+        result = refute_bounded(sentences, budget, *rest)
+        assert result == full_loop(sentences, budget), ([render_sentence(s) for s in sentences], budget)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(consistency, "refute_bounded", checked)
+    run_suite(cfg, str(tmp_path))
+    cut_off = sum(not r.refuted and not r.saturated for r in results)
+    assert len(results) > 100 and cut_off > 0, (len(results), cut_off)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -13,14 +14,12 @@ from sentprob.logic import (
     Implies,
     Not,
     Or,
-    atoms_of,
     render_sentence,
 )
 from sentprob.prover import (
     MAX_TABLE_ATOMS,
     AtomLimitError,
     RefutationVerdict,
-    _initial_entries,
     entails,
     refute_bounded,
     semantic_consistent,
@@ -38,6 +37,35 @@ def rand_sentence(rng, depth, atoms=3):
     left = rand_sentence(rng, depth - 1, atoms)
     right = rand_sentence(rng, depth - 1, atoms)
     return (And, Or, Implies)[op - 1](left, right)
+
+
+def initial_entries(sentences):
+    """(refuted at setup, the distinct clause entries in walk order) of a
+    set, built from scratch out of each sentence's cached clause form: the
+    oracle that carried orders and the summary are checked against."""
+    seen, entries = set(), []
+    for s in sentences:
+        prover._claim((s,), (render_sentence(s),), seen, entries)
+    entries.sort()
+    if entries and not entries[0][0]:
+        return True, []
+    return False, entries
+
+
+def reference_base(r):
+    """The definition-variable base the sentence rendered as r had when bases
+    were read from 40 digest bits on slots of 2**22 variables: the order
+    today's 128-bit bases must keep."""
+    digest = hashlib.sha256(r.encode()).digest()
+    return 2**32 + int.from_bytes(digest[:5], "big") * 2**22
+
+
+# Every definition variable is below this; shifted atom literals are not.
+DEFINITION_CEILING = prover._TEMPLATE_BASE + 2**128 * prover._TEMPLATE_STRIDE
+
+# Two renderings whose SHA-256 digests share their first 40 bits, 0xca6e055686:
+# one base under the reference numbering.
+COLLIDING = ("(a0 | a1361226)", "(a0 | a2266169)")
 
 
 def test_direct_contradiction_refutes_quickly():
@@ -79,24 +107,54 @@ def test_duplicate_sentences_collapse():
 
 
 def test_clausify_basics():
-    assert _initial_entries([BOTTOM]) == (True, [])
+    assert initial_entries([BOTTOM]) == (True, [])
     # an entry is (size, sorted literals, clause, maximal literal, rest)
-    assert _initial_entries([Atom(0)]) == (False, [(1, (1,), frozenset({1}), 1, frozenset())])
-    assert _initial_entries([Not(Atom(2))]) == (False, [(1, (-3,), frozenset({-3}), -3, frozenset())])
-    assert _initial_entries([TOP]) == (False, [])
+    assert initial_entries([Atom(0)]) == (False, [(1, (1,), frozenset({1}), 1, frozenset())])
+    assert initial_entries([Not(Atom(2))]) == (False, [(1, (-3,), frozenset({-3}), -3, frozenset())])
+    assert initial_entries([TOP]) == (False, [])
 
 
 def test_clausify_fresh_atoms_clear_source_range():
-    # Definition variables sit above 2**32 on the digest path, and above the
-    # largest atom on the positional path that atoms from 2**32 - 1 take.
+    # Definition variables sit above 2**32 and below 2**32 + 2**192; the
+    # literals of atoms from 2**32 - 1 on are shifted above all of them.
     for big in (3, 2**32 - 1, 2**40):
+        big_lit = prover._atom_literal(big)
+        assert big_lit == (big + 1 if big == 3 else big + 1 + prover._ATOM_SHIFT)
         sentences = [Or(Atom(0), Atom(1)), Implies(Atom(big), Atom(0))]
-        refuted, entries = _initial_entries(sentences)
+        refuted, entries = initial_entries(sentences)
         assert not refuted
-        atom_lits = {1, 2, big + 1}
-        fresh = {abs(lit) for entry in entries for lit in entry[2]} - atom_lits
-        assert len(fresh) == 2
-        assert min(fresh) > max(big + 1, 2**32)
+        variables = {abs(lit) for entry in entries for lit in entry[2]}
+        fresh = variables - {1, 2, big_lit}
+        assert len(fresh) == 2 and big_lit in variables
+        assert 2**32 < min(fresh) and max(fresh) < DEFINITION_CEILING
+        assert big_lit < 2**32 or big_lit >= DEFINITION_CEILING
+
+
+def test_digest_bases_keep_the_reference_order():
+    # Only the order and equality of variables reach a result, and the
+    # 128-bit base extends the reference's 40 bits: wherever two reference
+    # bases differ the new ones sort the same way, so every set the
+    # reference numbered keeps its walks, maximal literals and step counts.
+    rng = random.Random(1301)
+    renderings = set(COLLIDING)
+    while len(renderings) < 2500:
+        s = rand_sentence(rng, rng.randrange(1, 6), rng.choice((3, 8, 1000)))
+        renderings.add(render_sentence(s))
+        renderings.add(f"(a{rng.randrange(2**20)} | a{rng.randrange(2**32)})")
+    by_new = sorted(renderings, key=prover._sentence_base)
+    bases = [prover._sentence_base(r) for r in by_new]
+    reference = [reference_base(r) for r in by_new]
+    assert reference == sorted(reference)
+    assert len(set(reference)) < len(reference)  # the colliding pair
+    # disjoint ranges of 2**64 variables, all above the small atoms
+    assert bases[0] >= 2**32
+    assert all(b - a >= prover._TEMPLATE_STRIDE for a, b in zip(bases, bases[1:]))
+    # atoms below 2**32 - 1 keep their literals, in clauses and summaries
+    for i in [0, 1, 2**32 - 2] + [rng.randrange(2**32 - 1) for _ in range(200)]:
+        assert prover._atom_literal(i) == i + 1
+        assert prover._root(Not(Atom(i))) == -(i + 1)
+        root, clauses = prover._build_template(Or(Atom(i), Not(Atom(0))), 2**32)
+        assert set(clauses[0]) == {-root, i + 1, -1}
 
 
 def test_truth_table_semantics():
@@ -203,15 +261,19 @@ def test_clause_memo_is_keyed_by_rendering_and_bounded(monkeypatch):
     prover._PREPARED.clear()
     r = render_sentence(a)
     clash = Not(Or(Atom(0), Atom(1)))
-    first = refute_bounded([clash, a], 64, 2, ["!(a0 | a1)", r])
-    assert refute_bounded([clash, b], 64, 2, ["!(a0 | a1)", r]) == first
+
+    def order(s):
+        return prover.ClauseOrder(prover.EMPTY_ORDER, (clash, s), ("!(a0 | a1)", r))
+
+    first = refute_bounded([clash, a], 64, order(a))
+    assert refute_bounded([clash, b], 64, order(b)) == first
     assert first.refuted
     assert list(prover._PREPARED) == ["!(a0 | a1)", r]
     assert compared == []
     # Past the limit the oldest clause forms go first.
     monkeypatch.setattr(prover, "_PREPARED_LIMIT", 3)
     for i in range(3, 8):
-        refute_bounded([Atom(i)], 4, i, [f"a{i}"])
+        refute_bounded([Atom(i)], 4)
     assert list(prover._PREPARED) == ["a5", "a6", "a7"]
 
 
@@ -241,12 +303,12 @@ def fold_recursive(s):
 
 
 def template_recursive(s, fresh_base):
-    """(root, clauses, fresh count) by the recursive Tseitin labelling that
+    """(root, clauses) by the recursive Tseitin labelling that
     _TseitinBuilder.label replaced: definition variables in post-order, left
     part before right."""
     folded = fold_recursive(s)
     if folded is prover._TRUE or folded is prover._FALSE:
-        return folded, (), 0
+        return folded, ()
     clauses = []
 
     def label(node):
@@ -265,14 +327,14 @@ def template_recursive(s, fresh_base):
         return v
 
     root = label(folded)
-    return root, tuple(clauses), len(clauses) // 3
+    return root, tuple(clauses)
 
 
 def test_iterative_fold_and_labelling_match_the_recursive_ones():
     rng = random.Random(1203)
     for _ in range(2000):
         s = rand_sentence(rng, rng.randrange(0, 7), 5)
-        assert prover._fold(s) == (fold_recursive(s), max(atoms_of(s), default=-1)), render_sentence(s)
+        assert prover._fold(s) == fold_recursive(s), render_sentence(s)
         assert prover._build_template(s, 1 << 32) == template_recursive(s, 1 << 32), render_sentence(s)
 
 
@@ -284,15 +346,14 @@ def test_chains_deeper_than_the_recursion_limit_clausify():
     for i in range(1, depth):
         chain = Or(Not(chain), Atom(i % 7)) if i % 2 else Implies(chain, Not(Atom(i % 5)))
         hash(chain)
-    root, clauses, n_fresh = prover._build_template(chain, 1 << 32)
-    assert n_fresh == depth - 1 and len(clauses) == 3 * n_fresh
+    root, clauses = prover._build_template(chain, 1 << 32)
+    assert len(clauses) == 3 * (depth - 1)
     # the top node is labelled last
-    assert root == (1 << 32) + n_fresh
-    assert prover._fold(chain)[1] == 6
+    assert root == (1 << 32) + depth - 1
     # falsum under every level folds away, level by level, to the innermost atom
     core = padded = Atom(3)
     for _ in range(depth):
         padded = Or(BOTTOM, And(padded, TOP))
         hash(padded)
-    assert prover._fold(padded) == (core, 3) and prover._fold(padded)[0] is core
-    assert prover._build_template(padded, 1 << 32) == (4, (), 0)
+    assert prover._fold(padded) is core
+    assert prover._build_template(padded, 1 << 32) == (4, ())
