@@ -11,11 +11,13 @@ On top of the accumulation loop sit two membership estimators, each counting
 a whole battery of sentences in one pass: exact enumeration of every bit
 vector (tiny stages only), which returns the counts and the vector total, and
 seeded Monte Carlo sampling, whose counts `monte_carlo_estimate` turns into
-rationals with 95% Wilson intervals. Exact enumeration runs one accumulation
-per prefix class, not per vector: each machine reads only a prefix of its
-string, so it runs once per block of strings sharing that prefix, and the
-block's size weights what follows. The walk merges each string's output
-through the same step as `accumulate_claims`. A third, independent process
+rationals with 95% Wilson intervals. Exact enumeration runs no accumulation
+per vector: a machine reads only a prefix of its string, so one pass runs one
+string per block of strings sharing that prefix and counts the strings that
+emit each distinct tuple, a table every machine of the stage shares. The walk
+then goes breadth first, one level per machine, merging every claim set of a
+level with every distinct tuple through the same step as `accumulate_claims`
+and keeping equal sets once, their vector counts summed. A third, independent process
 samples consistent extensions directly: random machines propose claims which
 are accepted under an exact satisfiability check restricted to a small atom
 window, giving a limit oracle the membership trajectories can be compared
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import sqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bits import Bits, child_seeds, derive_seed, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
@@ -231,15 +233,18 @@ def membership_counts_exact(
     """Exhaustive pass over every bit vector of the stage. Returns counts and
     the vector total 2**(machines * string bits).
 
-    The pass runs one accumulation per prefix class, not per vector. A
-    machine's trace depends only on the leading bits of its string that
-    ``run_with_extent`` reports, so for each machine in turn the walk runs
-    one string per aligned block of strings that share those bits, merges
-    its output with ``_merge`` as ``accumulate_claims`` would, and goes on
-    to the next machine with the block's size as a weight; a claim set that
-    all machines have run through adds its weight to the counts. Gate
-    verdicts depend only on the set and the budget, so the counts are those
-    of accumulating every vector."""
+    Every machine of the stage reads a string of the same width under the
+    same step budget, and its trace depends only on the leading bits of the
+    string that ``run_with_extent`` reports. So one pass runs one string per
+    aligned block of strings that share those bits, and tallies each emitted
+    tuple with the number of strings that emit it; all machines share that
+    table. The walk then goes breadth first, one level per machine: each
+    claim set of a level is merged with each distinct tuple through
+    ``_merge``, as ``accumulate_claims`` would, and merged sets with equal
+    keys are kept once with their vector counts summed. Each set of the last
+    level adds its count to the battery counts. Gate verdicts depend only on
+    the set and the budget, not on the path that reached the set, so the
+    counts are those of accumulating every vector."""
     if bit_budget > MAX_EXACT_BITS:
         raise ValueError(f"bit budget is capped at {MAX_EXACT_BITS}")
     machines, width = stage.machines, stage.string_bits
@@ -253,33 +258,31 @@ def membership_counts_exact(
         cache = ConCache()
     keys = [render_sentence(s) for s in battery]
     counts = [0] * len(keys)
-    steps, budget = stage.steps, stage.proof_budget
-    size = 1 << width
-
-    def blocks(claims: ClaimSet, weight: int) -> Iterator[tuple[ClaimSet, int]]:
-        """For each block of strings the next machine may read: the claim
-        set after its merge and the number of vectors that set stands for."""
-        value = 0
-        while value < size:
-            trace, extent = run_with_extent(value, width, steps)
-            end = (value | ((1 << (width - extent)) - 1)) + 1
-            yield _merge(claims, trace.emitted, budget, cache), weight * (end - value)
-            value = end
-
     if not machines:
         _tally(stage.axiom_set, keys, counts)
         return counts, 1
-    # Depth first, one generator per machine placed so far, so only one
-    # claim set per machine is alive at a time.
-    walks = [blocks(stage.axiom_set, 1)]
-    while walks:
-        step = next(walks[-1], None)
-        if step is None:
-            walks.pop()
-        elif len(walks) == machines:
-            _tally(step[0], keys, counts, step[1])
-        else:
-            walks.append(blocks(*step))
+    steps, budget = stage.steps, stage.proof_budget
+    # Each distinct emitted tuple and the number of strings that emit it.
+    outputs: dict[tuple[Sentence, ...], int] = {}
+    value, size = 0, 1 << width
+    while value < size:
+        trace, extent = run_with_extent(value, width, steps)
+        end = (value | ((1 << (width - extent)) - 1)) + 1
+        outputs[trace.emitted] = outputs.get(trace.emitted, 0) + end - value
+        value = end
+    # A level maps each distinct claim-set key to the set and the number of
+    # vectors that reach it, so it holds one entry per distinct set, a number
+    # the 24-bit cap keeps small.
+    level = {stage.axiom_set.key: [stage.axiom_set, 1]}
+    for _ in range(machines):
+        grown: dict[tuple[str, ...], list] = {}
+        for claims, weight in level.values():
+            for emitted, block in outputs.items():
+                merged = _merge(claims, emitted, budget, cache)
+                grown.setdefault(merged.key, [merged, 0])[1] += weight * block
+        level = grown
+    for claims, weight in level.values():
+        _tally(claims, keys, counts, weight)
     return counts, 1 << total_bits
 
 

@@ -46,6 +46,14 @@ Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
 mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
 builds only a machine's instruction tuple and its jumps.
 
+A register machine can only jump back through a taken JZ, so the
+interpreter records the state (pc, data bits left, registers) after each
+one. When a state repeats, no LOADBIT ran since its first visit and the
+registers are back where they were, so the run repeats that lap until its
+budget ends: the interpreter appends the lap's emissions once per whole lap
+left, advances the step count by those laps, and runs the partial lap that
+remains step by step. Traces are those of stepping through every lap.
+
 Decoding costs no run steps; the step budget governs the run only. The
 trace invariant bits_read <= steps_used refers to data bits.
 """
@@ -280,6 +288,9 @@ def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> Outp
     steps = 0
     left = width  # data bits not yet loaded; the next one is bit left-1 of data
     halted = False
+    # (pc, left, r0-r3) after each taken JZ -> (steps, number emitted); None
+    # once a lap has been skipped.
+    seen: Optional[dict] = {}
     while steps < t:
         if pc >= size:
             halted = True
@@ -295,7 +306,24 @@ def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> Outp
                 regs[ins.reg] -= 1
             pc += 1
         elif op is _JZ:
-            pc = ins.target if regs[ins.reg] == 0 else pc + 1
+            if regs[ins.reg]:
+                pc += 1
+                continue
+            pc = ins.target
+            if seen is None:
+                continue
+            state = (pc, left, *regs)
+            first = seen.get(state)
+            if first is None:
+                seen[state] = (steps, len(emitted))
+                continue
+            # The run is back in a state it was in, so it repeats the lap
+            # since then until the budget ends; take the whole laps at once.
+            lap = steps - first[0]
+            laps = (t - steps) // lap
+            emitted.extend(emitted[first[1]:] * laps)
+            steps += laps * lap
+            seen = None
         elif op is _OUT:
             emitted.append(sentence_at(regs[ins.reg]))
             pc += 1

@@ -34,7 +34,7 @@ from sentprob.logic import (
     sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import OutputTrace, run_prefix
+from sentprob.machine import OutputTrace, run_prefix, run_with_extent
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import sequence_by_id
 from test_machine import assemble_emit_one
@@ -232,6 +232,39 @@ def test_exact_counts_match_per_vector_oracle():
     assert membership_counts_exact(sentences, empty)[0][:10] == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
+def test_exact_runs_each_block_once_per_stage(monkeypatch):
+    # Every machine of a stage shares one pass over the 52 blocks of 8-bit
+    # strings, however many machines there are.
+    calls = []
+
+    def counted(value, length, t):
+        calls.append(value)
+        return run_with_extent(value, length, t)
+
+    monkeypatch.setattr(estimator, "run_with_extent", counted)
+    for machines in (1, 2, 3):
+        calls.clear()
+        stage = StageParams(
+            n=1, machines=machines, string_bits=8, steps=8, axioms=0, proof_budget=96
+        )
+        membership_counts_exact(battery(), stage, bit_budget=24)
+        assert len(calls) == 52, machines
+
+
+def test_exact_counts_of_multi_machine_stages_frozen():
+    # Counts of the depth-first walk that ran every machine's blocks under
+    # every claim set the earlier machines reached.
+    frozen = {
+        (2, 12): [596870, 5692410, 0, 0, 32392, 0, 380862, 1652895, 527670, 1545192],
+        (3, 8): [445725, 7591680, 0, 0, 0, 0, 445725, 2250432, 774208, 2174832],
+    }
+    for (machines, width), want in frozen.items():
+        stage = StageParams(
+            n=1, machines=machines, string_bits=width, steps=width, axioms=0, proof_budget=96
+        )
+        assert membership_counts_exact(battery(), stage) == (want, 1 << 24)
+
+
 def test_exact_estimate_is_dyadic():
     (count,), total = membership_counts_exact([Atom(0)], single_machine_stage(12), bit_budget=12)
     value = Fraction(count, total)
@@ -289,6 +322,16 @@ def test_mc_agrees_with_exact():
     (count,), total = membership_counts_exact([Atom(0)], st, bit_budget=12)
     gap = abs(Fraction(hits, 10_000) - Fraction(count, total))
     assert gap <= 3 * wilson_halfwidth(hits, 10_000)
+    # Three machines of 8 bits, where later machines' merges go through the
+    # gate against what earlier ones claimed.
+    st = StageParams(n=1, machines=3, string_bits=8, steps=8, axioms=0, proof_budget=96)
+    sentences = [Atom(0), Not(Atom(0)), Or(Atom(0), Not(Atom(0)))]
+    hits = membership_counts(sentences, st, 10_000, 20260817)
+    counts, total = membership_counts_exact(sentences, st, bit_budget=24)
+    for h, count in zip(hits, counts):
+        assert count > 0
+        gap = abs(Fraction(h, 10_000) - Fraction(count, total))
+        assert gap <= 3 * wilson_halfwidth(h, 10_000)
 
 
 def test_theorem_membership_at_moderate_stage():

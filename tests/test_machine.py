@@ -5,6 +5,7 @@ from typing import Optional
 
 import pytest
 
+from sentprob import machine
 from sentprob.bits import Bits, gamma_encode, random_bits
 from sentprob.logic import Atom, Bottom, Sentence, render_sentence, sentence_at
 from sentprob.machine import (
@@ -258,6 +259,45 @@ def test_matches_reference_on_assembled_programs():
             for cut in range(full.length + 1):
                 bits = Bits(full.value >> (full.length - cut), cut)
                 assert_matches_reference(bits, range(0, 2 * n + 14))
+
+
+def assemble(*instructions) -> Bits:
+    """Encoding of the register machine with these (op, reg[, target])."""
+    return encode_machine_program(MachineProgram(tuple(Instruction(*i) for i in instructions)))
+
+
+def test_looping_machines_skip_whole_laps_with_identical_traces(monkeypatch):
+    INC, DEC, JZ, OUT, LOADBIT, SHL = (
+        Opcode.INC, Opcode.DEC, Opcode.JZ, Opcode.OUT, Opcode.LOADBIT, Opcode.SHL
+    )
+    # r1 is never written, so "JZ 1" always jumps.
+    loops = {
+        "emitting": assemble((INC, 0), (OUT, 0), (JZ, 1, 1)),
+        "spin": assemble((JZ, 0, 0)),
+        "silent": assemble((INC, 0), (DEC, 0), (JZ, 1, 1)),
+        "loads first": assemble(
+            (LOADBIT, 0), (LOADBIT, 2), (OUT, 0), (DEC, 3), (OUT, 2), (JZ, 3, 2)
+        ),
+        "counts down into a lap": assemble(
+            (INC, 0), (INC, 0), (INC, 0), (DEC, 0), (OUT, 0), (JZ, 1, 3)
+        ),
+        "two nested laps": assemble((INC, 2), (DEC, 2), (OUT, 2), (JZ, 2, 1), (JZ, 1, 0)),
+        "never repeats": assemble((INC, 0), (OUT, 0), (SHL, 0), (JZ, 1, 1)),
+        "loads in the lap": assemble((LOADBIT, 0), (OUT, 0), (JZ, 1, 0)),
+    }
+    # Budgets from 0 past several laps, so runs end at every point of a lap.
+    for name, program in loops.items():
+        for data in (Bits(0, 0), Bits(0b10, 2), Bits(0b1101, 4), Bits(0b011, 3), Bits(0, 6)):
+            bits = program.concat(data)
+            for t in (*range(40), 97, 255, 512):
+                assert run_prefix(bits, t) == ref_run_prefix(bits, t), (name, data, t)
+    # The emitting loop runs two laps and the partial lap at the end, not
+    # one OUT per lap.
+    built = []
+    monkeypatch.setattr(machine, "sentence_at", lambda k: built.append(k) or sentence_at(k))
+    trace = run_prefix(loops["emitting"], 512)
+    assert (len(trace.emitted), trace.steps_used, trace.halted) == (256, 512, False)
+    assert built == [1, 1, 1]
 
 
 EXTENT_BUDGETS = (0, 1, 4, 12, 40)
