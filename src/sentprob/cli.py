@@ -34,12 +34,7 @@ def _report_suite(result: SuiteResult) -> None:
 
 def _report_crosscheck(result: CrosscheckResult) -> None:
     for r in result.rows:
-        status, holds = ("PASS", "<=") if r.passed else ("FAIL", ">")
-        print(
-            f"{status} {r.label}: membership {float(r.membership.value):.4f}"
-            f" vs extension {float(r.extension.value):.4f}"
-            f" (diff {r.diff:.4f} {holds} {r.bound:.4f})"
-        )
+        print(r.line)
     for path in result.artifacts:
         print(f"wrote {path}")
 

@@ -106,7 +106,7 @@ class ClaimSet:
         the parent's by the added sentences for a merge, and over the whole
         set, from the empty set's, otherwise. Made on first use."""
         if self._order is None:
-            self._order = ClauseOrder(EMPTY_ORDER, self.sentences, self.key)
+            self._order = ClauseOrder(EMPTY_ORDER, self.sentences)
         return self._order
 
     @classmethod
@@ -126,7 +126,7 @@ class ClaimSet:
         grown = ClaimSet(merged)
         grown.parent = self.key
         grown.added = tuple(extra.values())
-        grown._order = ClauseOrder(self.order, grown.added, tuple(extra))
+        grown._order = ClauseOrder(self.order, grown.added)
         return grown
 
     def __contains__(self, s: Sentence) -> bool:

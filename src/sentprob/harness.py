@@ -139,6 +139,17 @@ class CrosscheckRow:
     bound: float
     passed: bool
 
+    @property
+    def line(self) -> str:
+        """The row as crosscheck_report.txt records it and `sentprob
+        crosscheck` prints it."""
+        return (
+            f"{'PASS' if self.passed else 'FAIL'} {self.label}:"
+            f" membership {float(self.membership.value):.4f}"
+            f" vs extension {float(self.extension.value):.4f}"
+            f" (diff {self.diff:.4f}, bound {self.bound:.4f}, undecided {self.extension.undecided})"
+        )
+
 
 @dataclass(frozen=True)
 class CrosscheckResult:
@@ -577,15 +588,9 @@ def run_crosscheck(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Cros
         _write_text(out / "crosscheck.svg", render_chart("membership vs extension", series)),
     ]
     report_lines = [
-        f"crosscheck {cfg.suite_id}: stage n={stage.n} samples={cfg.samples}/{spec.samples}"
+        f"crosscheck {cfg.suite_id}: stage n={stage.n} samples={cfg.samples}/{spec.samples}",
+        *(r.line for r in rows),
     ]
-    for r in rows:
-        status = "PASS" if r.passed else "FAIL"
-        report_lines.append(
-            f"{status} {r.label}: membership {float(r.membership.value):.4f}"
-            f" vs extension {float(r.extension.value):.4f}"
-            f" (diff {r.diff:.4f}, bound {r.bound:.4f}, undecided {r.extension.undecided})"
-        )
     artifacts.append(_write_text(out / "crosscheck_report.txt", "\n".join(report_lines) + "\n"))
     return CrosscheckResult(
         passed=all(r.passed for r in rows),

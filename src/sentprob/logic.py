@@ -15,6 +15,12 @@ The enumeration maps every natural number to a sentence and back. Index 0 is
 falsum; any other index k is split as (k-1) = 5*payload + tag, where the tag
 selects the constructor and the payload carries an atom index, a child index,
 or a Cantor-paired child pair. Decoding is polynomial in the bit length of k.
+
+Nodes are immutable and interned: building a node equal to a live one returns
+that node. The pipeline rebuilds the same sentences over and over, some
+thousands of levels deep, and with one object per sentence equality is
+identity and the hash is the object's, so no memo lookup walks a tree. The
+intern tables hold nodes weakly, so a node nothing else holds is freed.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Callable, Union
+from weakref import WeakValueDictionary
 
 # Chain-shaped sequence members nest one level per index, and indexes run up
 # to the stage step budget (512 under the standard schedule). Recursive
@@ -33,76 +40,76 @@ from typing import Callable, Union
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 
-class _HashSlot:
-    # Nodes nest thousands of levels deep, so each node's structural hash is
-    # computed once, when the node is made, from its parts' stored hashes:
-    # hashing a node never recurses.
-    __slots__ = ("_hs",)
+class _Node:
+    """Base of the six node classes. A subclass lists its parts in
+    ``__slots__``, in constructor order, and gets its own weak intern table
+    from a node's parts (the part itself for one-part nodes, which saves a
+    tuple per atom and negation) to the live node built from them."""
+
+    __slots__ = ("__weakref__",)
+    _interned: WeakValueDictionary
+
+    def __init_subclass__(cls) -> None:
+        cls._interned = WeakValueDictionary()
+
+    def __new__(cls, *parts):
+        key = parts[0] if len(parts) == 1 else parts
+        node = cls._interned.get(key)
+        if node is None:
+            if len(parts) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes parts {cls.__slots__}, got {len(parts)}")
+            node = object.__new__(cls)
+            for name, part in zip(cls.__slots__, parts):
+                object.__setattr__(node, name, part)
+            cls._interned[key] = node
+        return node
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __deepcopy__(self, memo) -> "_Node":
+        return self
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({parts})"
 
 
-def _stored_hash(self: _HashSlot) -> int:
-    return self._hs  # type: ignore[attr-defined]
+class Bottom(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Bottom(_HashSlot):
-    __hash__ = _stored_hash
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hs", 0x5F0)
-
-
-@dataclass(frozen=True, slots=True)
-class Atom(_HashSlot):
+class Atom(_Node):
+    __slots__ = ("index",)
     index: int
 
-    __hash__ = _stored_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hs", hash((0, self.index)))
-
-
-@dataclass(frozen=True, slots=True)
-class Not(_HashSlot):
+class Not(_Node):
+    __slots__ = ("inner",)
     inner: "Sentence"
 
-    __hash__ = _stored_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hs", hash((1, self.inner._hs)))
-
-
-@dataclass(frozen=True, slots=True)
-class And(_HashSlot):
+class And(_Node):
+    __slots__ = ("left", "right")
     left: "Sentence"
     right: "Sentence"
 
-    __hash__ = _stored_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hs", hash((2, self.left._hs, self.right._hs)))
-
-
-@dataclass(frozen=True, slots=True)
-class Or(_HashSlot):
+class Or(_Node):
+    __slots__ = ("left", "right")
     left: "Sentence"
     right: "Sentence"
 
-    __hash__ = _stored_hash
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hs", hash((3, self.left._hs, self.right._hs)))
-
-
-@dataclass(frozen=True, slots=True)
-class Implies(_HashSlot):
+class Implies(_Node):
+    __slots__ = ("left", "right")
     left: "Sentence"
     right: "Sentence"
-
-    __hash__ = _stored_hash
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hs", hash((4, self.left._hs, self.right._hs)))
 
 
 Sentence = Union[Bottom, Atom, Not, And, Or, Implies]

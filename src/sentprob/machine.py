@@ -39,8 +39,7 @@ closed form from the data's leading-zero count. Stream generators ignore
 their data, so their traces are memoised by (slot, t) in a bounded cache; an
 indexed generator's emitting run depends only on the member index n it
 reads, so its trace, and with it the member, is memoised by (slot, n) in
-another. Repeated runs share the emitted sentence objects and the hashes
-cached on them, and render_sentence's memo finds them by identity.
+another. Repeated runs share the emitted sentence objects.
 
 Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
 mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding

@@ -2,7 +2,7 @@
 
 Clauses are frozensets of nonzero ints: literal +v asserts variable v, -v
 denies it. A sentence's clause form depends on that sentence alone, so it
-is cached by rendering and reused across calls. There is one numbering:
+is cached by sentence and reused across calls. There is one numbering:
 - atom i is variable i + 1 while that is below 2**32, and i + 1 + 2**192
   from there on;
 - the definition variables that clausification introduces for the sentence
@@ -57,7 +57,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 from bisect import insort
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -267,31 +266,19 @@ def _sentence_base(r: str) -> int:
     return _TEMPLATE_BASE + int.from_bytes(digest[:16], "big") * _TEMPLATE_STRIDE
 
 
-# Clause-form entries by rendering, oldest dropped first past the limit.
-# Keyed by the string, so equal sentences built as distinct objects share an
-# entry and a lookup never compares two sentence trees.
-_PREPARED_LIMIT = 1 << 14
-_PREPARED: OrderedDict[str, tuple[Entry, ...]] = OrderedDict()
+@lru_cache(maxsize=1 << 14)
+def _prepared(s: Sentence) -> tuple[Entry, ...]:
+    """The entries of the clause form of s. Keyed by the sentence itself:
+    nodes are interned, so a sentence built again is the same key and a
+    lookup never compares two trees."""
+    return _sentence_entries(*_build_template(s, _sentence_base(render_sentence(s))))
 
 
-def _prepared(s: Sentence, r: str) -> tuple[Entry, ...]:
-    """The entries of the clause form of s, whose rendering is r."""
-    entries = _PREPARED.get(r)
-    if entries is None:
-        entries = _sentence_entries(*_build_template(s, _sentence_base(r)))
-        if len(_PREPARED) >= _PREPARED_LIMIT:
-            _PREPARED.popitem(last=False)
-        _PREPARED[r] = entries
-    return entries
-
-
-def _claim(
-    sentences: Seq[Sentence], renderings: Seq[str], seen: set[Clause], out: list[Entry]
-) -> None:
-    """Append to out the cached entries of sentences, whose renderings are
-    renderings, that are not in seen, and note their clauses in seen."""
-    for s, r in zip(sentences, renderings):
-        for e in _prepared(s, r):
+def _claim(sentences: Iterable[Sentence], seen: set[Clause], out: list[Entry]) -> None:
+    """Append to out the cached entries of sentences that are not in seen,
+    and note their clauses in seen."""
+    for s in sentences:
+        for e in _prepared(s):
             c = e[2]
             if c not in seen:
                 seen.add(c)
@@ -301,25 +288,21 @@ def _claim(
 class ClauseOrder:
     """A claim set's clause entries in walk order, carried down its merge
     chain. A node stands for the set its ``parent`` stands for plus
-    ``sentences``, whose renderings are ``renderings``; ``EMPTY_ORDER``
-    stands for the empty set.
+    ``sentences``; ``EMPTY_ORDER`` stands for the empty set.
 
     A node is built when a refutation needs it (see ``_built``): ``walk``
     then holds the set's distinct entries in walk order and ``clauses``
     their clauses, and the parent link is dropped, so a node's parent is
     None exactly when it is built."""
 
-    __slots__ = ("parent", "sentences", "renderings", "walk", "clauses")
+    __slots__ = ("parent", "sentences", "walk", "clauses")
 
-    def __init__(
-        self, parent: Optional["ClauseOrder"], sentences: Seq[Sentence], renderings: Seq[str]
-    ) -> None:
+    def __init__(self, parent: Optional["ClauseOrder"], sentences: Seq[Sentence]) -> None:
         self.parent = parent
         self.sentences = sentences
-        self.renderings = renderings
 
 
-EMPTY_ORDER = ClauseOrder(None, (), ())
+EMPTY_ORDER = ClauseOrder(None, ())
 EMPTY_ORDER.walk = []
 EMPTY_ORDER.clauses = frozenset()
 
@@ -336,7 +319,7 @@ def _built(node: ClauseOrder) -> ClauseOrder:
         return node
     seen, new = set(node.clauses), []
     for n in reversed(path):
-        _claim(n.sentences, n.renderings, seen, new)
+        _claim(n.sentences, seen, new)
     walk = list(node.walk)
     for e in new:
         insort(walk, e)
@@ -433,7 +416,7 @@ def _carried(order: ClauseOrder) -> tuple[list[Entry], list[Entry], set[Clause]]
         return order.walk, [], set(order.clauses)
     base = _built(order.parent)
     seen, heap = set(base.clauses), []
-    _claim(order.sentences, order.renderings, seen, heap)
+    _claim(order.sentences, seen, heap)
     heapq.heapify(heap)
     return base.walk, heap, seen
 
@@ -454,8 +437,7 @@ def refute_bounded(
     Without one, the distinct sentences get an order grown from the empty
     set's."""
     if order is None:
-        named = {render_sentence(s): s for s in sentences}
-        order = ClauseOrder(EMPTY_ORDER, tuple(named.values()), tuple(named))
+        order = ClauseOrder(EMPTY_ORDER, tuple(dict.fromkeys(sentences)))
     walk, heap, seen = _carried(order)
     if (walk and not walk[0][0]) or (heap and not heap[0][0]):
         # the empty clause of a sentence that folds to falsum

@@ -37,7 +37,7 @@ from sentprob.logic import (
 from sentprob.harness import load_config, run_suite
 from sentprob.machine import run_prefix
 from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded, semantic_consistent
-from sentprob.sequences import generate, sequence_by_id
+from sentprob.sequences import sequence_by_id
 from test_prover import (
     COLLIDING,
     DEFINITION_CEILING,
@@ -248,7 +248,7 @@ def test_deep_chain_claims_do_not_overflow():
     # clause extraction, and the gate itself must all survive that depth.
     budget = 64
     for fid in ("monotone_chain", "mutex_family"):
-        deep = generate(sequence_by_id(fid), 900)
+        deep = sequence_by_id(fid).emit(900)
         assert len(atoms_of(deep)) == 901
         assert consistent_enough(ClaimSet.of([deep]), budget)
 
@@ -256,7 +256,7 @@ def test_deep_chain_claims_do_not_overflow():
 def test_chains_deeper_than_the_recursion_limit_pass_the_gate():
     # A mutex_family member at n = 9000 nests about 9000 levels, past the
     # recursion limit: hashing it for the memo dicts must not recurse.
-    deep = generate(sequence_by_id("mutex_family"), 9000)
+    deep = sequence_by_id("mutex_family").emit(9000)
     assert consistent_enough(ClaimSet.of([deep]), 64)
     assert not refute_bounded([deep], 64).refuted
 
@@ -584,23 +584,23 @@ def test_cache_hits_and_certified_merges_build_no_clauses():
     budget = 64
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
     grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
-    prover._PREPARED.clear()
+    prover._prepared.cache_clear()
     prover._root.cache_clear()
     assert consistent_enough(claims, budget, cache)
     assert consistent_enough(grown, budget, cache)
     assert grown.key in cache.certificates
-    assert len(prover._PREPARED) == 0
+    assert prover._prepared.cache_info().currsize == 0
     folded = prover._root.cache_info().currsize
     assert folded == 5
     # hits and unions do no summary work either
     assert consistent_enough(grown, budget, cache)
     grown.union(parse_all(["(a6 -> a7)"]))
     assert prover._root.cache_info().currsize == folded
-    assert len(prover._PREPARED) == 0
+    assert prover._prepared.cache_info().currsize == 0
     # a merge that reaches resolution does clausify: the probe works
     refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
     assert not consistent_enough(refuted, budget, cache)
-    assert len(prover._PREPARED) > 0
+    assert prover._prepared.cache_info().currsize > 0
 
 
 CARRY_BUDGETS = (0, 1, 2, 16, 4096)

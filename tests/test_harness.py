@@ -256,17 +256,19 @@ def test_percent_in_values_is_literal(tmp_path):
 
 
 def test_cli_crosscheck_rows_print_the_comparison_that_holds(capsys):
+    # The CLI prints each row's line, the one crosscheck_report.txt records.
     def row(label, diff, bound):
-        est = Estimate(Fraction(1, 2), 10, 0.1, 1)
-        return CrosscheckRow(label, est, est, diff, bound, diff <= bound)
+        membership = Estimate(Fraction(1, 2), 10, 0.1, 1)
+        extension = Estimate(Fraction(1, 2), 10, 0.1, 1, undecided=3)
+        return CrosscheckRow(label, membership, extension, diff, bound, diff <= bound)
 
     rows = (row("close", 0.05, 0.25), row("tie", 0.25, 0.25), row("far", 0.5, 0.25))
     _report_crosscheck(CrosscheckResult(False, rows, ()))
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "PASS close: membership 0.5000 vs extension 0.5000 (diff 0.0500 <= 0.2500)",
-        "PASS tie: membership 0.5000 vs extension 0.5000 (diff 0.2500 <= 0.2500)",
-        "FAIL far: membership 0.5000 vs extension 0.5000 (diff 0.5000 > 0.2500)",
+        "PASS close: membership 0.5000 vs extension 0.5000 (diff 0.0500, bound 0.2500, undecided 3)",
+        "PASS tie: membership 0.5000 vs extension 0.5000 (diff 0.2500, bound 0.2500, undecided 3)",
+        "FAIL far: membership 0.5000 vs extension 0.5000 (diff 0.5000, bound 0.2500, undecided 3)",
     ]
 
 
@@ -476,6 +478,20 @@ def run_python(*args):
 
 def run_cli(*args):
     return run_python("-m", "sentprob", *args)
+
+
+def test_benchmark_tracer_wiring_installs():
+    # A traced benchmark run wraps pipeline bindings by name
+    # (prover.render_sentence, consistency.refute_bounded, ClaimSet.union,
+    # estimator.run_prefix, ...); deleting or renaming one must fail here.
+    script = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "from tracer import Tracer, install\n"
+        "install(Tracer())\n"
+    )
+    proc = run_python("-c", script, str(ROOT / "perfbench"), str(SRC))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_usage_errors():

@@ -1,10 +1,16 @@
+import copy
+import gc
+import pickle
+
 import pytest
 
 from sentprob.logic import (
     BOTTOM,
     EMPTY_THEORY,
     TOP,
+    And,
     Atom,
+    Bottom,
     Implies,
     Not,
     Or,
@@ -128,6 +134,29 @@ def test_connective_constructors_are_structural():
     assert Implies(Atom(0), Atom(1)) == Implies(Atom(0), Atom(1))
     assert Or(Atom(0), Atom(1)) != Or(Atom(1), Atom(0))
     assert Not(Not(Atom(0))) != Atom(0)
+
+
+def test_nodes_are_interned_immutable_and_held_weakly():
+    s = And(Atom(3), Not(Or(Atom(1), BOTTOM)))
+    assert Atom(3) is Atom(3) and Bottom() is BOTTOM
+    assert And(Atom(3), Not(Or(Atom(1), BOTTOM))) is s
+    assert parse_sentence("(a3 & !(a1 | _|_))") is s
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert repr(s) == "And(left=Atom(index=3), right=Not(inner=Or(left=Atom(index=1), right=Bottom())))"
+    with pytest.raises(AttributeError):
+        s.left = Atom(4)
+    with pytest.raises(AttributeError):
+        del Atom(3).index
+    with pytest.raises(TypeError):
+        Atom()
+    # The intern tables hold nodes weakly: a node nothing holds is freed.
+    before = len(Implies._interned)
+    fresh = Implies(Atom(123456789), Atom(987654321))
+    assert len(Implies._interned) == before + 1
+    del fresh
+    gc.collect()
+    assert len(Implies._interned) == before
 
 
 def test_theories():

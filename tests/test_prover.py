@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from sentprob import prover
+from sentprob.consistency import ClaimSet
 from sentprob.logic import (
     BOTTOM,
     TOP,
@@ -44,8 +45,7 @@ def initial_entries(sentences):
     set, built from scratch out of each sentence's cached clause form: the
     oracle that carried orders and the summary are checked against."""
     seen, entries = set(), []
-    for s in sentences:
-        prover._claim((s,), (render_sentence(s),), seen, entries)
+    prover._claim(sentences, seen, entries)
     entries.sort()
     if entries and not entries[0][0]:
         return True, []
@@ -242,39 +242,30 @@ def test_deterministic_across_input_order():
     assert a == b
 
 
-def test_clause_memo_is_keyed_by_rendering_and_bounded(monkeypatch):
-    # Equal sentences built as distinct objects share one clause form, found
-    # by rendering without comparing the two trees.
+def test_rebuilt_sentences_are_one_object_with_one_clause_memo_entry():
+    # Nodes are interned: two separate builds of a sentence are one object,
+    # so they share one clause form, found without comparing two trees.
     def build():
         return And(Or(Atom(0), Atom(1)), Implies(Not(Atom(2)), Atom(1)))
 
-    a, b = build(), build()
-    assert a == b and a is not b
-    compared = []
-
-    def counted_eq(self, other):
-        compared.append(self)
-        return self is other
-
-    for cls in (And, Or, Implies, Not, Atom):
-        monkeypatch.setattr(cls, "__eq__", counted_eq)
-    prover._PREPARED.clear()
-    r = render_sentence(a)
+    a = build()
+    assert build() is a
+    prover._prepared.cache_clear()
     clash = Not(Or(Atom(0), Atom(1)))
 
     def order(s):
-        return prover.ClauseOrder(prover.EMPTY_ORDER, (clash, s), ("!(a0 | a1)", r))
+        return prover.ClauseOrder(prover.EMPTY_ORDER, (clash, s))
 
     first = refute_bounded([clash, a], 64, order(a))
-    assert refute_bounded([clash, b], 64, order(b)) == first
+    assert refute_bounded([clash, build()], 64, order(build())) == first
     assert first.refuted
-    assert list(prover._PREPARED) == ["!(a0 | a1)", r]
-    assert compared == []
-    # Past the limit the oldest clause forms go first.
-    monkeypatch.setattr(prover, "_PREPARED_LIMIT", 3)
-    for i in range(3, 8):
-        refute_bounded([Atom(i)], 4)
-    assert list(prover._PREPARED) == ["a5", "a6", "a7"]
+    info = prover._prepared.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    # The memo is bounded.
+    assert info.maxsize == 1 << 14
+    for i in range(3, 3 + info.maxsize + 10):
+        prover._prepared(Atom(i))
+    assert prover._prepared.cache_info().currsize == info.maxsize
 
 
 def fold_recursive(s):
@@ -339,13 +330,20 @@ def test_iterative_fold_and_labelling_match_the_recursive_ones():
 
 
 def test_chains_deeper_than_the_recursion_limit_clausify():
-    # Built bottom up, hashing each level as it is made, so only the
-    # functions under test walk the whole chain.
+    # Built bottom up, so only the functions under test walk the whole chain.
     depth = sys.getrecursionlimit() + 500
     chain = Atom(0)
     for i in range(1, depth):
         chain = Or(Not(chain), Atom(i % 7)) if i % 2 else Implies(chain, Not(Atom(i % 5)))
-        hash(chain)
+    # A second build is the same object, so comparing, hashing and merging it
+    # never walks the chain.
+    second = Atom(0)
+    for i in range(1, depth):
+        second = Or(Not(second), Atom(i % 7)) if i % 2 else Implies(second, Not(Atom(i % 5)))
+    assert second is chain and second == chain
+    assert {chain: True}[second]
+    claims = ClaimSet.of([chain])
+    assert claims.union([second]) is claims
     root, clauses = prover._build_template(chain, 1 << 32)
     assert len(clauses) == 3 * (depth - 1)
     # the top node is labelled last
@@ -354,6 +352,5 @@ def test_chains_deeper_than_the_recursion_limit_clausify():
     core = padded = Atom(3)
     for _ in range(depth):
         padded = Or(BOTTOM, And(padded, TOP))
-        hash(padded)
     assert prover._fold(padded) is core
     assert prover._build_template(padded, 1 << 32) == (4, ())

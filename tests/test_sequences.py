@@ -1,6 +1,10 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
-from sentprob.logic import And, Atom, BOTTOM, Not, Or, atoms_of, render_sentence
+from sentprob import sequences
+from sentprob.logic import And, Atom, BOTTOM, Not, Or, Sentence, atoms_of, render_sentence
 from sentprob.prover import (
     entails,
     refute_bounded,
@@ -8,21 +12,94 @@ from sentprob.prover import (
     truth_table,
 )
 from sentprob.sequences import (
-    MAX_PARTITION_ATOMS,
-    PartitionTriple,
     SequenceDef,
     builtin_catalog,
-    canonical_partition,
     catalog_by_id,
     constant_of,
-    equiv_pair,
-    generate,
-    merged_partition,
-    refined_partition,
     sequence_by_id,
-    validate_partition,
 )
 from test_machine import machine_backed
+
+# Partition helpers: only these tests use them.
+
+
+def generate(seq: SequenceDef, n: int) -> Sentence:
+    if n < 0:
+        raise ValueError("sequence position must be a natural number")
+    return seq.emit(n)
+
+
+@dataclass(frozen=True)
+class PartitionTriple:
+    phi: SequenceDef
+    psi: SequenceDef
+    chi: SequenceDef
+
+
+def canonical_partition() -> PartitionTriple:
+    by_id = catalog_by_id()
+    return PartitionTriple(by_id["atom_chain"], by_id["split_next"], by_id["split_rest"])
+
+
+def refined_partition() -> tuple[SequenceDef, SequenceDef, SequenceDef, SequenceDef]:
+    """Four-way partition: the rest cell of the canonical split, cut by the
+    deep shadow atom. Sum trends are checked on the merged triple (atom_chain,
+    split_next, deep_split_merge), which rejoins the last two cells; the cut
+    cells themselves stay out of the catalog."""
+    by_id = catalog_by_id()
+    cut_in = SequenceDef(
+        "deep_split_next",
+        "builtin",
+        "not a_n, not the shadow atom, the deep shadow atom",
+        sequences._deep_split_next,
+    )
+    cut_out = SequenceDef(
+        "deep_split_rest", "builtin", "not a_n and neither shadow atom", sequences._deep_split_rest
+    )
+    return by_id["atom_chain"], by_id["split_next"], cut_in, cut_out
+
+
+def merged_partition() -> PartitionTriple:
+    """The refined partition with its last two cells disjoined into one
+    sequence; a valid triple in its own right."""
+    by_id = catalog_by_id()
+    return PartitionTriple(by_id["atom_chain"], by_id["split_next"], by_id["deep_split_merge"])
+
+
+def equiv_pair() -> tuple[SequenceDef, SequenceDef]:
+    """Two families whose members are pairwise semantically equivalent."""
+    by_id = catalog_by_id()
+    return by_id["atom_chain"], by_id["double_neg_chain"]
+
+
+MAX_PARTITION_ATOMS = 20
+
+
+@dataclass(frozen=True)
+class PartitionReport:
+    ok: bool
+    checked: int
+    first_failure: Optional[int] = None
+
+
+def validate_partition(triple: PartitionTriple, n_max: int) -> PartitionReport:
+    """Check that exactly one member is true under every assignment, for each
+    position up to n_max inclusive."""
+    for n in range(n_max + 1):
+        members = [generate(triple.phi, n), generate(triple.psi, n), generate(triple.chi, n)]
+        atoms: set[int] = set()
+        for s in members:
+            atoms |= atoms_of(s)
+        if len(atoms) > MAX_PARTITION_ATOMS:
+            raise ValueError(f"{len(atoms)} atoms at position {n} exceeds cap {MAX_PARTITION_ATOMS}")
+        order = sorted(atoms)
+        full = (1 << (1 << len(order))) - 1
+        m1, m2, m3 = (truth_table(s, order) for s in members)
+        exactly_one = (m1 & ~m2 & ~m3) | (~m1 & m2 & ~m3) | (~m1 & ~m2 & m3)
+        if (exactly_one & full) != full:
+            return PartitionReport(False, n + 1, first_failure=n)
+    return PartitionReport(True, n_max + 1)
+
 
 # Slot order drives program encoding; reordering breaks every stream golden.
 CATALOG_IDS = [
