@@ -12,22 +12,58 @@ reads them all (``estimator.sample_strings``) pays for each once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True)
-class Bits:
+class SlottedRecord:
+    """Base of the immutable records that hot loops read by attribute; every
+    other record is a NamedTuple. CPython 3.11 specializes reads of a slot
+    but not of a NamedTuple field, which cost about twice as much. A
+    subclass lists its fields in ``__slots__``, in constructor order, and
+    fills them through ``object.__setattr__`` or the slot descriptors; it
+    compares, hashes, prints and pickles by them, as a NamedTuple would, but
+    equals only its own class."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({parts})"
+
+
+class Bits(SlottedRecord):
     """An immutable bit string stored as (integer value, bit length)."""
 
+    __slots__ = ("value", "length")
     value: int
     length: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, value: int, length: int) -> None:
+        if length < 0:
             raise ValueError("negative length")
-        if self.value < 0 or self.value >> self.length:
+        if value < 0 or value >> length:
             raise ValueError("value does not fit in length")
+        _set_value(self, value)
+        _set_length(self, length)
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -51,6 +87,13 @@ class Bits:
             raise ValueError(f"not a bit string: {s!r}")
         return cls(int(s, 2) if s else 0, len(s))
 
+
+# The constructor and random_bits fill a Bits' slots through their
+# descriptors; random_bits also skips the constructor's range check for a
+# value it has just cut to length.
+_new_bits = object.__new__
+_set_value = Bits.value.__set__
+_set_length = Bits.length.__set__
 
 EMPTY_BITS = Bits(0, 0)
 
@@ -79,12 +122,6 @@ def read_gamma(value: int, length: int, pos: int) -> tuple[int, int] | None:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SEED_INIT = 0x1D8E4E27C47D124F
-
-# random_bits builds its Bits through the slot setters, skipping the range
-# check of __post_init__ for a value it has just cut to length.
-_new_bits = object.__new__
-_set_value = Bits.value.__set__
-_set_length = Bits.length.__set__
 
 
 def _splitmix64(state: int) -> tuple[int, int]:

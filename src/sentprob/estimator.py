@@ -33,11 +33,10 @@ regardless of call order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bits import Bits, child_seeds, derive_seed, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
@@ -59,13 +58,7 @@ def default_growth(n: int) -> int:
     return min(12 * (1 << n), GROWTH_CAP)
 
 
-@dataclass(frozen=True)
-class StageParams:
-    """All budgets for stage n: machine count, bits per string, step budget,
-    length of the theory's axiom prefix, and the gate's proof budget.
-    default_schedule fills them from the growth schedule; single_machine_stage
-    builds the one-machine stages of exact enumeration and hand traces."""
-
+class _StageFields(NamedTuple):
     n: int
     machines: int
     string_bits: int
@@ -74,15 +67,46 @@ class StageParams:
     proof_budget: int
     theory: Theory = EMPTY_THEORY
 
-    def __post_init__(self) -> None:
-        if self.proof_budget < 0:
-            raise ValueError("proof_budget must be a natural number")
 
-    @cached_property
+class StageParams(_StageFields):
+    """All budgets for stage n: machine count, bits per string, step budget,
+    length of the theory's axiom prefix, and the gate's proof budget.
+    default_schedule fills them from the growth schedule; single_machine_stage
+    builds the one-machine stages of exact enumeration and hand traces."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        machines: int,
+        string_bits: int,
+        steps: int,
+        axioms: int,
+        proof_budget: int,
+        theory: Theory = EMPTY_THEORY,
+    ) -> "StageParams":
+        if proof_budget < 0:
+            raise ValueError("proof_budget must be a natural number")
+        return super().__new__(cls, n, machines, string_bits, steps, axioms, proof_budget, theory)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "StageParams":
+        # _replace builds through _make, so a copy is checked too.
+        return cls(*fields)
+
+    @property
     def axiom_set(self) -> ClaimSet:
         """The claim set every sample of the stage starts from, holding the
-        theory's first `axioms` axioms; built once per stage."""
-        return ClaimSet.of(self.theory.axiom_at(i) for i in range(self.axioms))
+        theory's first `axioms` axioms; built once per (theory, axioms)."""
+        return _axiom_set(self.theory, self.axioms)
+
+
+# A run has one entry per stage; the bound keeps memory flat for callers
+# that build many stages.
+@lru_cache(maxsize=64)
+def _axiom_set(theory: Theory, axioms: int) -> ClaimSet:
+    return ClaimSet.of(theory.axiom_at(i) for i in range(axioms))
 
 
 def default_schedule(
@@ -119,8 +143,7 @@ def single_machine_stage(
     return StageParams(n, 1, bits, steps, axiom_count, proof_budget, theory)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A Monte Carlo probability with provenance: value is hits / samples
     over samples drawn from seed, with its 95% Wilson half-width; undecided
     counts samples where neither the sentence nor its negation was settled

@@ -35,7 +35,6 @@ import configparser
 import json
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
@@ -77,8 +76,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TrendAssertion:
+class TrendAssertion(NamedTuple):
     name: str
     kind: str
     seq_ids: tuple[str, ...]
@@ -88,8 +86,7 @@ class TrendAssertion:
     covers: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CrosscheckSpec:
+class CrosscheckSpec(NamedTuple):
     battery: tuple[Sentence, ...]
     rounds: int
     machine_budget: int
@@ -98,8 +95,7 @@ class CrosscheckSpec:
     tol: Fraction
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     suite_id: str
     samples: int
     seed: int
@@ -110,8 +106,7 @@ class ExperimentConfig:
     crosscheck: Optional[CrosscheckSpec]
 
 
-@dataclass(frozen=True)
-class AssertionOutcome:
+class AssertionOutcome(NamedTuple):
     assertion: TrendAssertion
     passed: bool
     detail: str
@@ -122,16 +117,14 @@ class AssertionOutcome:
         return f"{'PASS' if self.passed else 'FAIL'} {self.assertion.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     passed: bool
     outcomes: tuple[AssertionOutcome, ...]
     artifacts: tuple[str, ...]
     trajectories: dict
 
 
-@dataclass(frozen=True)
-class CrosscheckRow:
+class CrosscheckRow(NamedTuple):
     label: str
     membership: Estimate
     extension: Estimate
@@ -151,8 +144,7 @@ class CrosscheckRow:
         )
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
+class CrosscheckResult(NamedTuple):
     passed: bool
     rows: tuple[CrosscheckRow, ...]
     artifacts: tuple[str, ...]
@@ -420,10 +412,6 @@ def _series(a: TrendAssertion, trajectories: dict) -> list[Fraction]:
 
 def _judge(a: TrendAssertion, series: list[Fraction]) -> AssertionOutcome:
     return AssertionOutcome(a, *_KINDS[a.kind].judge(series[-a.window :], a))
-
-
-def evaluate_assertion(a: TrendAssertion, trajectories: dict) -> AssertionOutcome:
-    return _judge(a, _series(a, trajectories))
 
 
 # --- artifacts --------------------------------------------------------------

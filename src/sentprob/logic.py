@@ -26,10 +26,9 @@ intern tables hold nodes weakly, so a node nothing else holds is freed.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 from weakref import WeakValueDictionary
 
 # Chain-shaped sequence members nest one level per index, and indexes run up
@@ -282,8 +281,7 @@ def render_sentence(s: Sentence) -> str:
 TOP = Implies(BOTTOM, BOTTOM)
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(NamedTuple):
     """A deterministic total axiom list. axiom_at(i) must be defined for all i."""
 
     name: str

@@ -59,21 +59,16 @@ trace invariant bits_read <= steps_used refers to data bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from math import isqrt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .bits import Bits, gamma_encode, read_gamma
+from .bits import Bits, SlottedRecord, read_gamma
 from .logic import Sentence, sentence_at
 from .sequences import builtin_catalog
 
 SLOT_COUNT = len(builtin_catalog())
-
-_GENERATOR_MARK = gamma_encode(1)
-_STREAM_BIT = Bits(0, 1)
-_INDEXED_BIT = Bits(1, 1)
 
 
 class Opcode(IntEnum):
@@ -87,20 +82,24 @@ class Opcode(IntEnum):
     NOP = 7
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(SlottedRecord):
+    # A slotted record: the interpreter reads op and reg every step.
+    __slots__ = ("op", "reg", "target")
     op: Opcode
     reg: int
-    target: int = 0  # JZ only; an index into the instruction list
+    target: int  # JZ only; an index into the instruction list
+
+    def __init__(self, op: Opcode, reg: int, target: int = 0) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "reg", reg)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class MachineProgram:
+class MachineProgram(NamedTuple):
     instructions: tuple[Instruction, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorProgram:
+class GeneratorProgram(NamedTuple):
     slot: int  # position in sequences.builtin_catalog()
     indexed: bool
 
@@ -108,8 +107,7 @@ class GeneratorProgram:
 Program = Union[MachineProgram, GeneratorProgram]
 
 
-@dataclass(frozen=True)
-class OutputTrace:
+class OutputTrace(NamedTuple):
     emitted: tuple[Sentence, ...]
     steps_used: int
     halted: bool
@@ -183,33 +181,6 @@ def _gamma_cut(room: int, pos: int) -> int:
     within the first room bits. A code with z zeros ends at pos + 2z + 1,
     so it does not once its first (room - pos + 1) // 2 bits are zeros."""
     return pos + (room - pos + 1) // 2
-
-
-def _slot_of(fid: str) -> int:
-    for g, seq in enumerate(builtin_catalog()):
-        if seq.id == fid:
-            return g
-    raise ValueError(f"unknown generator id: {fid!r}")
-
-
-def encode_generator(fid: str, indexed: bool) -> Bits:
-    slot = _slot_of(fid)
-    mode = _INDEXED_BIT if indexed else _STREAM_BIT
-    return _GENERATOR_MARK.concat(gamma_encode(slot + 1)).concat(mode)
-
-
-def encode_machine_program(p: MachineProgram) -> Bits:
-    count = len(p.instructions)
-    out = gamma_encode(count + 1)
-    for ins in p.instructions:
-        if not 0 <= ins.reg < 4:
-            raise ValueError(f"register out of range: {ins.reg}")
-        out = out.concat(Bits(int(ins.op), 4)).concat(Bits(ins.reg, 2))
-        if ins.op is Opcode.JZ:
-            if not 0 <= ins.target < count:
-                raise ValueError(f"jump target out of range: {ins.target}")
-            out = out.concat(gamma_encode(ins.target + 1))
-    return out
 
 
 def run_prefix(bits: Bits, t: int) -> OutputTrace:

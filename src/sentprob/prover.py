@@ -57,10 +57,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 from bisect import insort
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence as Seq
+from typing import Iterable, NamedTuple, Optional, Sequence as Seq
 
 from .logic import And, Atom, Bottom, Implies, Not, Or, Sentence, atoms_of, render_sentence
 
@@ -333,8 +332,7 @@ class RefutationVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class RefutationResult:
+class RefutationResult(NamedTuple):
     verdict: RefutationVerdict
     steps_used: int
     # saturated is meaningful on Unknown only: the resolution closure was
@@ -346,20 +344,15 @@ class RefutationResult:
         return self.verdict is RefutationVerdict.REFUTED
 
 
-class ClauseSummary:
+class ClauseSummary(NamedTuple):
     """What `refute_bounded`'s setup finds in a set with no sentence that
     folds to falsum, read from `_root` alone: the atom-literal root units
     and whether two of them clash. The only unit clauses of a set are its
     sentences' roots, and roots on definition variables never clash, so
-    `clash` is exactly the setup's unit-clash test. A plain slotted class,
-    not a dataclass: building a dataclass costs about a millisecond at
-    every import."""
+    `clash` is exactly the setup's unit-clash test."""
 
-    __slots__ = ("units", "clash")
-
-    def __init__(self, units: frozenset[int], clash: bool) -> None:
-        self.units = units
-        self.clash = clash
+    units: frozenset[int]
+    clash: bool
 
 
 EMPTY_SUMMARY = ClauseSummary(frozenset(), False)

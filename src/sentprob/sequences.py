@@ -7,9 +7,8 @@ builtin_catalog(), so reordering entries changes every encoded program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .logic import (
     And,
@@ -22,12 +21,23 @@ from .logic import (
 )
 
 
-@dataclass(frozen=True)
-class SequenceDef:
+class SequenceDef(NamedTuple):
     id: str
     kind: str  # "builtin" or "machine"
     description: str
-    emit: Callable[[int], Sentence] = field(compare=False)
+    emit: Callable[[int], Sentence]
+
+    # Equality and hash ignore emit: two builds of one family are equal
+    # though their emit functions are distinct objects. tuple's own __ne__
+    # would compare emit, so __ne__ is defined too.
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is SequenceDef and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
 
 def _tautology(n: int) -> Sentence:
@@ -45,7 +55,9 @@ def _atom(n: int) -> Sentence:
 # Split families case on a shadow atom paired with the diagonal one. The
 # shadow lives far above any diagonal position a run can reach, so distinct
 # members of one split family never mention each other's atoms and a streamed
-# run of them stays jointly satisfiable.
+# run of them stays jointly satisfiable. That needs every step budget below
+# _SHADOW (estimator.GROWTH_CAP caps them): a t-step indexed run emits member
+# m for any m <= t, so atom_chain could emit a shadow atom directly.
 _SHADOW = 1024
 _DEEP_SHADOW = 2048
 

@@ -7,8 +7,7 @@ in a fixed order. No external renderer gets a say.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 WIDTH = 640
 HEIGHT = 400
@@ -27,15 +26,13 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     x: float
     y: float
     ci: float = 0.0
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     label: str
     points: tuple[SeriesPoint, ...]
 

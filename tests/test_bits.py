@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import islice
 
@@ -22,6 +24,14 @@ def test_bits_construction_rejects_bad_values():
     with pytest.raises(ValueError):
         Bits(0, -1)
     assert Bits(15, 4).to_string() == "1111"
+
+
+def test_bits_value_semantics():
+    b = Bits(5, 3)
+    assert b == Bits.from_string("101") and hash(b) == hash(Bits(5, 3))
+    assert b != Bits(5, 4) and b != (5, 3)
+    assert copy.copy(b) == pickle.loads(pickle.dumps(b)) == b
+    assert repr(b) == "Bits(value=5, length=3)"
 
 
 def test_bits_msb_first_indexing():

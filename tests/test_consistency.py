@@ -1,7 +1,6 @@
 import heapq
 import importlib.resources
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -305,7 +304,7 @@ def test_accumulation_matches_plain_gate_where_budget_binds():
     binding = 0
     for n in (2, 3):
         for budget in (1, 2, 4, 8):
-            stage = replace(default_schedule(n)[-1], proof_budget=budget)
+            stage = default_schedule(n)[-1]._replace(proof_budget=budget)
             for sample_seed in (7000 + n, 8000 + budget):
                 strings = sample_strings(stage, sample_seed)
                 reference = stage.axiom_set
@@ -718,7 +717,7 @@ def test_clauses_shared_between_sentences_keep_one_entry():
 
 def test_every_gate_miss_of_a_standard_run_matches_full_loop(monkeypatch, tmp_path):
     standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
-    cfg = replace(load_config(str(standard)), samples=3)
+    cfg = load_config(str(standard))._replace(samples=3)
     carried = []
 
     def checked(sentences, budget, *rest):
@@ -739,7 +738,7 @@ def test_every_gate_miss_where_the_budget_binds_matches_full_loop(monkeypatch, t
     # gets a budget of its claim-set size, so many refutations are cut off.
     standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
     cfg = load_config(str(standard))
-    cfg = replace(cfg, samples=3, schedule=tuple(default_schedule(proof_floor=1, proof_factor=1)))
+    cfg = cfg._replace(samples=3, schedule=tuple(default_schedule(proof_floor=1, proof_factor=1)))
     results = []
 
     def checked(sentences, budget, *rest):

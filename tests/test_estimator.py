@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -34,9 +33,9 @@ from sentprob.logic import (
     sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import OutputTrace, run_prefix, run_with_extent
+from sentprob.machine import Instruction, Opcode, OutputTrace, run_prefix, run_with_extent
 from sentprob.prover import semantic_consistent
-from sentprob.sequences import sequence_by_id
+from sentprob.sequences import constant_of, sequence_by_id
 from test_machine import assemble_emit_one
 
 BATTERY_TEXTS = [
@@ -92,13 +91,33 @@ def test_stage_record_and_public_surface():
     # are gone.
     import sentprob
 
-    assert [f.name for f in fields(StageParams)] == [
+    assert list(StageParams._fields) == [
         "n", "machines", "string_bits", "steps", "axioms", "proof_budget", "theory"
     ]
     for name in sentprob.__all__:
         assert hasattr(sentprob, name), name
     assert not {"ConParams", "EstimateMode"} & set(sentprob.__all__)
     assert not hasattr(sentprob, "ConParams") and not hasattr(sentprob, "EstimateMode")
+
+
+def test_records_are_immutable_and_sequences_compare_without_emit():
+    stage = default_schedule(2)[-1]
+    trace = OutputTrace((Atom(0),), 1, True, 0)
+    records = [(Bits(5, 3), "value"), (Instruction(Opcode.INC, 0), "reg")]
+    records += [(stage, "proof_budget"), (trace, "steps_used")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    # A copy is checked as the constructor checks.
+    assert stage._replace(proof_budget=0).proof_budget == 0
+    with pytest.raises(ValueError, match="proof_budget"):
+        stage._replace(proof_budget=-1)
+    first, second = constant_of(Atom(3), "x"), constant_of(Atom(3), "x")
+    assert first.emit is not second.emit
+    assert first == second and not first != second and hash(first) == hash(second)
+    assert first != constant_of(Atom(3), "y")
 
 
 def test_single_machine_stage_overrides():

@@ -17,7 +17,6 @@ from sentprob.harness import (
     CrosscheckResult,
     CrosscheckRow,
     TrendAssertion,
-    evaluate_assertion,
     load_config,
     parse_config,
     run_suite,
@@ -59,7 +58,8 @@ def traj(*rows):
 
 def check(kind, seq_ids, target, tol, window, trajectories):
     a = TrendAssertion("t", kind, tuple(seq_ids), target, tol, window)
-    return evaluate_assertion(a, trajectories)
+    # The outcome run_suite records for a on these trajectories.
+    return harness._judge(a, harness._series(a, trajectories))
 
 
 def test_standard_config_parses():

@@ -18,12 +18,45 @@ from sentprob.machine import (
     _decode,
     _indexed_trace,
     _stream_trace,
-    encode_generator,
-    encode_machine_program,
     run_prefix,
     run_with_extent,
 )
 from sentprob.sequences import SequenceDef, builtin_catalog, sequence_by_id
+
+
+# --- encoders --------------------------------------------------------------
+# The wire format's writers. The pipeline only decodes, so they live here.
+
+_GENERATOR_MARK = gamma_encode(1)
+_STREAM_BIT = Bits(0, 1)
+_INDEXED_BIT = Bits(1, 1)
+
+
+def _slot_of(fid: str) -> int:
+    for g, seq in enumerate(builtin_catalog()):
+        if seq.id == fid:
+            return g
+    raise ValueError(f"unknown generator id: {fid!r}")
+
+
+def encode_generator(fid: str, indexed: bool) -> Bits:
+    slot = _slot_of(fid)
+    mode = _INDEXED_BIT if indexed else _STREAM_BIT
+    return _GENERATOR_MARK.concat(gamma_encode(slot + 1)).concat(mode)
+
+
+def encode_machine_program(p: MachineProgram) -> Bits:
+    count = len(p.instructions)
+    out = gamma_encode(count + 1)
+    for ins in p.instructions:
+        if not 0 <= ins.reg < 4:
+            raise ValueError(f"register out of range: {ins.reg}")
+        out = out.concat(Bits(int(ins.op), 4)).concat(Bits(ins.reg, 2))
+        if ins.op is Opcode.JZ:
+            if not 0 <= ins.target < count:
+                raise ValueError(f"jump target out of range: {ins.target}")
+            out = out.concat(gamma_encode(ins.target + 1))
+    return out
 
 
 # --- bit-serial reference ------------------------------------------------

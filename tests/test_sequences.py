@@ -3,7 +3,8 @@ from typing import Optional
 
 import pytest
 
-from sentprob import sequences
+from sentprob import estimator, sequences
+from sentprob.bits import gamma_encode
 from sentprob.logic import And, Atom, BOTTOM, Not, Or, Sentence, atoms_of, render_sentence
 from sentprob.prover import (
     entails,
@@ -18,7 +19,8 @@ from sentprob.sequences import (
     constant_of,
     sequence_by_id,
 )
-from test_machine import machine_backed
+from sentprob.machine import run_prefix
+from test_machine import encode_generator, machine_backed
 
 # Partition helpers: only these tests use them.
 
@@ -156,6 +158,19 @@ def test_constant_sequence():
     assert c.emit(0) == c.emit(100) == Atom(9)
     named = constant_of(BOTTOM, fid="falsum")
     assert named.id == "falsum"
+
+
+def test_step_budgets_stay_below_the_shadow_atoms():
+    # A t-step indexed atom_chain run emits atom m for any m <= t (gamma(m + 1)
+    # takes only 21 bits near m = 1024), so from _SHADOW + n steps on a run can
+    # emit the shadow atom of split member n directly, and the split families
+    # stop meaning what they say. GROWTH_CAP caps every default_schedule step
+    # budget; raising it to the shadows fails here instead of silently.
+    program = encode_generator("atom_chain", indexed=True)
+    for m in (estimator.GROWTH_CAP, sequences._SHADOW):
+        assert run_prefix(program.concat(gamma_encode(m + 1)), m).emitted == (Atom(m),)
+    assert max(s.steps for s in estimator.default_schedule(count=8)) == estimator.GROWTH_CAP
+    assert estimator.GROWTH_CAP < sequences._SHADOW
 
 
 def test_monotone_chain_weakens():
