@@ -7,7 +7,11 @@ count)`` yields ``derive_seed(parent, j)`` for ``j in range(count)``, with
 the parent's mixing step run once rather than once per child. It is lazy: a
 child's seed is computed only when it is read, so a sampler that stops
 early (the extension sampler) pays only for the seeds it uses, and one that
-reads them all (``estimator.sample_strings``) pays for each once.
+reads them all (``estimator.membership_counts``) pays for each once.
+``leading_word(seed)`` is the first splitmix64 word of
+``random_bits(seed, length)``, whose top bits are the string's leading bits
+at every length, so a caller can read those bits without building the
+string.
 """
 
 from __future__ import annotations
@@ -158,6 +162,15 @@ def child_seeds(parent: int, count: int) -> Iterator[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
+
+
+def leading_word(seed: int) -> int:
+    """The first splitmix64 word that follows seed: random_bits(seed, length)
+    begins with its top min(length, 64) bits."""
+    z = (seed + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def random_bits(seed: int, length: int) -> Bits:

@@ -11,13 +11,18 @@ On top of the accumulation loop sit two membership estimators, each counting
 a whole battery of sentences in one pass: exact enumeration of every bit
 vector (tiny stages only), which returns the counts and the vector total, and
 seeded Monte Carlo sampling, whose counts `monte_carlo_estimate` turns into
-rationals with 95% Wilson intervals. Exact enumeration runs no accumulation
-per vector: a machine reads only a prefix of its string, so one pass runs one
-string per block of strings sharing that prefix and counts the strings that
-emit each distinct tuple, a table every machine of the stage shares. The walk
-then goes breadth first, one level per machine, merging every claim set of a
-level with every distinct tuple through the same step as `accumulate_claims`
-and keeping equal sets once, their vector counts summed. A third, independent process
+rationals with 95% Wilson intervals. Every estimator reads only what a
+machine emits, and that depends only on a prefix of its string, the extent
+`machine.emission` reports. Monte Carlo sampling and the extension sampler
+draw each string through a per-call table of prefix classes (`_DrawTable`),
+which answers a string whose class is known from its first splitmix word,
+with no string built and no machine run. Exact enumeration runs no
+accumulation per vector: one pass takes one string per block of strings
+sharing a prefix and counts the strings that emit each distinct tuple, a
+table every machine of the stage shares. The walk then goes breadth first,
+one level per machine, merging every claim set of a level with every
+distinct tuple through the same step as `accumulate_claims` and keeping
+equal sets once, their vector counts summed. A third, independent process
 samples consistent extensions directly: random machines propose claims which
 are accepted under an exact satisfiability check restricted to a small atom
 window, giving a limit oracle the membership trajectories can be compared
@@ -36,12 +41,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .bits import Bits, child_seeds, derive_seed, random_bits
+from .bits import Bits, child_seeds, derive_seed, leading_word, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of, render_sentence
-from .machine import run_prefix, run_with_extent
+from .machine import emission, run_prefix
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
 
@@ -49,6 +54,9 @@ GROWTH_CAP = 512
 MAX_EXACT_BITS = 24
 # Widest atom window the extension sampler takes, here and in configs.
 MAX_ATOM_WINDOW = 4
+# A draw table has one slot per value of a string's first TABLE_BITS bits:
+# 4,096 slots, 32 KB of references.
+TABLE_BITS = 12
 
 _Z95 = 1.959963984540054
 
@@ -177,24 +185,64 @@ def monte_carlo_estimate(count: int, samples: int, seed: int, undecided: int = 0
     )
 
 
+class _DrawTable:
+    """What random strings of one width emit under one step budget, drawn
+    by prefix class. Slot p holds the tuple that every string whose first
+    k = min(width, TABLE_BITS) bits are p emits, once a draw has shown that
+    its emission depends on at most those bits. A draw reads its slot from
+    the string's first splitmix word alone. A miss builds the whole string
+    and takes its emission; when that depends on its first e <= k bits, one
+    slice assignment fills every slot that shares them, else the slot stays
+    empty and each draw into it runs its own string. By the extent contract
+    of ``machine.emission``, ``draw(seed)`` always equals
+    ``run_prefix(random_bits(seed, width), steps).emitted``."""
+
+    __slots__ = ("slots", "shift", "width", "steps")
+
+    def __init__(self, width: int, steps: int) -> None:
+        k = min(width, TABLE_BITS)
+        self.slots: list[Optional[tuple[Sentence, ...]]] = [None] * (1 << k)
+        self.shift = 64 - k
+        self.width = width
+        self.steps = steps
+
+    def draw(self, seed: int) -> tuple[Sentence, ...]:
+        slot = leading_word(seed) >> self.shift
+        emitted = self.slots[slot]
+        if emitted is None:
+            width = self.width
+            emitted, extent = emission(random_bits(seed, width).value, width, self.steps)
+            free = 64 - self.shift - extent  # table bits past the extent
+            if free >= 0:
+                first = slot >> free << free
+                self.slots[first : first + (1 << free)] = [emitted] * (1 << free)
+        return emitted
+
+
 def accumulate_claims(
-    bitstrings: Iterable[Bits], stage: StageParams, cache: Optional[ConCache] = None
+    draws: Iterable[Union[Bits, tuple[Sentence, ...]]],
+    stage: StageParams,
+    cache: Optional[ConCache] = None,
 ) -> ClaimSet:
-    """Run every bitstring through the machine in order, merging each emitted
-    sentence set iff the merged claim set passes the consistency gate, that
-    is, iff no refutation of it is found within the stage's proof budget."""
+    """Merge what each draw emits into the stage's axiom set in order, each
+    merge kept iff the merged claim set passes the consistency gate, that
+    is, iff no refutation of it is found within the stage's proof budget. A
+    draw is either a bit string, run under the stage's step budget, or the
+    tuple a drawn string emitted, as ``membership_counts`` passes them."""
     if cache is None:
         cache = ConCache()
     needed = stage.string_bits
     steps = stage.steps
     budget = stage.proof_budget
     claims = stage.axiom_set
-    for bits in bitstrings:
-        if bits.length < needed:
-            raise ValueError(
-                f"bitstring has {bits.length} bits; this stage needs {needed}"
-            )
-        claims = _merge(claims, run_prefix(bits, steps).emitted, budget, cache)
+    for emitted in draws:
+        if isinstance(emitted, Bits):
+            if emitted.length < needed:
+                raise ValueError(
+                    f"bitstring has {emitted.length} bits; this stage needs {needed}"
+                )
+            emitted = run_prefix(emitted, steps).emitted
+        claims = _merge(claims, emitted, budget, cache)
     return claims
 
 
@@ -209,11 +257,6 @@ def _merge(
     if merged is not claims and consistent_enough(merged, budget, cache):
         return merged
     return claims
-
-
-def sample_strings(stage: StageParams, sample_seed: int) -> list[Bits]:
-    width = stage.string_bits
-    return [random_bits(s, width) for s in child_seeds(sample_seed, stage.machines)]
 
 
 def _tally(
@@ -235,15 +278,18 @@ def membership_counts(
     cache: Optional[ConCache] = None,
 ) -> list[int]:
     """One accumulation pass per sample, counting membership for the whole
-    battery at once."""
+    battery at once. Sample i's strings are random_bits(s, width) for the
+    seeds s of child_seeds(derive_seed(seed, stage.n, i), machines), drawn
+    through one table shared by every sample."""
     if cache is None:
         cache = ConCache()
     keys = [render_sentence(s) for s in battery]
     counts = [0] * len(keys)
+    draw = _DrawTable(stage.string_bits, stage.steps).draw
     for i in range(samples):
         sample_seed = derive_seed(seed, stage.n, i)
-        claims = accumulate_claims(sample_strings(stage, sample_seed), stage, cache)
-        _tally(claims, keys, counts)
+        drawn = map(draw, child_seeds(sample_seed, stage.machines))
+        _tally(accumulate_claims(drawn, stage, cache), keys, counts)
     return counts
 
 
@@ -257,8 +303,8 @@ def membership_counts_exact(
     the vector total 2**(machines * string bits).
 
     Every machine of the stage reads a string of the same width under the
-    same step budget, and its trace depends only on the leading bits of the
-    string that ``run_with_extent`` reports. So one pass runs one string per
+    same step budget, and what it emits depends only on the leading bits of
+    the string that ``emission`` reports. So one pass takes one string per
     aligned block of strings that share those bits, and tallies each emitted
     tuple with the number of strings that emit it; all machines share that
     table. The walk then goes breadth first, one level per machine: each
@@ -289,9 +335,9 @@ def membership_counts_exact(
     outputs: dict[tuple[Sentence, ...], int] = {}
     value, size = 0, 1 << width
     while value < size:
-        trace, extent = run_with_extent(value, width, steps)
+        emitted, extent = emission(value, width, steps)
         end = (value | ((1 << (width - extent)) - 1)) + 1
-        outputs[trace.emitted] = outputs.get(trace.emitted, 0) + end - value
+        outputs[emitted] = outputs.get(emitted, 0) + end - value
         value = end
     # A level maps each distinct claim-set key to the set and the number of
     # vectors that reach it, so it holds one entry per distinct set, a number
@@ -358,23 +404,24 @@ def _extension_models(
     seed: int,
     rounds: int,
     base_models: int,
-    machine_budget: int,
+    draws: _DrawTable,
     order: tuple[int, ...],
     memo: dict,
 ) -> int:
-    """The window models left after one sample's rounds. The loop stops
-    once models & (models - 1) is 0, a set of one valuation or none, which
-    no later round can change (see extension_probabilities)."""
+    """The window models left after one sample's rounds, each round's claims
+    drawn from draws. The loop stops once models & (models - 1) is 0, a set
+    of one valuation or none, which no later round can change (see
+    extension_probabilities)."""
     models = base_models
     if not models & (models - 1):
         return models
+    draw = draws.draw
     for round_seed in child_seeds(seed, rounds):
-        bits = random_bits(round_seed, machine_budget)
-        trace = run_prefix(bits, machine_budget)
-        if not trace.emitted:
+        emitted = draw(round_seed)
+        if not emitted:
             continue
         mask = models
-        for s in trace.emitted:
+        for s in emitted:
             m = _window_mask(s, order, memo)
             if m is None:
                 continue
@@ -456,10 +503,9 @@ def extension_probabilities(
     neg = [_universal_mask(Not(phi), atom_window, memo) for phi in battery]
     counts = [0] * len(battery)
     undecided = [0] * len(battery)
+    draws = _DrawTable(machine_budget, machine_budget)
     for i in range(samples):
-        models = _extension_models(
-            derive_seed(seed, i), rounds, base, machine_budget, order, memo
-        )
+        models = _extension_models(derive_seed(seed, i), rounds, base, draws, order, memo)
         for j in range(len(battery)):
             if not models & ~pos[j]:
                 counts[j] += 1

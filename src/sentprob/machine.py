@@ -30,16 +30,20 @@ building sentences no t-step process could use.
 API: ``run_prefix(bits, t)`` decodes the program at the front of a bit
 string and runs it under a budget of t steps; ``run_with_extent(value,
 length, t)`` does the same on a bare integer and also returns the run's
-extent, the number of leading string bits its trace depends on, so exact
-enumeration can run one string per block of strings that share those bits. Both read the data as an
-integer slice of ``bits.value``: gamma codes are read by counting leading
-zeros, each instruction's 6 bits come out with one mask, LOADBIT shifts its
-bit out of the data integer, and an indexed generator's run is computed in
-closed form from the data's leading-zero count. Stream generators ignore
-their data, so their traces are memoised by (slot, t) in a bounded cache; an
-indexed generator's emitting run depends only on the member index n it
-reads, so its trace, and with it the member, is memoised by (slot, n) in
-another. Repeated runs share the emitted sentence objects.
+extent, the number of leading string bits its trace depends on.
+``emission(value, length, t)`` returns only what such a run emits, with the
+number of leading bits that depends on, and never runs a register program
+without OUT, which emits nothing whatever its data; the estimators read only
+emissions, so they answer every string of a block that shares those bits
+with one run. All three decode once and read the data as an integer slice
+of ``bits.value``: gamma codes are read by counting leading zeros, each
+instruction's 6 bits come out with one mask, LOADBIT shifts its bit out of
+the data integer, and an indexed generator's run is computed in closed form
+from the data's leading-zero count. Stream generators ignore their data, so
+their traces are memoised by (slot, t) in a bounded cache; an indexed
+generator's emitting run depends only on the member index n it reads, so its
+trace, and with it the member, is memoised by (slot, n) in another. Repeated
+runs share the emitted sentence objects.
 
 Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
 mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
@@ -200,6 +204,34 @@ def run_with_extent(value: int, length: int, t: int) -> tuple[OutputTrace, int]:
     if t < 0:
         raise ValueError("step budget must be a natural number")
     program, pos = _decode(value, length)
+    return _run_decoded(program, pos, value, length, t)
+
+
+def emission(value: int, length: int, t: int) -> tuple[tuple[Sentence, ...], int]:
+    """The sentences ``run_with_extent(value, length, t)`` emits, and the
+    number of leading bits they depend on: every string of this length that
+    shares those bits emits the same tuple under budget t. A register
+    program with no OUT emits nothing whatever its data, so it is not run
+    and its extent is its decode position; any other program's extent is
+    its run's."""
+    if t < 0:
+        raise ValueError("step budget must be a natural number")
+    program, pos = _decode(value, length)
+    if program.__class__ is MachineProgram:
+        for ins in program.instructions:
+            if ins.op is _OUT:
+                break
+        else:
+            return (), pos
+    trace, extent = _run_decoded(program, pos, value, length, t)
+    return trace.emitted, extent
+
+
+def _run_decoded(
+    program: Optional[Program], pos: int, value: int, length: int, t: int
+) -> tuple[OutputTrace, int]:
+    """The trace and extent of the decoded program whose data starts at bit
+    pos of the length-bit string value."""
     if program is None:
         return _EMPTY_TRACE, pos
     if isinstance(program, GeneratorProgram) and not program.indexed:

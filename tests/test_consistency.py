@@ -17,7 +17,6 @@ from sentprob.estimator import (
     StageParams,
     accumulate_claims,
     default_schedule,
-    sample_strings,
     single_machine_stage,
 )
 from sentprob.logic import (
@@ -37,6 +36,7 @@ from sentprob.harness import load_config, run_suite
 from sentprob.machine import run_prefix
 from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded, semantic_consistent
 from sentprob.sequences import sequence_by_id
+from test_estimator import sample_strings
 from test_prover import (
     COLLIDING,
     DEFINITION_CEILING,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sentprob import estimator
-from sentprob.bits import Bits, derive_seed, random_bits
+from sentprob.bits import Bits, child_seeds, derive_seed, random_bits
 from sentprob.consistency import ConCache
 from sentprob.estimator import (
     StageParams,
@@ -15,7 +15,6 @@ from sentprob.estimator import (
     membership_counts,
     membership_counts_exact,
     monte_carlo_estimate,
-    sample_strings,
     sequence_trajectories,
     single_machine_stage,
     wilson_halfwidth,
@@ -33,7 +32,7 @@ from sentprob.logic import (
     sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import Instruction, Opcode, OutputTrace, run_prefix, run_with_extent
+from sentprob.machine import Instruction, Opcode, OutputTrace, emission, run_prefix
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import constant_of, sequence_by_id
 from test_machine import assemble_emit_one
@@ -55,6 +54,13 @@ BATTERY_TEXTS = [
 # 12-bit string through the machine and merge its output iff the whole
 # emission is satisfiable, then count membership per battery sentence.
 COUNTS_12BIT = [85, 783, 0, 0, 4, 0, 54, 207, 65, 198]
+
+
+def sample_strings(stage: StageParams, sample_seed: int) -> list[Bits]:
+    """The strings membership_counts draws for the sample with this seed,
+    built whole."""
+    width = stage.string_bits
+    return [random_bits(s, width) for s in child_seeds(sample_seed, stage.machines)]
 
 
 def battery():
@@ -158,6 +164,56 @@ def test_accumulate_rejects_short_strings():
         accumulate_claims([Bits(0, 5)], single_machine_stage(12))
 
 
+DRAW_WIDTHS = (0, 1, 11, 12, 13, 24, 63, 64, 65, 384)
+
+
+def test_draw_table_matches_whole_string_runs(monkeypatch):
+    # Each draw is what its whole string emits, whether its prefix class was
+    # filled by an earlier draw or not: widths on both sides of the table's
+    # 12 bits and of a splitmix word's 64, tables filled first by other seeds
+    # in another order, and budgets that stop runs early and late.
+    misses = [0]
+
+    def counted(seed, length):
+        misses[0] += 1
+        return random_bits(seed, length)
+
+    monkeypatch.setattr(estimator, "random_bits", counted)
+    seeds = [derive_seed(17, j) for j in range(300)]
+    others = [derive_seed(18, j) for j in range(300)]
+    for width in DRAW_WIDTHS:
+        misses[0] = 0
+        budgets = sorted({0, 4, width, 3 * width})
+        for steps in budgets:
+            want = [run_prefix(random_bits(s, width), steps).emitted for s in seeds]
+            fresh = estimator._DrawTable(width, steps)
+            assert [fresh.draw(s) for s in seeds] == want, (width, steps)
+            reverse = estimator._DrawTable(width, steps)
+            assert [reverse.draw(s) for s in reversed(seeds)] == want[::-1], (width, steps)
+            filled = estimator._DrawTable(width, steps)
+            for s in reversed(others):
+                filled.draw(s)
+            assert [filled.draw(s) for s in seeds] == want, (width, steps)
+        # The table answers some draws without building their strings.
+        assert misses[0] < len(budgets) * (3 * len(seeds) + len(others)), width
+    assert len(estimator._DrawTable(384, 0).slots) == 1 << estimator.TABLE_BITS
+    assert len(estimator._DrawTable(11, 0).slots) == 1 << 11
+
+
+def test_membership_counts_match_explicit_strings():
+    # membership_counts draws through its table what accumulating each
+    # sample's whole strings merges.
+    sentences = battery() + [sentence_at(k) for k in range(40)]
+    for stage in default_schedule(3):
+        counts = [0] * len(sentences)
+        for i in range(6):
+            strings = sample_strings(stage, derive_seed(5, stage.n, i))
+            held = accumulate_claims(strings, stage)
+            for j, phi in enumerate(sentences):
+                counts[j] += phi in held
+        assert membership_counts(sentences, stage, 6, 5) == counts, stage.n
+
+
 def test_exact_counts_frozen():
     counts, total = membership_counts_exact(battery(), single_machine_stage(12), bit_budget=12)
     assert total == 4096
@@ -253,14 +309,15 @@ def test_exact_counts_match_per_vector_oracle():
 
 def test_exact_runs_each_block_once_per_stage(monkeypatch):
     # Every machine of a stage shares one pass over the 52 blocks of 8-bit
-    # strings, however many machines there are.
+    # strings, however many machines there are. At 16 bits the blocks are
+    # those of emission extents: 6,462, where run extents give 7,110.
     calls = []
 
     def counted(value, length, t):
         calls.append(value)
-        return run_with_extent(value, length, t)
+        return emission(value, length, t)
 
-    monkeypatch.setattr(estimator, "run_with_extent", counted)
+    monkeypatch.setattr(estimator, "emission", counted)
     for machines in (1, 2, 3):
         calls.clear()
         stage = StageParams(
@@ -268,6 +325,9 @@ def test_exact_runs_each_block_once_per_stage(monkeypatch):
         )
         membership_counts_exact(battery(), stage, bit_budget=24)
         assert len(calls) == 52, machines
+    calls.clear()
+    membership_counts_exact(battery(), single_machine_stage(16), bit_budget=16)
+    assert len(calls) == 6462
 
 
 def test_exact_counts_of_multi_machine_stages_frozen():
@@ -429,8 +489,7 @@ def test_extension_projects_wide_claims(monkeypatch):
     # A claim mentioning an atom outside the window is projected out: it
     # decides nothing, and the window claims emitted with it are still taken.
     def emitting(*claims):
-        trace = OutputTrace(claims, 1, True, 0)
-        monkeypatch.setattr(estimator, "run_prefix", lambda bits, t: trace)
+        monkeypatch.setattr(estimator._DrawTable, "draw", lambda draws, seed: claims)
 
     wide = And(Atom(0), Atom(5))
     emitting(wide)
@@ -444,15 +503,16 @@ def test_extension_projects_wide_claims(monkeypatch):
     assert e.value == 1
 
 
-def full_round_models(seed, rounds, base_models, machine_budget, order, memo):
+def full_round_models(seed, rounds, base_models, draws, order, memo):
     """Differential oracle for estimator._extension_models: the extension
-    loop with no early stop, every round run on a seed from derive_seed.
-    Also returns the number of rounds run until the model set first held at
-    most one valuation (rounds when it never did)."""
+    loop with no early stop and no draw table, every round's whole string
+    built from a seed from derive_seed and run. Also returns the number of
+    rounds run until the model set first held at most one valuation (rounds
+    when it never did)."""
     models = base_models
     settled_at = 0 if not models & (models - 1) else None
     for j in range(rounds):
-        trace = run_prefix(random_bits(derive_seed(seed, j), machine_budget), machine_budget)
+        trace = run_prefix(random_bits(derive_seed(seed, j), draws.width), draws.steps)
         mask = models
         for s in trace.emitted:
             m = estimator._window_mask(s, order, memo)
@@ -475,14 +535,15 @@ EXTENSION_BATTERY = [
 
 
 def early_stop_against_oracle(monkeypatch, seed, rounds, samples, theory, budget, window):
-    """Estimates and run_prefix calls of the sampler, and of the full-round
+    """Estimates and rounds drawn by the sampler, and of the full-round
     oracle with the number of rounds it needed before each set settled."""
     runs = [0]
     needed = [0]
+    draw = estimator._DrawTable.draw
 
-    def counting_run_prefix(bits, steps):
+    def counting_draw(draws, seed):
         runs[0] += 1
-        return run_prefix(bits, steps)
+        return draw(draws, seed)
 
     def oracle(*args):
         models, settled_at = full_round_models(*args)
@@ -491,7 +552,7 @@ def early_stop_against_oracle(monkeypatch, seed, rounds, samples, theory, budget
 
     args = (EXTENSION_BATTERY, seed, rounds, samples, theory, budget, window)
     with monkeypatch.context() as m:
-        m.setattr(estimator, "run_prefix", counting_run_prefix)
+        m.setattr(estimator._DrawTable, "draw", counting_draw)
         fast = extension_probabilities(*args)
     with monkeypatch.context() as m:
         m.setattr(estimator, "_extension_models", oracle)

@@ -17,7 +17,9 @@ from sentprob.machine import (
     OutputTrace,
     _decode,
     _indexed_trace,
+    _run_machine,
     _stream_trace,
+    emission,
     run_prefix,
     run_with_extent,
 )
@@ -337,10 +339,10 @@ EXTENT_BUDGETS = (0, 1, 4, 12, 40)
 
 
 def assert_blocks_share_traces(runs, width, where):
-    """runs[v] is run_with_extent of the v-th of consecutive width-bit
-    strings that share all but their last log2(len(runs)) bits. Checks that
-    every one of them that shares a run's reported leading bits gives its
-    trace. Traces are numbered by runs of equal neighbours, so an aligned
+    """runs[v] is run_with_extent, or emission, of the v-th of consecutive
+    width-bit strings that share all but their last log2(len(runs)) bits.
+    Checks that every one of them that shares a run's reported leading bits
+    gives its trace, or emits its tuple. Traces are numbered by runs of equal neighbours, so an aligned
     block has one trace iff its first and last members share a number."""
     segment = [0] * len(runs)
     for v in range(1, len(runs)):
@@ -417,6 +419,73 @@ def test_extent_of_each_kind_of_run():
     bits = loader.concat(Bits(0b1011, 4))
     trace, extent = run_with_extent(bits.value, bits.length, 40)
     assert (trace.emitted, trace.bits_read, extent) == ((sentence_at(1),), 1, loader.length + 1)
+
+
+def silent_program_end(bits: Bits) -> Optional[int]:
+    """The reference decode position of a register program with no OUT at
+    the front of bits, or None when bits start with anything else."""
+    decoded = ref_decode(bits)
+    if decoded is None or not isinstance(decoded[0], MachineProgram):
+        return None
+    program, end = decoded
+    return None if any(ins.op is Opcode.OUT for ins in program.instructions) else end
+
+
+def assert_emission_matches_run(bits: Bits, t: int) -> tuple[tuple, int]:
+    emitted, extent = emission(bits.value, bits.length, t)
+    where = (bits.to_string(), t)
+    assert emitted == run_prefix(bits, t).emitted, where
+    assert extent <= run_with_extent(bits.value, bits.length, t)[1], where
+    end = silent_program_end(bits)
+    if end is not None:
+        assert (emitted, extent) == ((), end), where
+    return emitted, extent
+
+
+def test_emission_matches_runs_on_every_short_string():
+    # Every string of 0-12 bits at budgets 0, 1, 4, its width and three
+    # times it: emission gives the tuple the run emits; every string sharing
+    # its reported bits emits that tuple; and a register program without OUT
+    # reports its decode position, never past the run's extent.
+    silent = 0
+    for width in range(13):
+        for t in sorted({0, 1, 4, width, 3 * width}):
+            runs = [assert_emission_matches_run(Bits(v, width), t) for v in range(1 << width)]
+            assert_blocks_share_traces(runs, width, (width, t))
+        silent += sum(silent_program_end(Bits(v, width)) is not None for v in range(1 << width))
+    assert silent > 500
+
+
+def test_emission_matches_runs_on_random_long_strings():
+    rng = random.Random(17)
+    for width in (64, 384):
+        for _ in range(2000):
+            bits = random_bits(rng.randrange(2**63), width)
+            for t in (0, 1, 4, width, 3 * width):
+                assert_emission_matches_run(bits, t)
+
+
+def test_emission_skips_silent_programs(monkeypatch):
+    # A register program with no OUT is decoded and never run, whatever its
+    # data; one with an OUT is run once.
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return _run_machine(*args)
+
+    monkeypatch.setattr(machine, "_run_machine", counted)
+    silent = assemble((Opcode.LOADBIT, 0), (Opcode.INC, 0), (Opcode.JZ, 1, 0))
+    for data in (Bits(0, 0), Bits(0b1011, 4)):
+        bits = silent.concat(data)
+        assert emission(bits.value, bits.length, 40) == ((), silent.length)
+    assert runs == []
+    loud = assemble((Opcode.LOADBIT, 0), (Opcode.OUT, 0))
+    bits = loud.concat(Bits(0b1011, 4))
+    assert emission(bits.value, bits.length, 40) == ((sentence_at(1),), loud.length + 1)
+    assert len(runs) == 1
+    with pytest.raises(ValueError):
+        emission(silent.value, silent.length, -1)
 
 
 def assemble_emit_one(k: int) -> Bits:
