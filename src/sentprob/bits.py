@@ -11,7 +11,8 @@ reads them all (``estimator.membership_counts``) pays for each once.
 ``leading_word(seed)`` is the first splitmix64 word of
 ``random_bits(seed, length)``, whose top bits are the string's leading bits
 at every length, so a caller can read those bits without building the
-string.
+string: at length <= 64 the string is ``leading_word(seed) >> (64 -
+length)``, and a longer one begins with all 64.
 """
 
 from __future__ import annotations

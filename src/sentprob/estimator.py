@@ -16,7 +16,9 @@ machine emits, and that depends only on a prefix of its string, the extent
 `machine.emission` reports. Monte Carlo sampling and the extension sampler
 draw each string through a per-call table of prefix classes (`_DrawTable`),
 which answers a string whose class is known from its first splitmix word,
-with no string built and no machine run. Exact enumeration runs no
+with no string built and no machine run. A miss runs that word itself when
+it is the whole string or settles the emission as a prefix, and builds the
+string only otherwise. Exact enumeration runs no
 accumulation per vector: one pass takes one string per block of strings
 sharing a prefix and counts the strings that emit each distinct tuple, a
 table every machine of the stage shares. The walk then goes breadth first,
@@ -27,8 +29,9 @@ samples consistent extensions directly: random machines propose claims which
 are accepted under an exact satisfiability check restricted to a small atom
 window, giving a limit oracle the membership trajectories can be compared
 against. A sample's window model set only shrinks, so its rounds stop once
-the set holds at most one valuation, where no later round can change it;
-the results are those of running every round.
+the set holds at most one valuation or decides every battery sentence,
+where no later round can change what the counts read; the results are
+those of running every round.
 
 Determinism contract: every random quantity derives from the caller's seed
 via a fixed tree (seed -> stage -> sample -> string, and seed -> sample ->
@@ -46,7 +49,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .bits import Bits, child_seeds, derive_seed, leading_word, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of, render_sentence
-from .machine import emission, run_prefix
+from .machine import emission, run_prefix, word_emission
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
 
@@ -190,8 +193,11 @@ class _DrawTable:
     by prefix class. Slot p holds the tuple that every string whose first
     k = min(width, TABLE_BITS) bits are p emits, once a draw has shown that
     its emission depends on at most those bits. A draw reads its slot from
-    the string's first splitmix word alone. A miss builds the whole string
-    and takes its emission; when that depends on its first e <= k bits, one
+    the string's first splitmix word alone. A miss takes the emission of
+    that word: at width <= 64 the word's top bits are the whole string, and
+    a wider string's first 64 bits settle it unless its program decodes or
+    runs up to bit 64 (``machine.word_emission``); only then is the whole
+    string built. When the emission depends on its first e <= k bits, one
     slice assignment fills every slot that shares them, else the slot stays
     empty and each draw into it runs its own string. By the extent contract
     of ``machine.emission``, ``draw(seed)`` always equals
@@ -207,11 +213,18 @@ class _DrawTable:
         self.steps = steps
 
     def draw(self, seed: int) -> tuple[Sentence, ...]:
-        slot = leading_word(seed) >> self.shift
+        word = leading_word(seed)
+        slot = word >> self.shift
         emitted = self.slots[slot]
         if emitted is None:
             width = self.width
-            emitted, extent = emission(random_bits(seed, width).value, width, self.steps)
+            if width <= 64:
+                emitted, extent = emission(word >> (64 - width), width, self.steps)
+            else:
+                settled = word_emission(word, self.steps)
+                if settled is None:
+                    settled = emission(random_bits(seed, width).value, width, self.steps)
+                emitted, extent = settled
             free = 64 - self.shift - extent  # table bits past the extent
             if free >= 0:
                 first = slot >> free << free
@@ -400,6 +413,27 @@ def _window_mask(s: Sentence, order: tuple[int, ...], memo: dict) -> Optional[in
     return m
 
 
+class _Stops(dict):
+    """Maps a window model set to whether a sample may stop there: the set
+    holds at most one valuation, or it decides every battery sentence j,
+    lying inside pos[j] or inside neg[j]. Filled on demand, one entry per
+    set a sample reaches, never for all 2**16 sets of window 4."""
+
+    __slots__ = ("pos", "neg")
+
+    def __init__(self, pos: Sequence[int], neg: Sequence[int]) -> None:
+        super().__init__()
+        self.pos = pos
+        self.neg = neg
+
+    def __missing__(self, models: int) -> bool:
+        stop = not models & (models - 1) or all(
+            not models & ~p or not models & ~n for p, n in zip(self.pos, self.neg)
+        )
+        self[models] = stop
+        return stop
+
+
 def _extension_models(
     seed: int,
     rounds: int,
@@ -407,13 +441,14 @@ def _extension_models(
     draws: _DrawTable,
     order: tuple[int, ...],
     memo: dict,
+    stops: _Stops,
 ) -> int:
     """The window models left after one sample's rounds, each round's claims
-    drawn from draws. The loop stops once models & (models - 1) is 0, a set
-    of one valuation or none, which no later round can change (see
+    drawn from draws. The loop stops once stops[models] holds, where no
+    later round can change what the battery counts read (see
     extension_probabilities)."""
     models = base_models
-    if not models & (models - 1):
+    if stops[models]:
         return models
     draw = draws.draw
     for round_seed in child_seeds(seed, rounds):
@@ -428,9 +463,9 @@ def _extension_models(
             mask &= m
             if not mask:
                 break
-        if mask:
+        if mask and mask != models:
             models = mask
-            if not mask & (mask - 1):
+            if stops[mask]:
                 break
     return models
 
@@ -486,10 +521,12 @@ def extension_probabilities(
     negation are counted as undecided on that sentence.
 
     A sample stops taking rounds once its window model set holds one
-    valuation or none. From there every round either keeps that valuation
-    or is refused, so the estimates equal those of running all `rounds`;
-    the skipped rounds' machines are never run and their seeds never
-    derived."""
+    valuation or none, or decides every battery sentence. The set only
+    shrinks and, once nonempty, stays nonempty. So from one valuation every
+    round keeps it or is refused; and a set inside pos or neg of a sentence
+    stays inside it, never inside both, as they are disjoint. Either way
+    the estimates equal those of running all `rounds`; the skipped rounds'
+    machines are never run and their seeds never derived."""
     order = _window_order(atom_window)
     full = (1 << (1 << atom_window)) - 1
     memo: dict = {}
@@ -504,8 +541,9 @@ def extension_probabilities(
     counts = [0] * len(battery)
     undecided = [0] * len(battery)
     draws = _DrawTable(machine_budget, machine_budget)
+    stops = _Stops(pos, neg)
     for i in range(samples):
-        models = _extension_models(derive_seed(seed, i), rounds, base, draws, order, memo)
+        models = _extension_models(derive_seed(seed, i), rounds, base, draws, order, memo, stops)
         for j in range(len(battery)):
             if not models & ~pos[j]:
                 counts[j] += 1

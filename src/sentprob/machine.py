@@ -35,11 +35,14 @@ extent, the number of leading string bits its trace depends on.
 number of leading bits that depends on, and never runs a register program
 without OUT, which emits nothing whatever its data; the estimators read only
 emissions, so they answer every string of a block that shares those bits
-with one run. All three decode once and read the data as an integer slice
-of ``bits.value``: gamma codes are read by counting leading zeros, each
-instruction's 6 bits come out with one mask, LOADBIT shifts its bit out of
-the data integer, and an indexed generator's run is computed in closed form
-from the data's leading-zero count. Stream generators ignore their data, so
+with one run. ``word_emission(word, t)`` gives the emission of every string
+longer than 64 bits that begins with the 64-bit word, when those bits settle
+it, so a sampler can skip building the rest. All of them decode once and
+read the data as an integer slice of ``bits.value``: gamma codes are read
+by counting leading zeros, each instruction's 6 bits come out with one
+mask, LOADBIT shifts its bit out of the data integer, and an indexed
+generator's run is computed in closed form from the data's leading-zero
+count. Stream generators ignore their data, so
 their traces are memoised by (slot, t) in a bounded cache; an indexed
 generator's emitting run depends only on the member index n it reads, so its
 trace, and with it the member, is memoised by (slot, n) in another. Repeated
@@ -217,6 +220,32 @@ def emission(value: int, length: int, t: int) -> tuple[tuple[Sentence, ...], int
     if t < 0:
         raise ValueError("step budget must be a natural number")
     program, pos = _decode(value, length)
+    return _emit_decoded(program, pos, value, length, t)
+
+
+def word_emission(word: int, t: int) -> Optional[tuple[tuple[Sentence, ...], int]]:
+    """``emission`` of every string longer than 64 bits whose first 64 bits
+    are word, read from word alone, or None when those bits do not settle
+    it: the word ends inside the encoding, or the extent reaches bit 64.
+    Otherwise the result is exact. Every code and length check that passes
+    within 64 bits passes in a longer string at the same positions, so the
+    program decodes the same way; a run whose extent is below 64 never
+    loaded a bit at or past 64, nor found the data exhausted, and its
+    indexed gamma code ends within the word."""
+    if t < 0:
+        raise ValueError("step budget must be a natural number")
+    program, pos = _decode(word, 64)
+    if program is None:
+        return None
+    result = _emit_decoded(program, pos, word, 64, t)
+    return result if result[1] < 64 else None
+
+
+def _emit_decoded(
+    program: Optional[Program], pos: int, value: int, length: int, t: int
+) -> tuple[tuple[Sentence, ...], int]:
+    """``emission`` of the decoded program whose data starts at bit pos of
+    the length-bit string value."""
     if program.__class__ is MachineProgram:
         for ins in program.instructions:
             if ins.op is _OUT:

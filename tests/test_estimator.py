@@ -35,7 +35,7 @@ from sentprob.logic import (
 from sentprob.machine import Instruction, Opcode, OutputTrace, emission, run_prefix
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import constant_of, sequence_by_id
-from test_machine import assemble_emit_one
+from test_machine import assemble_emit_one, boundary_strings
 
 BATTERY_TEXTS = [
     "a0",
@@ -172,17 +172,23 @@ def test_draw_table_matches_whole_string_runs(monkeypatch):
     # filled by an earlier draw or not: widths on both sides of the table's
     # 12 bits and of a splitmix word's 64, tables filled first by other seeds
     # in another order, and budgets that stop runs early and late.
-    misses = [0]
+    calls = {"emission": 0, "word_emission": 0, "random_bits": 0}
 
-    def counted(seed, length):
-        misses[0] += 1
-        return random_bits(seed, length)
+    def counting(name):
+        fn = getattr(estimator, name)
 
-    monkeypatch.setattr(estimator, "random_bits", counted)
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(estimator, name, counted)
+
+    for name in calls:
+        counting(name)
     seeds = [derive_seed(17, j) for j in range(300)]
     others = [derive_seed(18, j) for j in range(300)]
     for width in DRAW_WIDTHS:
-        misses[0] = 0
+        calls.update(dict.fromkeys(calls, 0))
         budgets = sorted({0, 4, width, 3 * width})
         for steps in budgets:
             want = [run_prefix(random_bits(s, width), steps).emitted for s in seeds]
@@ -194,10 +200,51 @@ def test_draw_table_matches_whole_string_runs(monkeypatch):
             for s in reversed(others):
                 filled.draw(s)
             assert [filled.draw(s) for s in seeds] == want, (width, steps)
-        # The table answers some draws without building their strings.
-        assert misses[0] < len(budgets) * (3 * len(seeds) + len(others)), width
+        # A miss at width <= 64 takes the emission of the leading word
+        # itself; a wider one reads the word first and builds the whole
+        # string, then takes its emission, only when the word does not
+        # settle it. The table answers some draws with no miss at all.
+        builds, emissions = calls["random_bits"], calls["emission"]
+        misses = emissions if width <= 64 else calls["word_emission"]
+        if width <= 64:
+            assert builds == calls["word_emission"] == 0, width
+        else:
+            assert 0 < builds == emissions < misses, width
+        assert misses < len(budgets) * (3 * len(seeds) + len(others)), width
     assert len(estimator._DrawTable(384, 0).slots) == 1 << estimator.TABLE_BITS
     assert len(estimator._DrawTable(11, 0).slots) == 1 << 11
+
+
+WIDE_WIDTHS = (65, 96, 127, 128, 384, 512)
+
+
+def test_prefix_settled_draws_match_whole_strings(monkeypatch):
+    # Past 64 bits a miss first reads its leading word as a 64-bit prefix;
+    # each draw still equals its whole string's run, and the table fills
+    # exactly the slots of one that builds every missed string. Random
+    # strings first, then strings built on both sides of bit 64, each
+    # drawn by its index through patched string builders.
+    def compare(width, steps, seeds, strings):
+        want = [run_prefix(strings(s), steps).emitted for s in seeds]
+        table = estimator._DrawTable(width, steps)
+        draws = [table.draw(s) for s in seeds]
+        with monkeypatch.context() as m:
+            m.setattr(estimator, "word_emission", lambda word, t: None)
+            whole = estimator._DrawTable(width, steps)
+            whole_draws = [whole.draw(s) for s in seeds]
+        assert draws == whole_draws == want, (width, steps)
+        assert table.slots == whole.slots, (width, steps)
+
+    seeds = [derive_seed(19, j) for j in range(400)]
+    for width in WIDE_WIDTHS:
+        for steps in sorted({0, 4, width, 3 * width}):
+            compare(width, steps, seeds, lambda s: random_bits(s, width))
+    for width in WIDE_WIDTHS:
+        built = [bits for _, bits, _ in boundary_strings(width)]
+        monkeypatch.setattr(estimator, "leading_word", lambda i: built[i].value >> (width - 64))
+        monkeypatch.setattr(estimator, "random_bits", lambda i, n: built[i])
+        for steps in sorted({0, 4, width, 3 * width}):
+            compare(width, steps, range(len(built)), built.__getitem__)
 
 
 def test_membership_counts_match_explicit_strings():
@@ -503,14 +550,22 @@ def test_extension_projects_wide_claims(monkeypatch):
     assert e.value == 1
 
 
-def full_round_models(seed, rounds, base_models, draws, order, memo):
+def full_round_models(seed, rounds, base_models, draws, order, memo, stops):
     """Differential oracle for estimator._extension_models: the extension
     loop with no early stop and no draw table, every round's whole string
     built from a seed from derive_seed and run. Also returns the number of
-    rounds run until the model set first held at most one valuation (rounds
-    when it never did)."""
+    rounds run until the model set first held at most one valuation or
+    decided every battery sentence, lying inside its pos or its neg mask
+    (rounds when neither happened)."""
+
+    def settled(models):
+        if not models & (models - 1):
+            return True
+        pairs = zip(stops.pos, stops.neg)
+        return all(models & p == models or models & n == models for p, n in pairs)
+
     models = base_models
-    settled_at = 0 if not models & (models - 1) else None
+    settled_at = 0 if settled(models) else None
     for j in range(rounds):
         trace = run_prefix(random_bits(derive_seed(seed, j), draws.width), draws.steps)
         mask = models
@@ -523,7 +578,7 @@ def full_round_models(seed, rounds, base_models, draws, order, memo):
                 break
         if mask:
             models = mask
-        if settled_at is None and not models & (models - 1):
+        if settled_at is None and settled(models):
             settled_at = j + 1
     return models, rounds if settled_at is None else settled_at
 
@@ -534,25 +589,36 @@ EXTENSION_BATTERY = [
 ]
 
 
-def early_stop_against_oracle(monkeypatch, seed, rounds, samples, theory, budget, window):
+def early_stop_against_oracle(
+    monkeypatch, seed, rounds, samples, theory, budget, window, battery=EXTENSION_BATTERY, left=None
+):
     """Estimates and rounds drawn by the sampler, and of the full-round
-    oracle with the number of rounds it needed before each set settled."""
+    oracle with the number of rounds it needed before each set settled.
+    When given, the list left gets the model set each sample stopped with."""
     runs = [0]
     needed = [0]
     draw = estimator._DrawTable.draw
+    models_of = estimator._extension_models
 
     def counting_draw(draws, seed):
         runs[0] += 1
         return draw(draws, seed)
+
+    def recording_models(*args):
+        models = models_of(*args)
+        if left is not None:
+            left.append(models)
+        return models
 
     def oracle(*args):
         models, settled_at = full_round_models(*args)
         needed[0] += settled_at
         return models
 
-    args = (EXTENSION_BATTERY, seed, rounds, samples, theory, budget, window)
+    args = (battery, seed, rounds, samples, theory, budget, window)
     with monkeypatch.context() as m:
         m.setattr(estimator._DrawTable, "draw", counting_draw)
+        m.setattr(estimator, "_extension_models", recording_models)
         fast = extension_probabilities(*args)
     with monkeypatch.context() as m:
         m.setattr(estimator, "_extension_models", oracle)
@@ -599,6 +665,39 @@ def test_extension_early_stop_skips_settled_rounds(monkeypatch):
         assert runs == needed == 0
     (falsum,) = extension_probabilities([BOTTOM], 123, 64, 50, theory=clash)
     assert falsum.value == 1
+
+
+def test_extension_stops_once_the_battery_is_decided(monkeypatch):
+    # The standard crosscheck battery at window 3 reads a0 and a1 alone, so
+    # a sample stops once both are fixed, with a2 still open: two
+    # valuations left, rows r and r + 4 of the window's truth table, where
+    # the one-valuation rule drew on (1,756 rounds in all).
+    battery = [parse_sentence(t) for t in ("_|_", "a0", "!a0", "a1", "!a1", "(a0 | !a0)")]
+    left = []
+    fast, slow, runs, needed = early_stop_against_oracle(
+        monkeypatch, 123, 64, 200, EMPTY_THEORY, 64, 3, battery, left
+    )
+    assert fast == slow
+    assert runs == needed == 1521
+    # Two more samples end with a1 open; they draw all 64 rounds.
+    assert len(left) == 200
+    assert sum(models in {0x11 << r for r in range(4)} for models in left) == 12
+
+
+def test_extension_one_valuation_stops_with_a_wide_sentence_undecided(monkeypatch):
+    # Axioms that fix a0, a1 and a2 leave one valuation, with a1 true. No
+    # set of window valuations decides (a1 & a4) then, yet no round can
+    # change the set, so the sample stops before any round and the
+    # sentence stays undecided.
+    fixed = theory_from_axioms("fixed", [Atom(0), Atom(1), Not(Atom(2))])
+    left = []
+    fast, slow, runs, needed = early_stop_against_oracle(
+        monkeypatch, 123, 64, 50, fixed, 64, 3, [And(Atom(1), Atom(4))], left
+    )
+    assert fast == slow
+    assert (fast[0].value, fast[0].undecided) == (0, 50)
+    assert runs == needed == 0
+    assert set(left) == {1 << 0b011}
 
 
 def test_extension_trichotomy():

@@ -22,6 +22,7 @@ from sentprob.machine import (
     emission,
     run_prefix,
     run_with_extent,
+    word_emission,
 )
 from sentprob.sequences import SequenceDef, builtin_catalog, sequence_by_id
 
@@ -486,6 +487,91 @@ def test_emission_skips_silent_programs(monkeypatch):
     assert len(runs) == 1
     with pytest.raises(ValueError):
         emission(silent.value, silent.length, -1)
+
+
+def ending_at(end: int, first: Opcode) -> Bits:
+    """A 9-instruction register program whose encoding ends at bit end, one
+    of 62-65: `first` on r0, OUT r0, HALT, then NOPs and JZ r1s after the
+    HALT whose jump targets' gamma codes lengthen it. Unpadded it is 61
+    bits long."""
+    targets = {62: (0,), 63: (0, 0), 64: (1,), 65: (1, 0)}[end]
+    nops = [(Opcode.NOP, 0)] * (6 - len(targets))
+    bits = assemble((first, 0), (Opcode.OUT, 0), (Opcode.HALT, 0), *nops,
+                    *((Opcode.JZ, 1, t) for t in targets))
+    assert bits.length == end
+    return bits
+
+
+def generator_ending_at(end: int, indexed: bool) -> Bits:
+    """A generator header whose (odd) length is end, its slot code padded
+    with leading zeros: gamma(g + 1) names slot g % SLOT_COUNT."""
+    g = (1 << (end - 3) // 2) + 1
+    return gamma_encode(1).concat(gamma_encode(g + 1)).concat(Bits(int(indexed), 1))
+
+
+def prefix_boundary_strings() -> list[tuple[str, Bits, float]]:
+    """Leading bits of strings on both sides of the first splitmix word's
+    64 bits, named, each with the budget below which its first 64 bits
+    settle its emission: its program decodes within them and its run ends
+    before bit 64. A LOADBIT of bit 63 reaches it at any budget but 0."""
+    indexed = encode_generator("enumeration", indexed=True)
+    code_at = indexed.length
+    always, never = math.inf, 0
+    return [
+        ("stream decoded at 63", generator_ending_at(63, False), always),
+        ("stream decoded at 65", generator_ending_at(65, False), never),
+        ("indexed decoded at 63", generator_ending_at(63, True), never),
+        ("register decoded at 63", ending_at(63, Opcode.INC), always),
+        ("register decoded at 64", ending_at(64, Opcode.INC), never),
+        ("register decoded at 65", ending_at(65, Opcode.INC), never),
+        ("LOADBIT reads bit 62", ending_at(62, Opcode.LOADBIT), always),
+        ("LOADBIT reads bit 63", ending_at(63, Opcode.LOADBIT), 1),
+        ("LOADBIT reads bit 64", ending_at(64, Opcode.LOADBIT), never),
+        # gamma(n + 1) after the (odd-length) indexed header: ending at bit
+        # 62 or 64, or with its zeros up to bit 63 and its 1 at bit 64.
+        ("gamma code ends at 62", indexed.concat(gamma_encode(1 << (61 - code_at) // 2)), always),
+        ("gamma code ends at 64", indexed.concat(gamma_encode(1 << (63 - code_at) // 2)), never),
+        ("gamma code straddles 64", indexed.concat(Bits(1, 65 - code_at)), never),
+        ("all-zero leading word", Bits(0, 64), never),
+    ]
+
+
+def boundary_strings(width: int) -> list[tuple[str, Bits, float]]:
+    """prefix_boundary_strings completed to width bits, each by all zeros,
+    all ones and random bits."""
+    rng = random.Random(width)
+    out = []
+    for name, prefix, settled_below in prefix_boundary_strings():
+        rest = width - prefix.length
+        for tail in (0, (1 << rest) - 1, rng.getrandbits(rest)):
+            out.append((name, prefix.concat(Bits(tail, rest)), settled_below))
+    return out
+
+
+def test_word_emission_settles_only_what_the_leading_word_decides():
+    # A string's first 64 bits settle its emission when its program decodes
+    # within them and runs without reaching bit 64; the emission is then
+    # that of the whole string, whatever follows.
+    for width in (65, 96, 127, 128, 384, 512):
+        for name, bits, settled_below in boundary_strings(width):
+            word = bits.value >> (width - 64)
+            for t in sorted({0, 4, width, 3 * width}):
+                got = word_emission(word, t)
+                assert (got is not None) == (t < settled_below), (name, width, t)
+                if got is not None:
+                    assert got == emission(bits.value, width, t), (name, width, t)
+    rng = random.Random(23)
+    settled = 0
+    for _ in range(500):
+        bits = random_bits(rng.randrange(2**63), 384)
+        for t in (0, 4, 384):
+            got = word_emission(bits.value >> 320, t)
+            if got is not None:
+                settled += 1
+                assert got == emission(bits.value, 384, t)
+    assert settled > 500
+    with pytest.raises(ValueError):
+        word_emission(1 << 63, -1)
 
 
 def assemble_emit_one(k: int) -> Bits:
