@@ -49,6 +49,7 @@ its link to the parent's.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
 from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
@@ -81,8 +82,9 @@ class ClaimSet:
     enumeration indices: the index of a deeply nested sentence has more bits
     than could ever be materialized, while its rendering stays linear.
 
-    ``by_rendering`` maps each rendering to its sentence, for lookups by a
-    rendering the caller already holds; it is never mutated.
+    ``members`` holds the sentences as a frozenset. Nodes are interned, so a
+    sentence is in the set exactly when it is one of them, and ``in`` needs
+    no rendering.
 
     A set made by ``union`` records the key of the set it grew from
     (``parent``) and the sentences the merge added (``added``); the gate
@@ -90,12 +92,14 @@ class ClaimSet:
     ``ClauseOrder`` linked to the parent's order by those sentences, so the
     resolution loop walks the clause order the parent carries."""
 
-    __slots__ = ("sentences", "key", "by_rendering", "parent", "added", "_order")
+    __slots__ = ("sentences", "key", "members", "parent", "added", "_order")
 
-    def __init__(self, named: dict[str, Sentence]):
-        self.key = tuple(sorted(named))
-        self.sentences = tuple(named[r] for r in self.key)
-        self.by_rendering = named
+    def __init__(
+        self, key: tuple[str, ...], sentences: tuple[Sentence, ...], members: frozenset[Sentence]
+    ) -> None:
+        self.key = key
+        self.sentences = sentences
+        self.members = members
         self.parent: Optional[tuple[str, ...]] = None
         self.added: tuple[Sentence, ...] = ()
         self._order: Optional[ClauseOrder] = None
@@ -111,26 +115,32 @@ class ClaimSet:
 
     @classmethod
     def of(cls, items: Iterable[Sentence] = ()) -> "ClaimSet":
-        return cls({render_sentence(s): s for s in items})
+        named = {render_sentence(s): s for s in items}
+        key = tuple(sorted(named))
+        return cls(key, tuple(named[r] for r in key), frozenset(named.values()))
 
     def union(self, items: Iterable[Sentence]) -> "ClaimSet":
-        extra: dict[str, Sentence] = {}
-        for s in items:
-            r = render_sentence(s)
-            if r not in self.by_rendering and r not in extra:
-                extra[r] = s
-        if not extra:
+        """This set grown by items; the set itself when they add nothing.
+        The added sentences are inserted into the sorted key and sentences,
+        which need no re-sort."""
+        members = self.members
+        added = tuple(dict.fromkeys(s for s in items if s not in members))
+        if not added:
             return self
-        merged = dict(self.by_rendering)
-        merged.update(extra)
-        grown = ClaimSet(merged)
+        key, sentences = list(self.key), list(self.sentences)
+        for s in added:
+            r = render_sentence(s)
+            i = bisect_left(key, r)
+            key.insert(i, r)
+            sentences.insert(i, s)
+        grown = ClaimSet(tuple(key), tuple(sentences), members.union(added))
         grown.parent = self.key
-        grown.added = tuple(extra.values())
-        grown._order = ClauseOrder(self.order, grown.added)
+        grown.added = added
+        grown._order = ClauseOrder(self.order, added)
         return grown
 
     def __contains__(self, s: Sentence) -> bool:
-        return render_sentence(s) in self.by_rendering
+        return s in self.members
 
     def __iter__(self) -> Iterator[Sentence]:
         return iter(self.sentences)

@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .bits import Bits, child_seeds, derive_seed, leading_word, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
-from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of, render_sentence
+from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
 from .machine import emission, run_prefix, word_emission
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
@@ -273,13 +273,12 @@ def _merge(
 
 
 def _tally(
-    claims: ClaimSet, keys: Sequence[str], counts: list[int], weight: int = 1
+    claims: ClaimSet, battery: Sequence[Sentence], counts: list[int], weight: int = 1
 ) -> None:
-    """Add weight to the count of each battery sentence, given by its
-    rendering, that claims holds."""
-    held = claims.by_rendering
-    for j, r in enumerate(keys):
-        if r in held:
+    """Add weight to the count of each battery sentence that claims holds."""
+    held = claims.members
+    for j, s in enumerate(battery):
+        if s in held:
             counts[j] += weight
 
 
@@ -296,13 +295,12 @@ def membership_counts(
     through one table shared by every sample."""
     if cache is None:
         cache = ConCache()
-    keys = [render_sentence(s) for s in battery]
-    counts = [0] * len(keys)
+    counts = [0] * len(battery)
     draw = _DrawTable(stage.string_bits, stage.steps).draw
     for i in range(samples):
         sample_seed = derive_seed(seed, stage.n, i)
         drawn = map(draw, child_seeds(sample_seed, stage.machines))
-        _tally(accumulate_claims(drawn, stage, cache), keys, counts)
+        _tally(accumulate_claims(drawn, stage, cache), battery, counts)
     return counts
 
 
@@ -338,10 +336,9 @@ def membership_counts_exact(
         )
     if cache is None:
         cache = ConCache()
-    keys = [render_sentence(s) for s in battery]
-    counts = [0] * len(keys)
+    counts = [0] * len(battery)
     if not machines:
-        _tally(stage.axiom_set, keys, counts)
+        _tally(stage.axiom_set, battery, counts)
         return counts, 1
     steps, budget = stage.steps, stage.proof_budget
     # Each distinct emitted tuple and the number of strings that emit it.
@@ -364,7 +361,7 @@ def membership_counts_exact(
                 grown.setdefault(merged.key, [merged, 0])[1] += weight * block
         level = grown
     for claims, weight in level.values():
-        _tally(claims, keys, counts, weight)
+        _tally(claims, battery, counts, weight)
     return counts, 1 << total_bits
 
 

@@ -16,6 +16,12 @@ falsum; any other index k is split as (k-1) = 5*payload + tag, where the tag
 selects the constructor and the payload carries an atom index, a child index,
 or a Cantor-paired child pair. Decoding is polynomial in the bit length of k.
 
+Sentences nest without bound, so no walk recurses: `fold` is the one
+post-order walker (`atoms_of`, `sentence_index` and `prover`'s walks are
+folds), `sentence_at` decodes on the same kind of stack, and the parser
+recurses only into parentheses, whose nesting past the interpreter's limit
+is a ParseError. Importing this module changes no interpreter setting.
+
 Nodes are immutable and interned: building a node equal to a live one returns
 that node. The pipeline rebuilds the same sentences over and over, some
 thousands of levels deep, and with one object per sentence equality is
@@ -25,18 +31,10 @@ intern tables hold nodes weakly, so a node nothing else holds is freed.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple, Union
 from weakref import WeakValueDictionary
-
-# Chain-shaped sequence members nest one level per index, and indexes run up
-# to the stage step budget (512 under the standard schedule). Recursive
-# traversal of such a member needs roughly one frame per level on top of
-# whatever stack the host process already uses, so the default 1000-frame
-# limit has no headroom. Never lower a limit the host raised already.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 
 class _Node:
@@ -116,6 +114,40 @@ Sentence = Union[Bottom, Atom, Not, And, Or, Implies]
 BOTTOM = Bottom()
 
 _TAG_ATOM, _TAG_NOT, _TAG_AND, _TAG_OR, _TAG_IMPLIES = range(5)
+# The constructor of each binary tag, and the tag of each binary constructor.
+_BINARY = (None, None, And, Or, Implies)
+_BINARY_TAG = {And: _TAG_AND, Or: _TAG_OR, Implies: _TAG_IMPLIES}
+
+
+def fold(s: Sentence, atom: Callable, bottom: Any, negate: Callable, binary: Callable) -> Any:
+    """The post-order fold of s: ``atom(node)`` at an atom, ``bottom`` at
+    falsum, ``negate(v)`` at a negation whose part folds to v, and
+    ``binary(t, l, r)`` at a node of binary type t whose parts fold to l and
+    r, the left part folded first. Iterative, so nesting depth costs no
+    Python frames: a compound node pushes its type as a marker under its
+    parts, and the marker pops once their folds are on the value stack."""
+    values: list = []
+    stack: list = [s]
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is Atom:
+            values.append(atom(item))
+        elif t is type:
+            if item is Not:
+                values.append(negate(values.pop()))
+            else:
+                right = values.pop()
+                values.append(binary(item, values.pop(), right))
+        elif t is Not:
+            stack += (Not, item.inner)
+        elif t is Bottom:
+            values.append(bottom)
+        elif t in _BINARY_TAG:
+            stack += (t, item.right, item.left)
+        else:
+            raise TypeError(f"not a sentence: {item!r}")
+    return values[0]
 
 
 def _pair(x: int, y: int) -> int:
@@ -131,52 +163,50 @@ def _unpair(z: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=1 << 17)
 def sentence_at(k: int) -> Sentence:
-    """Sentence with enumeration index k (total; the inverse of sentence_index)."""
+    """Sentence with enumeration index k (total; the inverse of sentence_index).
+    Decoded on an explicit stack like `fold`: a compound index pushes its
+    constructor as a marker under its parts' indexes, and the marker pops
+    once the parts are built."""
     if k < 0:
         raise ValueError("index must be a natural number")
-    if k == 0:
-        return BOTTOM
-    m = k - 1
-    tag = m % 5
-    payload = m // 5
-    if tag == _TAG_ATOM:
-        return Atom(payload)
-    if tag == _TAG_NOT:
-        return Not(sentence_at(payload))
-    a, b = _unpair(payload)
-    if tag == _TAG_AND:
-        return And(sentence_at(a), sentence_at(b))
-    if tag == _TAG_OR:
-        return Or(sentence_at(a), sentence_at(b))
-    return Implies(sentence_at(a), sentence_at(b))
+    values: list[Sentence] = []
+    stack: list = [k]
+    while stack:
+        item = stack.pop()
+        if type(item) is type:
+            if item is Not:
+                values.append(Not(values.pop()))
+            else:
+                right = values.pop()
+                values.append(item(values.pop(), right))
+        elif not item:
+            values.append(BOTTOM)
+        else:
+            payload, tag = divmod(item - 1, 5)
+            if tag == _TAG_ATOM:
+                values.append(Atom(payload))
+            elif tag == _TAG_NOT:
+                stack += (Not, payload)
+            else:
+                a, b = _unpair(payload)
+                stack += (_BINARY[tag], b, a)
+    return values[0]
 
 
 @lru_cache(maxsize=1 << 17)
 def sentence_index(s: Sentence) -> int:
-    if isinstance(s, Bottom):
-        return 0
-    if isinstance(s, Atom):
-        return 1 + 5 * s.index + _TAG_ATOM
-    if isinstance(s, Not):
-        return 1 + 5 * sentence_index(s.inner) + _TAG_NOT
-    if isinstance(s, And):
-        return 1 + 5 * _pair(sentence_index(s.left), sentence_index(s.right)) + _TAG_AND
-    if isinstance(s, Or):
-        return 1 + 5 * _pair(sentence_index(s.left), sentence_index(s.right)) + _TAG_OR
-    if isinstance(s, Implies):
-        return 1 + 5 * _pair(sentence_index(s.left), sentence_index(s.right)) + _TAG_IMPLIES
-    raise TypeError(f"not a sentence: {s!r}")
+    return fold(
+        s,
+        lambda a: 1 + 5 * a.index + _TAG_ATOM,
+        0,
+        lambda inner: 1 + 5 * inner + _TAG_NOT,
+        lambda t, left, right: 1 + 5 * _pair(left, right) + _BINARY_TAG[t],
+    )
 
 
 @lru_cache(maxsize=1 << 16)
 def atoms_of(s: Sentence) -> frozenset[int]:
-    if isinstance(s, Bottom):
-        return frozenset()
-    if isinstance(s, Atom):
-        return frozenset((s.index,))
-    if isinstance(s, Not):
-        return atoms_of(s.inner)
-    return atoms_of(s.left) | atoms_of(s.right)
+    return fold(s, lambda a: frozenset((a.index,)), frozenset(), lambda v: v, lambda t, a, b: a | b)
 
 
 class ParseError(ValueError):
@@ -203,23 +233,27 @@ class _Parser:
         self.pos += len(literal)
 
     def sentence(self) -> Sentence:
+        """The sentence at the current position. A run of '!' is read in a
+        loop; only parentheses recurse, one frame per level."""
         self.skip_ws()
-        c = self.peek()
-        if c == "!":
+        negations = 0
+        while self.peek() == "!":
             self.pos += 1
-            return Not(self.sentence())
+            negations += 1
+            self.skip_ws()
+        c = self.peek()
         if c == "_":
             self.expect("_|_")
-            return BOTTOM
-        if c == "a":
+            s: Sentence = BOTTOM
+        elif c == "a":
             self.pos += 1
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
             if self.pos == start:
                 raise ParseError("expected atom index", start)
-            return Atom(int(self.text[start : self.pos]))
-        if c == "(":
+            s = Atom(int(self.text[start : self.pos]))
+        elif c == "(":
             self.pos += 1
             left = self.sentence()
             self.skip_ws()
@@ -238,13 +272,20 @@ class _Parser:
             right = self.sentence()
             self.skip_ws()
             self.expect(")")
-            return ctor(left, right)
-        raise ParseError("expected sentence", self.pos)
+            s = ctor(left, right)
+        else:
+            raise ParseError("expected sentence", self.pos)
+        for _ in range(negations):
+            s = Not(s)
+        return s
 
 
 def parse_sentence(text: str) -> Sentence:
     p = _Parser(text)
-    s = p.sentence()
+    try:
+        s = p.sentence()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", p.pos) from None
     p.skip_ws()
     if p.pos != len(text):
         raise ParseError("trailing input", p.pos)

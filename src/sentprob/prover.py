@@ -50,6 +50,9 @@ refute_bounded, together with the set's ClauseOrder.
 
 semantic_consistent, truth_table and entails are exact, via truth-table
 bitmaps, and are limited to MAX_TABLE_ATOMS distinct atoms.
+
+Every walk over a sentence here (`_fold`, the Tseitin labelling, the
+truth-table masks) is a `logic.fold`, so nesting depth costs no frames.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ import heapq
 from bisect import insort
 from enum import Enum
 from functools import lru_cache
+from operator import neg
 from typing import Iterable, NamedTuple, Optional, Sequence as Seq
 
-from .logic import And, Atom, Bottom, Implies, Not, Or, Sentence, atoms_of, render_sentence
+from .logic import And, Atom, Implies, Not, Or, Sentence, atoms_of, fold, render_sentence
 
 ProofBudget = int
 
@@ -76,41 +80,21 @@ _TRUE = "T"
 _FALSE = "F"
 
 
-def _atom_literal(i: int) -> int:
-    """The positive literal of atom i: i + 1, moved above every definition
+def _atom_literal(a: Atom) -> int:
+    """The positive literal of atom a_i: i + 1, moved above every definition
     range from 2**32 on."""
-    lit = i + 1
+    lit = a.index + 1
     return lit if lit < _TEMPLATE_BASE else lit + _ATOM_SHIFT
 
 
 def _fold(s: Sentence) -> object:
-    """s with falsum propagated upward: a Sentence, or _TRUE or _FALSE.
-    Iterative, so nesting depth costs no Python frames: a compound node
-    pushes its type as a marker under its parts, and the marker pops once
-    their folds are on the value stack."""
-    values: list = []
-    stack: list = [s]
-    while stack:
-        item = stack.pop()
-        t = type(item)
-        if t is Atom:
-            values.append(item)
-        elif t is Bottom:
-            values.append(_FALSE)
-        elif t is Not:
-            stack.append(Not)
-            stack.append(item.inner)
-        elif t is not type:
-            stack.append(t)
-            stack.append(item.right)
-            stack.append(item.left)
-        elif item is Not:
-            inner = values.pop()
-            values.append(_FALSE if inner is _TRUE else _TRUE if inner is _FALSE else Not(inner))
-        else:
-            right = values.pop()
-            values.append(_fold_binary(item, values.pop(), right))
-    return values[0]
+    """s with falsum propagated upward: a Sentence, or _TRUE or _FALSE."""
+    return fold(s, lambda a: a, _FALSE, _fold_not, _fold_binary)
+
+
+def _fold_not(v):
+    """The fold of a negation whose part folds to v."""
+    return _FALSE if v is _TRUE else _TRUE if v is _FALSE else Not(v)
 
 
 def _fold_binary(t: type, left, right):
@@ -145,7 +129,7 @@ def _fold_binary(t: type, left, right):
 def _root(s: Sentence) -> object:
     """What the clause form of s asserts at its root, with no clauses built,
     read from `_fold` alone: _FALSE when s folds to falsum, the atom literal
-    +-_atom_literal(i) when it folds to atom i under zero or more negations,
+    +-_atom_literal(a) when it folds to atom a under zero or more negations,
     and None otherwise (a tautology, or a root on a definition variable,
     which never clashes with another root)."""
     folded = _fold(s)
@@ -156,61 +140,30 @@ def _root(s: Sentence) -> object:
         folded = folded.inner
         sign = -sign
     if type(folded) is Atom:
-        return sign * _atom_literal(folded.index)
+        return sign * _atom_literal(folded)
     return None
 
 
 class _TseitinBuilder:
     def __init__(self, fresh_base: int) -> None:
         self.fresh_base = fresh_base
-        self.n_fresh = 0
         self.clauses: list[Clause] = []
-
-    def fresh_lit(self) -> int:
-        lit = self.fresh_base + self.n_fresh + 1
-        self.n_fresh += 1
-        return lit
 
     def label(self, s: Sentence) -> int:
         """The literal naming folded sentence s, adding a definition variable
         and its three clauses per binary node. Nodes are numbered in post-
-        order, left part before right. Iterative like `_fold`: a compound
-        node pushes its type as a marker under its parts."""
-        labels: list[int] = []
-        stack: list = [s]
-        while stack:
-            item = stack.pop()
-            t = type(item)
-            if t is Atom:
-                labels.append(_atom_literal(item.index))
-            elif t is Not:
-                stack.append(Not)
-                stack.append(item.inner)
-            elif t is not type:
-                stack.append(t)
-                stack.append(item.right)
-                stack.append(item.left)
-            elif item is Not:
-                labels.append(-labels.pop())
-            else:
-                b = labels.pop()
-                labels.append(self._define(item, labels.pop(), b))
-        return labels[0]
+        order, left part before right."""
+        return fold(s, _atom_literal, None, neg, self._define)
 
     def _define(self, t: type, a: int, b: int) -> int:
-        v = self.fresh_lit()
+        # Every definition adds three clauses, so this is the next variable.
+        v = self.fresh_base + len(self.clauses) // 3 + 1
         if t is And:
-            self.clauses.append(frozenset((-v, a)))
-            self.clauses.append(frozenset((-v, b)))
-            self.clauses.append(frozenset((v, -a, -b)))
+            self.clauses += (frozenset((-v, a)), frozenset((-v, b)), frozenset((v, -a, -b)))
         elif t is Or:
-            self.clauses.append(frozenset((-v, a, b)))
-            self.clauses.append(frozenset((v, -a)))
-            self.clauses.append(frozenset((v, -b)))
+            self.clauses += (frozenset((-v, a, b)), frozenset((v, -a)), frozenset((v, -b)))
         else:  # Implies
-            self.clauses.append(frozenset((-v, -a, b)))
-            self.clauses.append(frozenset((v, a)))
-            self.clauses.append(frozenset((v, -b)))
+            self.clauses += (frozenset((-v, -a, b)), frozenset((v, a)), frozenset((v, -b)))
         return v
 
 
@@ -494,19 +447,14 @@ def _atom_patterns(order: Seq[int]) -> dict[int, int]:
 
 
 def _eval_mask(s: Sentence, patterns: dict[int, int], full: int) -> int:
-    if isinstance(s, Bottom):
-        return 0
-    if isinstance(s, Atom):
-        return patterns[s.index]
-    if isinstance(s, Not):
-        return full & ~_eval_mask(s.inner, patterns, full)
-    left = _eval_mask(s.left, patterns, full)
-    right = _eval_mask(s.right, patterns, full)
-    if isinstance(s, And):
-        return left & right
-    if isinstance(s, Or):
-        return left | right
-    return (full & ~left) | right
+    def binary(t: type, left: int, right: int) -> int:
+        if t is And:
+            return left & right
+        if t is Or:
+            return left | right
+        return (full & ~left) | right
+
+    return fold(s, lambda a: patterns[a.index], 0, lambda m: full & ~m, binary)
 
 
 def _table_order(sentences: Iterable[Sentence]) -> list[int]:

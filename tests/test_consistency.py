@@ -30,11 +30,19 @@ from sentprob.logic import (
     atoms_of,
     parse_sentence,
     render_sentence,
+    sentence_at,
+    sentence_index,
     theory_from_axioms,
 )
 from sentprob.harness import load_config, run_suite
 from sentprob.machine import run_prefix
-from sentprob.prover import RefutationResult, RefutationVerdict, refute_bounded, semantic_consistent
+from sentprob.prover import (
+    RefutationResult,
+    RefutationVerdict,
+    refute_bounded,
+    semantic_consistent,
+    truth_table,
+)
 from sentprob.sequences import sequence_by_id
 from test_estimator import sample_strings
 from test_prover import (
@@ -254,10 +262,28 @@ def test_deep_chain_claims_do_not_overflow():
 
 def test_chains_deeper_than_the_recursion_limit_pass_the_gate():
     # A mutex_family member at n = 9000 nests about 9000 levels, past the
-    # recursion limit: hashing it for the memo dicts must not recurse.
+    # interpreter's own recursion limit, which importing sentprob leaves
+    # alone: hashing it for the memo dicts and every walk over it must not
+    # recurse.
     deep = sequence_by_id("mutex_family").emit(9000)
     assert consistent_enough(ClaimSet.of([deep]), 64)
     assert not refute_bounded([deep], 64).refuted
+    assert atoms_of(deep) == frozenset(range(9001))
+    # Each And level doubles the bit length of the enumeration index, so the
+    # member's index cannot be materialized; the index round trip runs on a
+    # 9000-deep negation chain, whose index grows by log2(5) bits a level.
+    negations = Atom(7)
+    for _ in range(9000):
+        negations = Not(negations)
+    k = sentence_index(negations)
+    assert 9000 * 2 < k.bit_length() < 9000 * 3
+    assert sentence_at(k) is negations
+    text = render_sentence(negations)
+    assert text == "!" * 9000 + "a7"
+    assert parse_sentence(text) is negations
+    # an even number of negations: true exactly where a7 is
+    assert truth_table(negations, (7,)) == 0b10
+    assert truth_table(Not(negations), (3, 7)) == 0b0011
 
 
 def test_antitone_over_random_sets():

@@ -292,16 +292,15 @@ def exact_counts_per_vector(battery, stage):
     machines, width = stage.machines, stage.string_bits
     total = machines * width
     mask = (1 << width) - 1
-    keys = [render_sentence(s) for s in battery]
-    counts = [0] * len(keys)
+    counts = [0] * len(battery)
     cache = ConCache()
     for value in range(1 << total):
         strings = [
             Bits((value >> (total - (j + 1) * width)) & mask, width) for j in range(machines)
         ]
-        held = accumulate_claims(strings, stage, cache).by_rendering
-        for j, r in enumerate(keys):
-            if r in held:
+        claims = accumulate_claims(strings, stage, cache)
+        for j, s in enumerate(battery):
+            if s in claims:
                 counts[j] += 1
     return counts, 1 << total
 

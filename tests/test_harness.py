@@ -277,6 +277,10 @@ def test_crosscheck_config_errors():
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = 5\n")
     with pytest.raises(ConfigError, match="expected sentence"):
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; (a0 &\n")
+    # A run of negations is read in a loop, however long.
+    deep = "!" * 5000 + "a1"
+    cfg = parse_config(MINIMAL + f"x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; {deep}\n")
+    assert cfg.crosscheck.battery[1] == parse_sentence(deep)
 
 
 def wide_disjunction(count):
@@ -494,9 +498,32 @@ def test_benchmark_tracer_wiring_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("run", "/nonexistent.ini").returncode == 2
+    # Parentheses nested past the interpreter's recursion limit are a config
+    # error, not a traceback.
+    nested = "(" * 2000 + "a0" + " & a1)" * 2000
+    path = tmp_path / "nested.ini"
+    path.write_text(MINIMAL + f"x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; {nested}\n")
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_and_demo_leave_the_recursion_limit_alone(tmp_path):
+    script = (
+        "import sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "from sentprob import cli\n"
+        "code = cli.main(['demo', '--out', sys.argv[1]])\n"
+        "print(before, sys.getrecursionlimit(), code)\n"
+    )
+    proc = run_python("-c", script, str(tmp_path / "demo"))
+    assert proc.returncode == 0, proc.stderr
+    before, after, code = proc.stdout.split()[-3:]
+    assert after == before and code == "0"
 
 
 def test_cli_list_sequences():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sentprob import prover
+from sentprob import logic, prover
 from sentprob.consistency import ClaimSet
 from sentprob.logic import (
     BOTTOM,
@@ -15,7 +15,10 @@ from sentprob.logic import (
     Implies,
     Not,
     Or,
+    atoms_of,
     render_sentence,
+    sentence_at,
+    sentence_index,
 )
 from sentprob.prover import (
     MAX_TABLE_ATOMS,
@@ -118,7 +121,7 @@ def test_clausify_fresh_atoms_clear_source_range():
     # Definition variables sit above 2**32 and below 2**32 + 2**192; the
     # literals of atoms from 2**32 - 1 on are shifted above all of them.
     for big in (3, 2**32 - 1, 2**40):
-        big_lit = prover._atom_literal(big)
+        big_lit = prover._atom_literal(Atom(big))
         assert big_lit == (big + 1 if big == 3 else big + 1 + prover._ATOM_SHIFT)
         sentences = [Or(Atom(0), Atom(1)), Implies(Atom(big), Atom(0))]
         refuted, entries = initial_entries(sentences)
@@ -151,7 +154,7 @@ def test_digest_bases_keep_the_reference_order():
     assert all(b - a >= prover._TEMPLATE_STRIDE for a, b in zip(bases, bases[1:]))
     # atoms below 2**32 - 1 keep their literals, in clauses and summaries
     for i in [0, 1, 2**32 - 2] + [rng.randrange(2**32 - 1) for _ in range(200)]:
-        assert prover._atom_literal(i) == i + 1
+        assert prover._atom_literal(Atom(i)) == i + 1
         assert prover._root(Not(Atom(i))) == -(i + 1)
         root, clauses = prover._build_template(Or(Atom(i), Not(Atom(0))), 2**32)
         assert set(clauses[0]) == {-root, i + 1, -1}
@@ -321,12 +324,79 @@ def template_recursive(s, fresh_base):
     return root, tuple(clauses)
 
 
+def atoms_recursive(s):
+    """The recursive atoms_of that logic.fold replaced."""
+    if isinstance(s, Bottom):
+        return frozenset()
+    if isinstance(s, Atom):
+        return frozenset((s.index,))
+    if isinstance(s, Not):
+        return atoms_recursive(s.inner)
+    return atoms_recursive(s.left) | atoms_recursive(s.right)
+
+
+_TAGS = {And: logic._TAG_AND, Or: logic._TAG_OR, Implies: logic._TAG_IMPLIES}
+
+
+def index_recursive(s):
+    """The recursive sentence_index that logic.fold replaced."""
+    if isinstance(s, Bottom):
+        return 0
+    if isinstance(s, Atom):
+        return 1 + 5 * s.index + logic._TAG_ATOM
+    if isinstance(s, Not):
+        return 1 + 5 * index_recursive(s.inner) + logic._TAG_NOT
+    pair = logic._pair(index_recursive(s.left), index_recursive(s.right))
+    return 1 + 5 * pair + _TAGS[type(s)]
+
+
+def sentence_at_recursive(k):
+    """The recursive decoder that the stack-based sentence_at replaced."""
+    if k == 0:
+        return BOTTOM
+    payload, tag = divmod(k - 1, 5)
+    if tag == logic._TAG_ATOM:
+        return Atom(payload)
+    if tag == logic._TAG_NOT:
+        return Not(sentence_at_recursive(payload))
+    a, b = logic._unpair(payload)
+    ctor = {t: c for c, t in _TAGS.items()}[tag]
+    return ctor(sentence_at_recursive(a), sentence_at_recursive(b))
+
+
+def mask_recursive(s, patterns, full):
+    """The recursive truth-table evaluation that prover._eval_mask replaced."""
+    if isinstance(s, Bottom):
+        return 0
+    if isinstance(s, Atom):
+        return patterns[s.index]
+    if isinstance(s, Not):
+        return full & ~mask_recursive(s.inner, patterns, full)
+    left = mask_recursive(s.left, patterns, full)
+    right = mask_recursive(s.right, patterns, full)
+    if isinstance(s, And):
+        return left & right
+    if isinstance(s, Or):
+        return left | right
+    return (full & ~left) | right
+
+
 def test_iterative_fold_and_labelling_match_the_recursive_ones():
     rng = random.Random(1203)
+    order = (4, 0, 2, 1, 3, 5)
+    patterns, full = prover._atom_patterns(order), (1 << (1 << len(order))) - 1
     for _ in range(2000):
         s = rand_sentence(rng, rng.randrange(0, 7), 5)
-        assert prover._fold(s) == fold_recursive(s), render_sentence(s)
-        assert prover._build_template(s, 1 << 32) == template_recursive(s, 1 << 32), render_sentence(s)
+        where = render_sentence(s)
+        assert prover._fold(s) == fold_recursive(s), where
+        assert prover._build_template(s, 1 << 32) == template_recursive(s, 1 << 32), where
+        assert atoms_of(s) == atoms_recursive(s), where
+        k = sentence_index(s)
+        assert k == index_recursive(s), where
+        assert sentence_at(k) is sentence_at_recursive(k) is s, where
+        assert truth_table(s, order) == mask_recursive(s, patterns, full), where
+        j = rng.getrandbits(64)
+        assert sentence_at(j) is sentence_at_recursive(j), j
 
 
 def test_chains_deeper_than_the_recursion_limit_clausify():
