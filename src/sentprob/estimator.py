@@ -19,9 +19,12 @@ which answers a string whose class is known from its first splitmix word,
 with no string built and no machine run. A miss runs that word itself when
 it is the whole string or settles the emission as a prefix, and builds the
 string only otherwise. Exact enumeration runs no
-accumulation per vector: one pass takes one string per block of strings
-sharing a prefix and counts the strings that emit each distinct tuple, a
-table every machine of the stage shares. The walk then goes breadth first,
+accumulation per vector: one pass counts the strings that emit each
+distinct tuple, a table every machine of the stage shares. It takes one
+string per block of generator strings sharing a prefix, visits only the
+register programs that have an OUT (``machine.register_emissions``), and
+counts every other register string, which emits nothing, by subtraction.
+The walk then goes breadth first,
 one level per machine, merging every claim set of a level with every
 distinct tuple through the same step as `accumulate_claims` and keeping
 equal sets once, their vector counts summed. A third, independent process
@@ -49,7 +52,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .bits import Bits, child_seeds, derive_seed, leading_word, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
-from .machine import emission, run_prefix, word_emission
+from .machine import emission, register_emissions, run_prefix, word_emission
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
 
@@ -314,11 +317,13 @@ def membership_counts_exact(
     the vector total 2**(machines * string bits).
 
     Every machine of the stage reads a string of the same width under the
-    same step budget, and what it emits depends only on the leading bits of
-    the string that ``emission`` reports. So one pass takes one string per
-    aligned block of strings that share those bits, and tallies each emitted
-    tuple with the number of strings that emit it; all machines share that
-    table. The walk then goes breadth first, one level per machine: each
+    same step budget, so all machines share one table of each emitted tuple
+    and the number of strings that emit it (``_emission_table``). What a
+    string emits depends only on the leading bits ``emission`` reports, so
+    the table takes one string per block of strings that share those bits;
+    it runs only register programs with an OUT, and counts the strings of
+    every other register program, which emit nothing, by subtraction. The
+    walk then goes breadth first, one level per machine: each
     claim set of a level is merged with each distinct tuple through
     ``_merge``, as ``accumulate_claims`` would, and merged sets with equal
     keys are kept once with their vector counts summed. Each set of the last
@@ -340,15 +345,8 @@ def membership_counts_exact(
     if not machines:
         _tally(stage.axiom_set, battery, counts)
         return counts, 1
-    steps, budget = stage.steps, stage.proof_budget
-    # Each distinct emitted tuple and the number of strings that emit it.
-    outputs: dict[tuple[Sentence, ...], int] = {}
-    value, size = 0, 1 << width
-    while value < size:
-        emitted, extent = emission(value, width, steps)
-        end = (value | ((1 << (width - extent)) - 1)) + 1
-        outputs[emitted] = outputs.get(emitted, 0) + end - value
-        value = end
+    budget = stage.proof_budget
+    outputs = _emission_table(width, stage.steps)
     # A level maps each distinct claim-set key to the set and the number of
     # vectors that reach it, so it holds one entry per distinct set, a number
     # the 24-bit cap keeps small.
@@ -363,6 +361,33 @@ def membership_counts_exact(
     for claims, weight in level.values():
         _tally(claims, battery, counts, weight)
     return counts, 1 << total_bits
+
+
+def _emission_table(width: int, steps: int) -> dict[tuple[Sentence, ...], int]:
+    """Each distinct tuple the width-bit strings emit under the step budget,
+    with the number of strings that emit it, keyed in the order of the
+    first string that emits each. Strings that start with 0 are under a
+    register header: ``register_emissions`` gives the blocks of those whose
+    program has an OUT, and every other one emits ``()`` (no OUT, or the
+    string ends inside the encoding), so they are counted by subtraction
+    from the 2**(width - 1) such strings. The generator half, which starts
+    with 1, takes one ``emission`` call per block. The value-0 string ends
+    inside its header, so ``()`` is always the first key."""
+    outputs: dict[tuple[Sentence, ...], int] = {(): 0}
+    size = 1 << width
+    half = size >> 1
+    silent = half  # register strings outside the blocks of OUT programs
+    for emitted, block in register_emissions(width, steps):
+        outputs[emitted] = outputs.get(emitted, 0) + block
+        silent -= block
+    outputs[()] += silent
+    value = half
+    while value < size:
+        emitted, extent = emission(value, width, steps)
+        end = (value | ((1 << (width - extent)) - 1)) + 1
+        outputs[emitted] = outputs.get(emitted, 0) + end - value
+        value = end
+    return outputs
 
 
 def sequence_trajectories(

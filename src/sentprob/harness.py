@@ -310,6 +310,14 @@ def _build_schedule(section: Mapping[str, str]) -> tuple[StageParams, ...]:
         raise ConfigError(f"[stages] {exc}") from exc
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for an error message, cut to its first 200 characters so
+    a long sentence keeps the message to one short line."""
+    if len(text) <= 200:
+        return repr(text)
+    return f"{text[:200]!r}... ({len(text)} characters)"
+
+
 def _parse_battery(raw: str, atom_window: int) -> tuple[Sentence, ...]:
     battery = []
     for part in raw.split(";"):
@@ -319,12 +327,12 @@ def _parse_battery(raw: str, atom_window: int) -> tuple[Sentence, ...]:
         try:
             phi = parse_sentence(text)
         except ParseError as exc:
-            raise ConfigError(f"[crosscheck] battery: {exc} in {text!r}") from exc
+            raise ConfigError(f"[crosscheck] battery: {exc} in {_excerpt(text)}") from exc
         try:
             atoms_outside_window(phi, atom_window)
         except ValueError as exc:
             raise ConfigError(
-                f"[crosscheck] battery: {exc} (atom_window {atom_window}): {text!r}"
+                f"[crosscheck] battery: {exc} (atom_window {atom_window}): {_excerpt(text)}"
             ) from exc
         battery.append(phi)
     if not battery:

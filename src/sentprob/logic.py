@@ -206,7 +206,19 @@ def sentence_index(s: Sentence) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def atoms_of(s: Sentence) -> frozenset[int]:
-    return fold(s, lambda a: frozenset((a.index,)), frozenset(), lambda v: v, lambda t, a, b: a | b)
+    return frozenset(fold(s, lambda a: {a.index}, frozenset(), lambda v: v, _merge_atoms))
+
+
+def _merge_atoms(t: type, a: set, b: set) -> set:
+    """The atoms of both parts, the smaller set merged into the larger, so
+    a chain of depth d costs O(d log d) element copies, not O(d**2). Each
+    nonempty set is its own part's fresh set; the empty one is the shared
+    frozenset of falsum, never merged into."""
+    if len(a) < len(b):
+        a, b = b, a
+    if b:
+        a |= b
+    return a
 
 
 class ParseError(ValueError):

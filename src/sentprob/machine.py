@@ -37,7 +37,10 @@ without OUT, which emits nothing whatever its data; the estimators read only
 emissions, so they answer every string of a block that shares those bits
 with one run. ``word_emission(word, t)`` gives the emission of every string
 longer than 64 bits that begins with the 64-bit word, when those bits settle
-it, so a sampler can skip building the rest. All of them decode once and
+it, so a sampler can skip building the rest. ``register_emissions(length,
+t)`` walks the register encodings that fit length bits and have an OUT, and
+gives the emission of each block of their strings, so exact enumeration
+visits no program without OUT. All of them decode once and
 read the data as an integer slice of ``bits.value``: gamma codes are read
 by counting leading zeros, each instruction's 6 bits come out with one
 mask, LOADBIT shifts its bit out of the data integer, and an indexed
@@ -69,7 +72,7 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .bits import Bits, SlottedRecord, read_gamma
 from .logic import Sentence, sentence_at
@@ -139,6 +142,8 @@ _WORD_INSTRUCTIONS = tuple(
     None if _OPCODES[(word >> 2) & 7] is _JZ else Instruction(_OPCODES[(word >> 2) & 7], word & 3)
     for word in range(64)
 )
+_ALL_WORDS = range(64)
+_OUT_WORDS = tuple(word for word in _ALL_WORDS if (word >> 2) & 7 == _OUT)
 
 
 def _decode(value: int, length: int) -> tuple[Optional[Program], int]:
@@ -239,6 +244,63 @@ def word_emission(word: int, t: int) -> Optional[tuple[tuple[Sentence, ...], int
         return None
     result = _emit_decoded(program, pos, word, 64, t)
     return result if result[1] < 64 else None
+
+
+def register_emissions(length: int, t: int) -> Iterator[tuple[tuple[Sentence, ...], int]]:
+    """The emission of every block of length-bit strings whose register
+    program has an OUT, in ascending order of the strings, with the number
+    of strings in the block: a block shares the leading bits its emission
+    depends on. Every other string under a register header emits ``()``
+    and is not visited. The encodings are walked depth first, one gamma
+    header, instruction word or jump target at a time, under the length
+    rules of ``_decode``; a prefix with no OUT and one instruction left
+    takes only the OUT words. Each complete program is decoded once, from
+    its prefix padded with zero data, and its data blocks are run through
+    ``_emit_decoded``."""
+    if t < 0:
+        raise ValueError("step budget must be a natural number")
+    for prefix, end in _out_encodings(length):
+        start = prefix << (length - end)
+        program, pos = _decode(start, length)
+        value, stop = start, start + (1 << (length - pos))
+        while value < stop:
+            emitted, extent = _emit_decoded(program, pos, value, length, t)
+            block_end = (value | ((1 << (length - extent)) - 1)) + 1
+            yield emitted, block_end - value
+            value = block_end
+
+
+def _out_encodings(length: int) -> Iterator[tuple[int, int]]:
+    """Every complete register encoding with an OUT that fits length bits,
+    as (bits, bit count), in ascending order of the strings that start
+    with it: headers and jump targets with more leading zeros come first.
+    Depth first on a stack of (bits, bit count, instructions left, has an
+    OUT), each node's children pushed in reverse so they pop in order."""
+    stack: list[tuple[int, int, int, bool]] = []
+    for zeros in range(1, (length + 1) // 2):
+        end = 2 * zeros + 1
+        headers = range(1 << zeros, 2 << zeros)
+        fits = [(h, end, h - 1, False) for h in headers if end + 6 * (h - 1) <= length]
+        stack += reversed(fits)
+    while stack:
+        prefix, pos, left, has_out = stack.pop()
+        if not left:
+            yield prefix, pos  # the last word of an OUT-free prefix is an OUT
+            continue
+        later = left - 1
+        room = length - 6 * later  # where the jump target must end
+        children = []
+        for w in _ALL_WORDS if has_out or later else _OUT_WORDS:
+            head, end = prefix << 6 | w, pos + 6
+            out = has_out or (w >> 2) & 7 == _OUT
+            if _WORD_INSTRUCTIONS[w] is not None:
+                children.append((head, end, later, out))
+                continue
+            for zeros in range((room - end - 1) // 2, -1, -1):
+                size = 2 * zeros + 1
+                for target in range(1 << zeros, 2 << zeros):
+                    children.append((head << size | target, end + size, later, out))
+        stack += reversed(children)
 
 
 def _emit_decoded(

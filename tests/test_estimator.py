@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sentprob import estimator
+from sentprob import estimator, machine
 from sentprob.bits import Bits, child_seeds, derive_seed, random_bits
 from sentprob.consistency import ConCache
 from sentprob.estimator import (
@@ -32,7 +32,16 @@ from sentprob.logic import (
     sentence_at,
     theory_from_axioms,
 )
-from sentprob.machine import Instruction, Opcode, OutputTrace, emission, run_prefix
+from sentprob.machine import (
+    Instruction,
+    MachineProgram,
+    Opcode,
+    OutputTrace,
+    _decode,
+    emission,
+    register_emissions,
+    run_prefix,
+)
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import constant_of, sequence_by_id
 from test_machine import assemble_emit_one, boundary_strings
@@ -354,26 +363,94 @@ def test_exact_counts_match_per_vector_oracle():
 
 
 def test_exact_runs_each_block_once_per_stage(monkeypatch):
-    # Every machine of a stage shares one pass over the 52 blocks of 8-bit
-    # strings, however many machines there are. At 16 bits the blocks are
-    # those of emission extents: 6,462, where run extents give 7,110.
+    # Every machine of a stage shares one pass over the blocks of 8-bit
+    # strings, however many machines there are: 37 `emission` calls for the
+    # generator half, and no register block, as no register program with an
+    # OUT fits 8 bits. At 16 bits the generator half takes 1,345 calls and
+    # the 968 register programs with an OUT run 1,096 data blocks; the 3,240
+    # blocks of programs without OUT are never visited. A pass over every
+    # block of emission extents takes 6,462 calls, one over run extents
+    # 7,110.
     calls = []
+    blocks = []
 
     def counted(value, length, t):
         calls.append(value)
         return emission(value, length, t)
 
+    def counted_blocks(length, t):
+        for block in register_emissions(length, t):
+            blocks.append(block)
+            yield block
+
     monkeypatch.setattr(estimator, "emission", counted)
+    monkeypatch.setattr(estimator, "register_emissions", counted_blocks)
     for machines in (1, 2, 3):
         calls.clear()
+        blocks.clear()
         stage = StageParams(
             n=1, machines=machines, string_bits=8, steps=8, axioms=0, proof_budget=96
         )
         membership_counts_exact(battery(), stage, bit_budget=24)
-        assert len(calls) == 52, machines
+        assert (len(calls), len(blocks)) == (37, 0), machines
     calls.clear()
     membership_counts_exact(battery(), single_machine_stage(16), bit_budget=16)
-    assert len(calls) == 6462
+    assert (len(calls), len(blocks)) == (1345, 1096)
+
+
+def block_pass_reference(width, steps):
+    """The emission table as the per-block pass first built it: one
+    `emission` call per block of strings sharing the bits their emission
+    depends on, register programs without OUT included."""
+    outputs = {}
+    value, size = 0, 1 << width
+    while value < size:
+        emitted, extent = emission(value, width, steps)
+        end = (value | ((1 << (width - extent)) - 1)) + 1
+        outputs[emitted] = outputs.get(emitted, 0) + end - value
+        value = end
+    return outputs
+
+
+def test_emission_table_matches_the_per_block_pass():
+    # The same counts, and the same key order, so the breadth-first walk
+    # merges in the same order and every gate call and cache counter is
+    # unchanged.
+    cases = [(w, b) for w in range(17) for b in sorted({0, 1, 4, w, 3 * w})] + [(20, 20)]
+    for width, steps in cases:
+        got = estimator._emission_table(width, steps)
+        assert list(got.items()) == list(block_pass_reference(width, steps).items()), (
+            width,
+            steps,
+        )
+
+
+def test_register_programs_with_out_are_decoded_once(monkeypatch):
+    # The register half decodes each complete program with an OUT exactly
+    # once, from its prefix padded with zeros, and no other register string.
+    for width in (9, 15, 16, 18):
+        half = 1 << (width - 1)
+        want = set()
+        for value in range(half):
+            program, pos = machine._decode(value, width)
+            if isinstance(program, MachineProgram) and any(
+                ins.op is Opcode.OUT for ins in program.instructions
+            ):
+                want.add(value >> (width - pos) << (width - pos))
+        decoded = []
+
+        def counted(value, length):
+            if value < half:
+                decoded.append(value)
+            return _decode(value, length)
+
+        monkeypatch.setattr(machine, "_decode", counted)
+        estimator._emission_table(width, width)
+        monkeypatch.undo()
+        assert sorted(decoded) == sorted(want) and len(set(decoded)) == len(decoded), width
+    assert len(want) > 1000
+    with pytest.raises(ValueError):
+        next(register_emissions(16, -1))
 
 
 def test_exact_counts_of_multi_machine_stages_frozen():

@@ -510,6 +510,10 @@ def test_cli_usage_errors(tmp_path):
     assert proc.returncode == 2
     assert "config error" in proc.stderr and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # The message names the position and quotes only a prefix of the
+    # 14,000-character sentence.
+    assert "at position" in proc.stderr and "characters)" in proc.stderr
+    assert max(map(len, proc.stderr.splitlines())) < 320
 
 
 def test_import_and_demo_leave_the_recursion_limit_alone(tmp_path):
