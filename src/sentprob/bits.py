@@ -103,14 +103,6 @@ _set_length = Bits.length.__set__
 EMPTY_BITS = Bits(0, 0)
 
 
-def gamma_encode(v: int) -> Bits:
-    """Elias gamma code of v >= 1: (bitlen-1) zeros, then v in binary."""
-    if v < 1:
-        raise ValueError("gamma codes start at 1")
-    width = v.bit_length()
-    return Bits(v, 2 * width - 1)
-
-
 def read_gamma(value: int, length: int, pos: int) -> tuple[int, int] | None:
     """Read the gamma code that starts at bit pos of the length-bit string
     value. Returns (v, end), end being the position just past the code, or

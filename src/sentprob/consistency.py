@@ -15,36 +15,28 @@ not bind.
 Refutation attempts are memoized per claim-set key in a ``ConCache``, which
 may be shared across calls and across budgets: a stored attempt answers a
 later call only at the budgets whose verdict it settles, and anything else is
-recomputed.
+recomputed. A refutation within U inferences (stored with ``saturated``
+set), read from the set's closure, settles the budgets from U on and no
+smaller one.
 
-The cache also keeps a certificate for each accepted set it could find one
-for: a partial assignment of atoms under which every sentence of the set is
-true. Resolution is sound, so a set with a certificate is accepted at every
-budget without running the resolution loop. A merge built by
-``ClaimSet.union`` remembers its parent's key and the sentences it added, and
-a miss first tries to extend the parent's certificate to those sentences by a
-bounded search; only when that fails does the loop run.
-
-Before either, a miss reads the merge's clause summary (``prover.summarize``),
-grown from the parent's summary by the added sentences, or built over the
-whole set when the parent has none (a stage's axiom set is never gated, and
-``ClaimSet.of`` sets have no parent). A merge with a sentence that folds to
-falsum, or with two clashing unit literals, gets ``refute_bounded``'s exact
-result from the summary and never reaches resolution or the certificate
-search. The summary is read from ``_fold`` alone and built only on misses,
-never on hits or in ``union``. The cache keeps one for each set it accepted
-on a miss, the sets later merges grow from.
-
-From its parent a merge carries three things: the parent's key and the added
-sentences, which find the parent's summary and certificate in the cache, and
-its ``order``, a ``prover.ClauseOrder`` linked to the parent's order. When
-the loop runs, it walks the clause order the parent carries, built on first
-need from the nearest ancestor that has one, and puts only the added
-sentences' clauses on its heap. That walk holds for every set grown from
-the parent because a sentence's clause form, variable numbers included,
-depends on that sentence alone (see ``prover``). Orders live on the sets of
-the live merge chain, not in the cache, and a set whose order is built drops
-its link to the parent's.
+A miss tries four ways to decide, in this order; ``ConCache.paths`` counts
+them:
+- the clause summary (``prover.summarize``), read from ``_fold`` alone and
+  grown from the parent's, or built over the whole set when the cache kept
+  none for the parent (it keeps one per set accepted on a miss). A set with
+  a sentence that folds to falsum, or with two clashing unit literals, gets
+  ``refute_bounded``'s exact result;
+- a certificate: a partial assignment of atoms that makes every sentence
+  true, found by extending the parent's by a bounded search, or searching
+  the whole set. Resolution is sound, so such a set is accepted at every
+  budget. It needs no clauses, so it runs before the closure;
+- ``prover.closure_result``, which reads the loop's result from the set's
+  ``prover.Closure``. Closures live on the sets of the live merge chain,
+  not in the cache, and are built on first need from the nearest ancestor
+  that has one;
+- ``refute_bounded`` itself, for everything else.
+When the closure or the loop accepts a set whose parent's certificate did
+not extend, one more search over the whole set restores a certificate.
 """
 
 from __future__ import annotations
@@ -54,12 +46,13 @@ from typing import Iterable, Iterator, Optional
 
 from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
 from .prover import (
-    EMPTY_ORDER,
+    EMPTY_CLOSURE,
     EMPTY_SUMMARY,
-    ClauseOrder,
     ClauseSummary,
+    Closure,
     RefutationResult,
     RefutationVerdict,
+    closure_result,
     refute_bounded,
     settled_by_summary,
     summarize,
@@ -88,11 +81,11 @@ class ClaimSet:
 
     A set made by ``union`` records the key of the set it grew from
     (``parent``) and the sentences the merge added (``added``); the gate
-    uses them to extend the parent's certificate. Its ``order`` is a
-    ``ClauseOrder`` linked to the parent's order by those sentences, so the
-    resolution loop walks the clause order the parent carries."""
+    uses them to extend the parent's certificate. Its ``closure``, a
+    ``prover.Closure`` node, grows from the parent's by those sentences;
+    ``of`` grows one from the empty set's by all of its sentences."""
 
-    __slots__ = ("sentences", "key", "members", "parent", "added", "_order")
+    __slots__ = ("sentences", "key", "members", "parent", "added", "closure")
 
     def __init__(
         self, key: tuple[str, ...], sentences: tuple[Sentence, ...], members: frozenset[Sentence]
@@ -102,22 +95,14 @@ class ClaimSet:
         self.members = members
         self.parent: Optional[tuple[str, ...]] = None
         self.added: tuple[Sentence, ...] = ()
-        self._order: Optional[ClauseOrder] = None
-
-    @property
-    def order(self) -> ClauseOrder:
-        """The clause order of this set, for ``refute_bounded``: grown from
-        the parent's by the added sentences for a merge, and over the whole
-        set, from the empty set's, otherwise. Made on first use."""
-        if self._order is None:
-            self._order = ClauseOrder(EMPTY_ORDER, self.sentences)
-        return self._order
 
     @classmethod
     def of(cls, items: Iterable[Sentence] = ()) -> "ClaimSet":
         named = {render_sentence(s): s for s in items}
         key = tuple(sorted(named))
-        return cls(key, tuple(named[r] for r in key), frozenset(named.values()))
+        claims = cls(key, tuple(named[r] for r in key), frozenset(named.values()))
+        claims.closure = Closure(EMPTY_CLOSURE, claims.sentences)
+        return claims
 
     def union(self, items: Iterable[Sentence]) -> "ClaimSet":
         """This set grown by items; the set itself when they add nothing.
@@ -136,7 +121,7 @@ class ClaimSet:
         grown = ClaimSet(tuple(key), tuple(sentences), members.union(added))
         grown.parent = self.key
         grown.added = added
-        grown._order = ClauseOrder(self.order, added)
+        grown.closure = Closure(self.closure, added)
         return grown
 
     def __contains__(self, s: Sentence) -> bool:
@@ -168,9 +153,10 @@ class ConCache:
     it speaks for (see ``_verdict_at``). Under the same keys,
     ``certificates`` holds a certificate for each accepted set the search
     found one for, and ``summaries`` the clause summary of each set the gate
-    accepted on a miss; the empty set's are ``{}`` and ``EMPTY_SUMMARY``."""
+    accepted on a miss; the empty set's are ``{}`` and ``EMPTY_SUMMARY``.
+    ``paths`` counts the misses each way decided."""
 
-    __slots__ = ("data", "certificates", "summaries", "hits", "misses")
+    __slots__ = ("data", "certificates", "summaries", "hits", "misses", "paths")
 
     def __init__(self) -> None:
         self.data: dict[tuple[str, ...], RefutationResult] = {}
@@ -178,6 +164,7 @@ class ConCache:
         self.summaries: dict[tuple[str, ...], ClauseSummary] = {(): EMPTY_SUMMARY}
         self.hits = 0
         self.misses = 0
+        self.paths = dict.fromkeys(("summary", "certificate", "closure", "plain"), 0)
 
     def stats(self) -> dict[str, int]:
         return {"entries": len(self.data), "hits": self.hits, "misses": self.misses}
@@ -188,9 +175,12 @@ def _verdict_at(result: RefutationResult, budget: int) -> Optional[bool]:
     budget, or None if the attempt does not settle it. The search order does
     not depend on the budget, so a refutation after s inferences is found
     exactly when budget >= s, a saturated search accepts at every budget, and
-    a search cut off after b0 inferences accepts at every budget <= b0."""
+    a search cut off after b0 inferences accepts at every budget <= b0. A
+    refutation within s inferences (``saturated`` set) settles only the
+    budgets from s on."""
     if result.refuted:
-        return budget < result.steps_used
+        below = budget < result.steps_used
+        return None if below and result.saturated else below
     if result.saturated or budget <= result.steps_used:
         return True
     return None
@@ -292,11 +282,10 @@ def consistent_enough(
     claims: ClaimSet, budget: int, cache: Optional[ConCache] = None
 ) -> bool:
     """False iff ``refute_bounded`` refutes the claims within ``budget``
-    inferences. A set that the clause summary decides (a sentence folds to
-    falsum, or two unit literals clash) gets ``refute_bounded``'s result
-    without running it; a set with a certificate is satisfiable, so it is
-    accepted without running it. A negative budget is a ValueError: at one,
-    ``_verdict_at`` would read a cached refutation as an acceptance."""
+    inferences. A miss is decided by the clause summary, a certificate, the
+    closure or the loop itself, in that order (see the module docstring).
+    A negative budget is a ValueError: at one, ``_verdict_at`` would read a
+    cached refutation as an acceptance."""
     if budget < 0:
         raise ValueError("proof_budget must be a natural number")
     if cache is None:
@@ -319,6 +308,8 @@ def consistent_enough(
     result = settled_by_summary(summary, budget)
     if result is None:
         result = _certify_or_refute(claims, budget, cache)
+    else:
+        cache.paths["summary"] += 1
     cache.data[key] = result
     if result.refuted:
         return False
@@ -328,8 +319,8 @@ def consistent_enough(
 
 def _certify_or_refute(claims: ClaimSet, budget: int, cache: ConCache) -> RefutationResult:
     """``SATISFIABLE`` when a certificate for the claims is found, else the
-    result of ``refute_bounded``; a certificate found for an accepted set is
-    kept in the cache."""
+    closure's result, else that of ``refute_bounded``; a certificate found
+    for an accepted set is kept in the cache."""
     certificates = cache.certificates
     base = certificates.get(claims.parent)
     # Without the parent's certificate, search the whole set from scratch.
@@ -337,8 +328,12 @@ def _certify_or_refute(claims: ClaimSet, budget: int, cache: ConCache) -> Refuta
     model = extend_certificate(base or {}, added)
     if model is not None:
         certificates[claims.key] = model
+        cache.paths["certificate"] += 1
         return SATISFIABLE
-    result = refute_bounded(claims.sentences, budget, claims.order)
+    result = closure_result(claims.closure, budget)
+    cache.paths["plain" if result is None else "closure"] += 1
+    if result is None:
+        result = refute_bounded(claims.sentences, budget)
     if not result.refuted and len(added) < len(claims.sentences):
         model = extend_certificate({}, claims.sentences)
         if model is not None:

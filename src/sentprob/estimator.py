@@ -9,32 +9,16 @@ schedule so they scale together.
 
 On top of the accumulation loop sit two membership estimators, each counting
 a whole battery of sentences in one pass: exact enumeration of every bit
-vector (tiny stages only), which returns the counts and the vector total, and
-seeded Monte Carlo sampling, whose counts `monte_carlo_estimate` turns into
-rationals with 95% Wilson intervals. Every estimator reads only what a
-machine emits, and that depends only on a prefix of its string, the extent
-`machine.emission` reports. Monte Carlo sampling and the extension sampler
-draw each string through a per-call table of prefix classes (`_DrawTable`),
-which answers a string whose class is known from its first splitmix word,
-with no string built and no machine run. A miss runs that word itself when
-it is the whole string or settles the emission as a prefix, and builds the
-string only otherwise. Exact enumeration runs no
-accumulation per vector: one pass counts the strings that emit each
-distinct tuple, a table every machine of the stage shares. It takes one
-string per block of generator strings sharing a prefix, visits only the
-register programs that have an OUT (``machine.register_emissions``), and
-counts every other register string, which emits nothing, by subtraction.
-The walk then goes breadth first,
-one level per machine, merging every claim set of a level with every
-distinct tuple through the same step as `accumulate_claims` and keeping
-equal sets once, their vector counts summed. A third, independent process
-samples consistent extensions directly: random machines propose claims which
-are accepted under an exact satisfiability check restricted to a small atom
+vector (tiny stages only, `membership_counts_exact`), and seeded Monte Carlo
+sampling, whose counts `monte_carlo_estimate` turns into rationals with 95%
+Wilson intervals. Every estimator reads only what a machine emits, and that
+depends only on a prefix of its string (`machine.emission`), so samplers
+draw strings through a table of prefix classes (`_DrawTable`). A third,
+independent process samples consistent extensions directly
+(`extension_probabilities`): random machines propose claims which are
+accepted under an exact satisfiability check restricted to a small atom
 window, giving a limit oracle the membership trajectories can be compared
-against. A sample's window model set only shrinks, so its rounds stop once
-the set holds at most one valuation or decides every battery sentence,
-where no later round can change what the counts read; the results are
-those of running every round.
+against.
 
 Determinism contract: every random quantity derives from the caller's seed
 via a fixed tree (seed -> stage -> sample -> string, and seed -> sample ->
@@ -45,14 +29,14 @@ regardless of call order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import sqrt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .bits import Bits, child_seeds, derive_seed, leading_word, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
-from .machine import emission, register_emissions, run_prefix, word_emission
+from .machine import emission, register_emissions, run_prefix, wide_emission
 from .prover import MAX_TABLE_ATOMS, truth_table
 from .sequences import SequenceDef
 
@@ -199,8 +183,9 @@ class _DrawTable:
     the string's first splitmix word alone. A miss takes the emission of
     that word: at width <= 64 the word's top bits are the whole string, and
     a wider string's first 64 bits settle it unless its program decodes or
-    runs up to bit 64 (``machine.word_emission``); only then is the whole
-    string built. When the emission depends on its first e <= k bits, one
+    runs up to bit 64 (``machine.wide_emission``); only then is the whole
+    string built, and a program decoded within the word runs on it with no
+    second decode. When the emission depends on its first e <= k bits, one
     slice assignment fills every slot that shares them, else the slot stays
     empty and each draw into it runs its own string. By the extent contract
     of ``machine.emission``, ``draw(seed)`` always equals
@@ -224,10 +209,7 @@ class _DrawTable:
             if width <= 64:
                 emitted, extent = emission(word >> (64 - width), width, self.steps)
             else:
-                settled = word_emission(word, self.steps)
-                if settled is None:
-                    settled = emission(random_bits(seed, width).value, width, self.steps)
-                emitted, extent = settled
+                emitted, extent = wide_emission(word, self.steps, partial(random_bits, seed, width))
             free = 64 - self.shift - extent  # table bits past the extent
             if free >= 0:
                 first = slot >> free << free

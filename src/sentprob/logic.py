@@ -342,13 +342,3 @@ class Theory(NamedTuple):
 
 
 EMPTY_THEORY = Theory("empty", lambda i: TOP)
-
-
-def theory_from_axioms(name: str, axioms: list[Sentence]) -> Theory:
-    """Finite axiom list padded with the trivial tautology."""
-    frozen = tuple(axioms)
-
-    def axiom_at(i: int) -> Sentence:
-        return frozen[i] if i < len(frozen) else TOP
-
-    return Theory(name, axiom_at)

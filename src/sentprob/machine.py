@@ -16,9 +16,9 @@ Wire format (MSB-first, gamma = Elias gamma code):
         gamma(t), JZ only         jump target, resolved as (t-1) mod count
 
 Register instructions: INC, DEC (floor 0), JZ (jump when register is zero),
-OUT (emit the sentence whose index is the register value), HALT, LOADBIT (shift one data
-bit into the register: r := 2r + bit), SHL (double), NOP. Falling off the end
-halts; exhausting the data during LOADBIT halts.
+OUT (emit the sentence whose index is the register value), HALT, LOADBIT
+(shift one data bit into the register: r := 2r + bit), SHL (double), NOP.
+Falling off the end halts; exhausting the data during LOADBIT halts.
 
 A stream generator ignores its data and emits family member i-1 at step
 4*i*i, so a budget of t steps yields isqrt(t // 4) members in order. An
@@ -35,21 +35,20 @@ extent, the number of leading string bits its trace depends on.
 number of leading bits that depends on, and never runs a register program
 without OUT, which emits nothing whatever its data; the estimators read only
 emissions, so they answer every string of a block that shares those bits
-with one run. ``word_emission(word, t)`` gives the emission of every string
-longer than 64 bits that begins with the 64-bit word, when those bits settle
-it, so a sampler can skip building the rest. ``register_emissions(length,
+with one run. ``wide_emission(word, t, whole)`` gives the emission of a
+string longer than 64 bits that begins with the 64-bit word, and builds the
+string only when those bits do not settle it. ``register_emissions(length,
 t)`` walks the register encodings that fit length bits and have an OUT, and
 gives the emission of each block of their strings, so exact enumeration
-visits no program without OUT. All of them decode once and
-read the data as an integer slice of ``bits.value``: gamma codes are read
-by counting leading zeros, each instruction's 6 bits come out with one
-mask, LOADBIT shifts its bit out of the data integer, and an indexed
-generator's run is computed in closed form from the data's leading-zero
-count. Stream generators ignore their data, so
-their traces are memoised by (slot, t) in a bounded cache; an indexed
-generator's emitting run depends only on the member index n it reads, so its
-trace, and with it the member, is memoised by (slot, n) in another. Repeated
-runs share the emitted sentence objects.
+visits no program without OUT. All of them decode once and read the data as
+an integer slice of ``bits.value``: gamma codes are read by counting leading
+zeros, each instruction's 6 bits come out with one mask, LOADBIT shifts its
+bit out of the data integer, and an indexed generator's run is computed in
+closed form from the data's leading-zero count. Stream generators ignore
+their data, so their traces are memoised by (slot, t) in a bounded cache;
+an indexed generator's emitting run depends only on the member index n it
+reads, so its trace, and with it the member, is memoised by (slot, n) in
+another. Repeated runs share the emitted sentence objects.
 
 Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
 mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
@@ -72,7 +71,7 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .bits import Bits, SlottedRecord, read_gamma
 from .logic import Sentence, sentence_at
@@ -228,22 +227,27 @@ def emission(value: int, length: int, t: int) -> tuple[tuple[Sentence, ...], int
     return _emit_decoded(program, pos, value, length, t)
 
 
-def word_emission(word: int, t: int) -> Optional[tuple[tuple[Sentence, ...], int]]:
-    """``emission`` of every string longer than 64 bits whose first 64 bits
-    are word, read from word alone, or None when those bits do not settle
-    it: the word ends inside the encoding, or the extent reaches bit 64.
-    Otherwise the result is exact. Every code and length check that passes
-    within 64 bits passes in a longer string at the same positions, so the
-    program decodes the same way; a run whose extent is below 64 never
-    loaded a bit at or past 64, nor found the data exhausted, and its
-    indexed gamma code ends within the word."""
+def wide_emission(word: int, t: int, whole: Callable[[], Bits]) -> tuple[tuple[Sentence, ...], int]:
+    """``emission`` of a string longer than 64 bits whose first 64 bits are
+    word, where whole() builds the string. The word alone settles it when
+    its program decodes within the word and runs with an extent below 64:
+    every code and length check that passes within 64 bits passes in a
+    longer string at the same positions, so the program decodes the same
+    way, and such a run never loaded a bit at or past 64, nor found the
+    data exhausted, and its indexed gamma code ends within the word. Only
+    otherwise is the string built, and a program decoded within the word
+    runs on it with no second decode."""
     if t < 0:
         raise ValueError("step budget must be a natural number")
     program, pos = _decode(word, 64)
+    if program is not None:
+        result = _emit_decoded(program, pos, word, 64, t)
+        if result[1] < 64:
+            return result
+    bits = whole()
     if program is None:
-        return None
-    result = _emit_decoded(program, pos, word, 64, t)
-    return result if result[1] < 64 else None
+        program, pos = _decode(bits.value, bits.length)
+    return _emit_decoded(program, pos, bits.value, bits.length, t)
 
 
 def register_emissions(length: int, t: int) -> Iterator[tuple[tuple[Sentence, ...], int]]:

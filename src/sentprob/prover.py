@@ -14,27 +14,34 @@ sentence whose clausification can finish needs 2**64 variables; and every
 range lies above the small atoms and below the shifted ones. So no two
 sentences share a definition variable, and none is taken for an atom.
 
-refute_bounded runs one given-clause resolution loop. It takes clauses in
-walk order: by size, then by sorted literals. After deduplication no two
-clauses share that key, so the order is total. The set's clauses come in a
-sorted walk or wait in a heap with the resolvents derived, and each step
-takes the smaller of the two heads, which is the order a single queue of
-everything would pop. Each resolvent produced counts one inference against
-the budget; the exploration order does not depend on the budget, so a
+refute_bounded runs one given-clause resolution loop. It pops clauses from
+one heap in walk order: by size, then by sorted literals. After
+deduplication no two clauses share that key, so the order is total. A
+popped clause resolves on its maximal literal, the one on the largest
+variable, with every earlier clause whose maximal literal is the
+complement. Each resolvent produced counts one inference against the
+budget; the exploration order does not depend on the budget, so a
 refutation found at budget b is found at any larger budget. Resolution is
-refutation-complete for propositional logic, so when the walk and the heap
-drain without deriving the empty clause the set is satisfiable (reported
-as Unknown with `saturated` set). Only the order and equality of literals
+refutation-complete for propositional logic, so when the heap drains
+without deriving the empty clause the set is satisfiable (reported as
+Unknown with `saturated` set). Only the order and equality of literals
 reach a result, never their values.
 
-A claim set differs from the set it grew from only by the few sentences a
-merge added, so its walk is carried down the merge chain in a ClauseOrder:
-a node holds its parent's node and the added sentences, and is built, from
-the nearest built ancestor's walk with the added clauses inserted, only
-when a refutation of a set grown from it needs it. Refuting a set walks its
-parent's walk and puts the clauses its own sentences add on the heap. A
-caller with no order gets one grown from the empty set, so all its clauses
-go on the heap.
+The loop's count can be read without running it. This is this module's
+own argument, not a result of the source paper. In a set with no shifted
+atom, a clause holding a definition variable of sentence r has its maximal
+literal on one of r's variables, and so has every clause it resolves with.
+So the loop splits into one process per sentence, resolving only on that
+sentence's variables, and one atom-level process over the atom-only
+clauses. A clause resolves once with each earlier clause whose maximal
+literal is the complement of its own, so the loop makes at most
+U = sum(L) + P inferences, L and P counting those pairs in one sentence's
+process and in the atom-level one, and exactly U when it saturates.
+`local_summary` runs a sentence's process once, by directional resolution
+(Dechter and Rish, KR 1994); a `Closure` carries the atom-level closure
+down a claim set's merge chain; and `closure_result` reads the loop's
+result from them. No process runs past the budget, and a set with a
+shifted atom is left to the loop.
 
 Two kinds of set have a result fixed by their initial clauses: those with a
 sentence that folds to falsum (refuted at setup, after 0 inferences) and
@@ -44,9 +51,7 @@ roots, and roots on definition variables never clash, so both facts can be
 read from `_fold` alone: `summarize` keeps a set's atom-literal root units
 and whether two of them clash, and grows a summary by the sentences a
 merge adds; `settled_by_summary` turns it into refute_bounded's exact
-result. A caller that keeps summaries (the consistency gate does) decides
-these sets with no clausification, and hands only the rest to
-refute_bounded, together with the set's ClauseOrder.
+result, with no clausification.
 
 semantic_consistent, truth_table and entails are exact, via truth-table
 bitmaps, and are limited to MAX_TABLE_ATOMS distinct atoms.
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import insort
 from enum import Enum
 from functools import lru_cache
 from operator import neg
@@ -199,23 +203,20 @@ def _entry(c: Clause) -> Entry:
     return (len(lits), lits, c, m, c - {m})
 
 
-def _sentence_entries(root: object, clauses: tuple[Clause, ...]) -> tuple[Entry, ...]:
-    """The entries of one sentence's clause form: its definition clauses and
-    root unit, tautologies and repeats dropped; none for a sentence that
-    folds to a tautology, and the empty clause for one that folds to
-    falsum."""
-    if root is _TRUE:
-        return ()
-    if root is _FALSE:
-        return (_entry(frozenset()),)
-    kept = dict.fromkeys(c for c in clauses + (frozenset((root,)),) if not _is_tautology(c))  # type: ignore[arg-type]
-    return tuple(_entry(c) for c in kept)
-
-
 def _sentence_base(r: str) -> int:
     """The definition-variable base of the sentence rendered as r."""
     digest = hashlib.sha256(r.encode()).digest()
     return _TEMPLATE_BASE + int.from_bytes(digest[:16], "big") * _TEMPLATE_STRIDE
+
+
+def _clause_form(s: Sentence) -> tuple[Clause, ...]:
+    """The clauses of s: its definition clauses and root unit, tautologies
+    and repeats dropped; none when s folds to a tautology, and the empty
+    clause when it folds to falsum."""
+    root, clauses = _build_template(s, _sentence_base(render_sentence(s)))
+    if root is _TRUE or root is _FALSE:
+        return () if root is _TRUE else (frozenset(),)
+    return tuple(dict.fromkeys(c for c in clauses + (frozenset((root,)),) if not _is_tautology(c)))  # type: ignore[arg-type]
 
 
 @lru_cache(maxsize=1 << 14)
@@ -223,61 +224,7 @@ def _prepared(s: Sentence) -> tuple[Entry, ...]:
     """The entries of the clause form of s. Keyed by the sentence itself:
     nodes are interned, so a sentence built again is the same key and a
     lookup never compares two trees."""
-    return _sentence_entries(*_build_template(s, _sentence_base(render_sentence(s))))
-
-
-def _claim(sentences: Iterable[Sentence], seen: set[Clause], out: list[Entry]) -> None:
-    """Append to out the cached entries of sentences that are not in seen,
-    and note their clauses in seen."""
-    for s in sentences:
-        for e in _prepared(s):
-            c = e[2]
-            if c not in seen:
-                seen.add(c)
-                out.append(e)
-
-
-class ClauseOrder:
-    """A claim set's clause entries in walk order, carried down its merge
-    chain. A node stands for the set its ``parent`` stands for plus
-    ``sentences``; ``EMPTY_ORDER`` stands for the empty set.
-
-    A node is built when a refutation needs it (see ``_built``): ``walk``
-    then holds the set's distinct entries in walk order and ``clauses``
-    their clauses, and the parent link is dropped, so a node's parent is
-    None exactly when it is built."""
-
-    __slots__ = ("parent", "sentences", "walk", "clauses")
-
-    def __init__(self, parent: Optional["ClauseOrder"], sentences: Seq[Sentence]) -> None:
-        self.parent = parent
-        self.sentences = sentences
-
-
-EMPTY_ORDER = ClauseOrder(None, ())
-EMPTY_ORDER.walk = []
-EMPTY_ORDER.clauses = frozenset()
-
-
-def _built(node: ClauseOrder) -> ClauseOrder:
-    """node, built. The walk of its nearest built ancestor is copied and the
-    entries the nodes in between add are inserted; those nodes stay
-    unbuilt."""
-    path = []
-    while node.parent is not None:
-        path.append(node)
-        node = node.parent
-    if not path:
-        return node
-    seen, new = set(node.clauses), []
-    for n in reversed(path):
-        _claim(n.sentences, seen, new)
-    walk = list(node.walk)
-    for e in new:
-        insort(walk, e)
-    target = path[0]
-    target.walk, target.clauses, target.parent = walk, seen, None
-    return target
+    return tuple(_entry(c) for c in _clause_form(s))
 
 
 class RefutationVerdict(Enum):
@@ -288,8 +235,9 @@ class RefutationVerdict(Enum):
 class RefutationResult(NamedTuple):
     verdict: RefutationVerdict
     steps_used: int
-    # saturated is meaningful on Unknown only: the resolution closure was
-    # exhausted without an empty clause, so the set is satisfiable.
+    # On Unknown: the resolution closure was exhausted without an empty
+    # clause, so the set is satisfiable. On Refuted (from closure_result):
+    # the loop refutes within steps_used inferences, at a step not known.
     saturated: bool = False
 
     @property
@@ -333,14 +281,6 @@ def summarize(
     return ClauseSummary(units, clash)
 
 
-def _clash_result(budget: ProofBudget) -> RefutationResult:
-    # Units pop first and resolve only with each other, so when two of them
-    # clash the loop's first inference derives the empty clause.
-    if budget == 0:
-        return RefutationResult(RefutationVerdict.UNKNOWN, 0)
-    return RefutationResult(RefutationVerdict.REFUTED, 1)
-
-
 def settled_by_summary(
     summary: Optional[ClauseSummary], budget: ProofBudget
 ) -> Optional[RefutationResult]:
@@ -349,56 +289,32 @@ def settled_by_summary(
     falsum), or None when the set reaches the resolution loop."""
     if summary is None:
         return REFUTED_AT_SETUP
-    if summary.clash:
-        return _clash_result(budget)
-    return None
+    if not summary.clash:
+        return None
+    # Units pop first and resolve only with each other, so when two of them
+    # clash the loop's first inference derives the empty clause.
+    if budget == 0:
+        return RefutationResult(RefutationVerdict.UNKNOWN, 0)
+    return RefutationResult(RefutationVerdict.REFUTED, 1)
 
 
-def _carried(order: ClauseOrder) -> tuple[list[Entry], list[Entry], set[Clause]]:
-    """(walk, heap, seen) from a set's carried order: its parent's walk, and
-    on the heap the entries its own sentences add; the walk alone when the
-    order is built already."""
-    if order.parent is None:
-        return order.walk, [], set(order.clauses)
-    base = _built(order.parent)
-    seen, heap = set(base.clauses), []
-    _claim(order.sentences, seen, heap)
-    heapq.heapify(heap)
-    return base.walk, heap, seen
-
-
-def refute_bounded(
-    sentences: Iterable[Sentence],
-    budget: ProofBudget,
-    order: Optional[ClauseOrder] = None,
-) -> RefutationResult:
+def refute_bounded(sentences: Iterable[Sentence], budget: ProofBudget) -> RefutationResult:
     """Try to derive the empty clause within `budget` attempted resolutions.
     Ordered resolution: each clause resolves only on its maximal literal
     (by variable), which keeps the search directed enough to saturate
-    small sets within tiny budgets while staying refutation-complete.
-
-    A caller that holds the set's `ClauseOrder` (a ClaimSet's ``order``)
-    passes it as `order`; `sentences` are then not read, and the loop walks
-    the order the set's parent carries instead of sorting every clause.
-    Without one, the distinct sentences get an order grown from the empty
-    set's."""
-    if order is None:
-        order = ClauseOrder(EMPTY_ORDER, tuple(dict.fromkeys(sentences)))
-    walk, heap, seen = _carried(order)
-    if (walk and not walk[0][0]) or (heap and not heap[0][0]):
+    small sets within tiny budgets while staying refutation-complete."""
+    # Clauses shared by sentences (root units) are one entry.
+    heap = list({e[2]: e for s in dict.fromkeys(sentences) for e in _prepared(s)}.values())
+    seen = {e[2] for e in heap}
+    heapq.heapify(heap)
+    if heap and not heap[0][0]:
         # the empty clause of a sentence that folds to falsum
         return REFUTED_AT_SETUP
     heappop, heappush = heapq.heappop, heapq.heappush
     by_max: dict[int, list[Clause]] = {}
     inferences = 0
-    i, n = 0, len(walk)
-    while i < n or heap:
-        # Pop the smaller of the walk's next entry and the heap's top.
-        if heap and (i == n or heap[0] < walk[i]):
-            _, _, _, m, rest = heappop(heap)
-        else:
-            _, _, _, m, rest = walk[i]
-            i += 1
+    while heap:
+        _, _, _, m, rest = heappop(heap)
         mine = by_max.get(m)
         if mine is None:
             by_max[m] = [rest]
@@ -422,6 +338,127 @@ def refute_bounded(
                 seen.add(resolvent)
                 heappush(heap, _entry(resolvent))
     return RefutationResult(RefutationVerdict.UNKNOWN, inferences, saturated=True)
+
+
+def _saturate(clauses: Iterable[Clause], cap: int) -> Optional[tuple[int, frozenset[Clause]]]:
+    """(L, the atom-only clauses left) of a sentence's process, or None once
+    it passes cap inferences or meets a shifted atom. Each definition
+    variable's bucket, the rests of the clauses whose maximal literal is on
+    it split by sign, is resolved out largest first and then freed; its
+    resolvents hold only smaller variables, so it is complete when taken."""
+    buckets: dict[int, tuple[set[Clause], set[Clause]]] = {}
+    below: set[Clause] = set()
+    pairs = 0
+    while True:
+        for c in clauses:
+            m = max(c, key=abs, default=0)
+            v = abs(m)
+            if v < _TEMPLATE_BASE:
+                below.add(c)
+            elif v >= _ATOM_SHIFT:
+                return None
+            else:
+                signs = buckets.get(v) or buckets.setdefault(v, (set(), set()))
+                signs[m < 0].add(c - {m})
+        if not buckets:
+            return pairs, frozenset(below)
+        pos, neg = buckets.pop(max(buckets))
+        pairs += len(pos) * len(neg)
+        if pairs > cap:
+            return None
+        clauses = [a | b for a in pos for b in neg if not any(-l in b for l in a)]
+
+
+# Sentence -> its local summary, or a cap its process was found to exceed or
+# to meet a shifted atom under. Bounded like `_prepared`.
+_LOCALS: dict[Sentence, object] = {}
+
+
+def local_summary(s: Sentence, cap: int) -> Optional[tuple[int, frozenset[Clause]]]:
+    """The local summary of s: L and the atom-only clauses its process
+    derives, the empty clause among them when it is derived; None when s
+    holds a shifted atom or its process makes more than cap inferences."""
+    known = _LOCALS.get(s, -1)
+    if known.__class__ is int and known < cap:  # type: ignore[operator]
+        if len(_LOCALS) >= 1 << 14:
+            _LOCALS.clear()
+        summary = _saturate(_clause_form(s), cap)
+        known = _LOCALS[s] = cap if summary is None else summary
+    return None if known.__class__ is int else known  # type: ignore[return-value]
+
+
+class Closure:
+    """A claim set's atom-level closure, carried down its merge chain. A
+    node stands for the set its ``parent`` stands for plus ``sentences``;
+    ``EMPTY_CLOSURE`` stands for the empty set. A node is built when a
+    decision needs it (``_built``): ``by_max`` then maps each maximal
+    literal of the closure's clauses to their rests (0 to the empty
+    clause's), ``pairs`` is P and ``local`` the sum of the sentences' L,
+    and the parent link is dropped, so its parent is None exactly then."""
+
+    __slots__ = ("parent", "sentences", "by_max", "pairs", "local")
+
+    def __init__(self, parent: Optional["Closure"], sentences: Seq[Sentence]) -> None:
+        self.parent = parent
+        self.sentences = sentences
+
+
+EMPTY_CLOSURE = Closure(None, ())
+EMPTY_CLOSURE.by_max, EMPTY_CLOSURE.pairs, EMPTY_CLOSURE.local = {}, 0, 0
+
+
+def _built(node: Closure, cap: int) -> Optional[Closure]:
+    """node, built from its nearest built ancestor, whose closure is grown
+    by the atom-only clauses of the sentences in between (those nodes stay
+    unbuilt); None, with node unbuilt, when local_summary gives None for one
+    of them or P passes cap. The ancestor's rest sets are never changed."""
+    path = []
+    while node.parent is not None:
+        path.append(node)
+        node = node.parent
+    if not path:
+        return node
+    new, local = [], node.local
+    for n in reversed(path):
+        for s in n.sentences:
+            summary = local_summary(s, cap)
+            if summary is None:
+                return None
+            local += summary[0]
+            new += summary[1]
+    by_max, pairs = dict(node.by_max), node.pairs
+    while new:
+        c = new.pop()
+        m = max(c, key=abs, default=0)
+        rest = c - {m}
+        mine = by_max.get(m, frozenset())
+        if rest not in mine:
+            by_max[m] = mine | {rest}
+            others = by_max.get(-m, ()) if m else ()
+            pairs += len(others)
+            if pairs > cap:
+                return None
+            new += [rest | o for o in others if not any(-l in o for l in rest)]
+    node = path[0]
+    node.by_max, node.pairs, node.local, node.parent = by_max, pairs, local, None
+    return node
+
+
+def closure_result(node: Closure, budget: ProofBudget) -> Optional[RefutationResult]:
+    """`refute_bounded`'s result on the set node stands for, read from its
+    closure, or None when it cannot be: a process would pass the budget, or
+    the empty clause is derived and U passes the budget. A refutation comes
+    back with `saturated` set and U as its steps: the loop refutes within U
+    inferences, at a step this does not tell. Builds node and its parent
+    node, for the merges that grow from either; when the parent's cannot
+    be built, neither can node's."""
+    built = (node.parent is None or _built(node.parent, budget)) and _built(node, budget)
+    if not built:
+        return None
+    total = built.local + built.pairs
+    if 0 not in built.by_max:
+        return RefutationResult(RefutationVerdict.UNKNOWN, min(total, budget), total <= budget)
+    return RefutationResult(RefutationVerdict.REFUTED, total, True) if total <= budget else None
 
 
 MAX_TABLE_ATOMS = 24

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sentprob import consistency, prover
+from sentprob import consistency, estimator, harness, prover
 from sentprob.consistency import (
     SATISFIABLE,
     SEARCH_STEPS,
@@ -32,7 +32,6 @@ from sentprob.logic import (
     render_sentence,
     sentence_at,
     sentence_index,
-    theory_from_axioms,
 )
 from sentprob.harness import load_config, run_suite
 from sentprob.machine import run_prefix
@@ -45,6 +44,7 @@ from sentprob.prover import (
 )
 from sentprob.sequences import sequence_by_id
 from test_estimator import sample_strings
+from test_logic import theory_from_axioms
 from test_prover import (
     COLLIDING,
     DEFINITION_CEILING,
@@ -385,7 +385,8 @@ def test_unit_clash_exit_matches_full_loop():
             where = ([render_sentence(s) for s in sentences], b)
             assert refute_bounded(sentences, b) == full_loop(sentences, b), where
             if clash:
-                assert refute_bounded(sentences, b) == prover._clash_result(b), where
+                clash_summary = prover.ClauseSummary(frozenset(), True)
+                assert refute_bounded(sentences, b) == prover.settled_by_summary(clash_summary, b), where
     assert clashes > 200
 
 
@@ -444,6 +445,16 @@ def resolution_runs(monkeypatch):
     return runs
 
 
+def assert_stored_matches(stored, plain, budget, where):
+    """A stored attempt that is not SATISFIABLE against the plain loop's
+    result at the same budget: equal, except that a refutation read from a
+    closure (saturated set) only says the loop refutes within its U."""
+    if stored.refuted and stored.saturated:
+        assert plain.refuted and plain.steps_used <= stored.steps_used <= budget, where
+    else:
+        assert stored == plain, where
+
+
 def gate_matches_plain(claims, budget, cache, runs):
     """Gate claims on a cache miss and check the verdict, the cached result
     and any stored certificate against plain refute_bounded. Returns the
@@ -459,7 +470,7 @@ def gate_matches_plain(claims, budget, cache, runs):
     if stored is SATISFIABLE:
         assert cert is not None, where
     else:
-        assert stored == plain, where
+        assert_stored_matches(stored, plain, budget, where)
     if cert is not None:
         assert all(kleene(s, cert) is True for s in claims.sentences), where
     if verdict:
@@ -610,60 +621,114 @@ def test_cache_hits_and_certified_merges_build_no_clauses():
     budget = 64
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
     grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
-    prover._prepared.cache_clear()
+    prover._LOCALS.clear()
     prover._root.cache_clear()
     assert consistent_enough(claims, budget, cache)
     assert consistent_enough(grown, budget, cache)
     assert grown.key in cache.certificates
-    assert prover._prepared.cache_info().currsize == 0
+    assert not prover._LOCALS
     folded = prover._root.cache_info().currsize
     assert folded == 5
     # hits and unions do no summary work either
     assert consistent_enough(grown, budget, cache)
     grown.union(parse_all(["(a6 -> a7)"]))
     assert prover._root.cache_info().currsize == folded
-    assert prover._prepared.cache_info().currsize == 0
-    # a merge that reaches resolution does clausify: the probe works
+    assert not prover._LOCALS
+    # a merge that reaches the closure does clausify: the probe works
     refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
     assert not consistent_enough(refuted, budget, cache)
-    assert prover._prepared.cache_info().currsize > 0
+    assert prover._LOCALS and cache.paths["closure"] == 1
 
 
 CARRY_BUDGETS = (0, 1, 2, 16, 4096)
+# A cap no test set's processes reach: closures built under it are complete.
+UNCAPPED = 10**9
 
 
-def carried_matches_full_loop(claims, budget):
-    """refute_bounded walking the claims' carried order, as the gate calls it,
-    against full_loop. Returns the result."""
-    result = refute_bounded(claims.sentences, budget, claims.order)
-    assert result == full_loop(claims.sentences, budget), ([render_sentence(s) for s in claims.sentences], budget)
+def heap_closure(clauses, pivots=lambda v: True):
+    """The closure of clauses under the loop's ordered resolution, taken in
+    heap order with no budget and past the empty clause, resolving only on
+    the variables pivots admits: (pairs resolved, the closure's clauses).
+    The oracle for local summaries and carried closures."""
+    seen = {c for c in clauses if not prover._is_tautology(c)}
+    heap = [(len(c), tuple(sorted(c)), c) for c in seen]
+    heapq.heapify(heap)
+    by_max, pairs = {}, 0
+    while heap:
+        _, lits, given = heapq.heappop(heap)
+        if not lits:
+            continue
+        m = max(lits, key=lambda l: (abs(l), l < 0))
+        if not pivots(abs(m)):
+            continue
+        by_max.setdefault(m, []).append(given)
+        for other in by_max.get(-m, ()):
+            pairs += 1
+            resolvent = (given - {m}) | (other - {-m})
+            if prover._is_tautology(resolvent) or resolvent in seen:
+                continue
+            seen.add(resolvent)
+            heapq.heappush(heap, (len(resolvent), tuple(sorted(resolvent)), resolvent))
+    return pairs, seen
+
+
+def clauses_of(sentences):
+    """The distinct initial clauses of a set with no sentence that folds to
+    falsum."""
+    refuted, entries = initial_entries(set(sentences))
+    assert not refuted
+    return [e[2] for e in entries]
+
+
+def atom_only(clauses):
+    """The clauses, the empty one included, that hold no definition variable."""
+    return {c for c in clauses if not any(is_definition(l) for l in c)}
+
+
+def assert_local_summary_is_the_heap_closure(s):
+    """A sentence's local summary against the heap-order closure of its own
+    clauses that resolves on its definition variables only: the same count
+    L and the same atom-only clauses, the empty clause among them when it
+    is derived."""
+    pairs, atoms = prover.local_summary(s, UNCAPPED)
+    heap_pairs, closure = heap_closure(clauses_of([s]), is_definition)
+    assert (pairs, atoms) == (heap_pairs, atom_only(closure)), render_sentence(s)
+
+
+def assert_closure_is_the_heap_closure(claims):
+    """A claim set's built node against the heap-order closure of all its
+    clauses: its summed L and its count P make the same count U, and its
+    closure holds the same atom-only clauses, the empty clause included.
+    Returns the node."""
+    built = prover._built(claims.closure, UNCAPPED)
+    pairs, closure = heap_closure(clauses_of(claims.sentences))
+    carried = {rest | {m} if m else rest for m, rests in built.by_max.items() for rest in rests}
+    where = [render_sentence(s) for s in claims.sentences]
+    assert built.local + built.pairs == pairs and carried == atom_only(closure), where
+    return built
+
+
+def closure_matches_full_loop(claims, budget):
+    """The closure's result on the claims, as the gate reads it, against
+    full_loop: equal, or a refutation within U for one with the empty
+    clause. Returns the result, None when the closure does not decide."""
+    result = prover.closure_result(claims.closure, budget)
+    plain = full_loop(claims.sentences, budget)
+    if result is not None:
+        assert_stored_matches(result, plain, budget, ([render_sentence(s) for s in claims.sentences], budget))
     return result
 
 
-def built_walk(claims):
-    """The walk a claim set's order carries, or None when it is unbuilt."""
-    order = claims.order
-    return order.walk if order.parent is None else None
+def has_huge_atom(claims):
+    return any(a >= HUGE for s in claims.sentences for a in atoms_of(s))
 
 
-def assert_walk_is_the_sorted_clause_form(claims):
-    """A carried walk holds what building the set from scratch would: the
-    distinct entries in walk order, with the empty clause first for falsum."""
-    walk = built_walk(claims)
-    refuted, entries = initial_entries(claims.sentences)
-    if refuted:
-        assert walk[0][0] == 0
-    else:
-        assert walk == entries
-    assert len({e[1] for e in walk}) == len(walk)
-
-
-def test_carried_orders_match_full_loop_along_union_chains():
+def test_carried_closures_match_full_loop_along_union_chains():
     # Each chain grows from random parents, so merges hang off unbuilt sets
-    # (several levels up to a built one), siblings share a parent's walk,
-    # and some sets are refuted only after their children.
+    # (several levels up to a built one), siblings share a parent's closure,
+    # and some sets are decided only after their children.
     rng = random.Random(1201)
-    sets = []
+    sets, decided = [], 0
     for budget in CARRY_BUDGETS:
         for _ in range(60):
             family = [ClaimSet.of([rand_sentence(rng, 3, 4) for _ in range(rng.randrange(0, 3))])]
@@ -674,41 +739,44 @@ def test_carried_orders_match_full_loop_along_union_chains():
                 )
                 family.append(child)
                 if rng.random() < 0.6:
-                    carried_matches_full_loop(child, budget)
+                    decided += closure_matches_full_loop(child, budget) is not None
             for claims in rng.sample(family, len(family) // 3):
-                carried_matches_full_loop(claims, budget)
+                decided += closure_matches_full_loop(claims, budget) is not None
             sets += family
-    carried = [c for c in sets if built_walk(c) is not None]
+    carried = [c for c in sets if c.closure.parent is None and not decided_at_setup(c.sentences)]
     for claims in carried:
-        assert_walk_is_the_sorted_clause_form(claims)
-    assert len(carried) > 150 and sum(len(built_walk(c)) > 20 for c in carried) > 50
+        assert_closure_is_the_heap_closure(claims)
+    assert len(carried) > 150 and decided > 300, (len(carried), decided)
+    assert sum(len(c.closure.by_max) > 4 for c in carried) > 50
 
 
-def test_huge_atom_sets_carry_walks():
+def test_huge_atom_sets_take_the_plain_loop():
     # Atoms from 2**32 - 1 on have their literals shifted above every
-    # definition range, so sets holding them carry walks down the merge
-    # chain like any other set, and every refutation matches full_loop.
+    # definition range, which breaks the split into per-sentence processes:
+    # a set holding one is never read from a closure, and the gate sends it
+    # to the plain loop whenever the summary and a certificate leave it.
     rng = random.Random(1202)
-    huge = 0
+    huge = plain = 0
     for budget in CARRY_BUDGETS:
+        cache = ConCache()
         for _ in range(40):
             claims = ClaimSet.of([rand_sentence(rng, 2, 4)])
-            chain = [claims]
             for _ in range(rng.randrange(1, 8)):
                 claims = claims.union(literal_heavy_sentence(rng) for _ in range(rng.randrange(1, 3)))
-                chain.append(claims)
-                carried_matches_full_loop(claims, budget)
-            for claims in chain:
-                if built_walk(claims) is not None:
-                    assert_walk_is_the_sorted_clause_form(claims)
-                    huge += any(a >= HUGE for s in claims.sentences for a in atoms_of(s))
-    assert huge > 100, huge
+                result = closure_matches_full_loop(claims, budget)
+                if has_huge_atom(claims):
+                    huge += 1
+                    assert result is None and claims.closure.parent is not None
+                    before = cache.paths["plain"]
+                    consistent_enough(claims, budget, cache)
+                    plain += cache.paths["plain"] > before
+    assert huge > 100 and plain > 10, (huge, plain)
 
 
-def test_a_real_digest_collision_keeps_carried_walks():
+def test_a_real_digest_collision_keeps_carried_closures():
     # The two sentences shared one base under 40-bit digests, which sent the
     # set holding both, and every set grown from it, onto another numbering.
-    # Their 128-bit bases differ, so those sets carry walks like any other.
+    # Their 128-bit bases differ, so those sets carry closures like any other.
     first, second = COLLIDING
     assert reference_base(first) == reference_base(second)
     assert prover._sentence_base(first) != prover._sentence_base(second)
@@ -719,45 +787,67 @@ def test_a_real_digest_collision_keeps_carried_walks():
         great = grandchild.union(parse_all(["!a0", "!a1361226"]))
         both = ClaimSet.of(parse_all(COLLIDING + ("!a0", "!a2266169")))
         for claims in (parent, child, grandchild, great, both):
-            carried_matches_full_loop(claims, budget)
-        for claims in (parent, child, grandchild):
-            assert built_walk(claims) is not None
-            assert_walk_is_the_sorted_clause_form(claims)
+            closure_matches_full_loop(claims, budget)
     for claims in (parent, child, grandchild, great, both):
+        assert_closure_is_the_heap_closure(claims)
         assert consistent_enough(claims, 4096) == semantic_consistent(claims.sentences)
     assert not semantic_consistent(great.sentences) and not semantic_consistent(both.sentences)
 
 
 def test_clauses_shared_between_sentences_keep_one_entry():
-    # a0, !!a0, (a0 | _|_) and (_|_ | a0) all assert the root unit a0.
+    # a0, !!a0, (a0 | _|_) and (_|_ | a0) all assert the root unit a0, which
+    # the atom-level closure holds once: a second copy would count its
+    # pairs twice.
     parent = ClaimSet.of(parse_all(["a0", "(a1 | a2)"]))
     child = parent.union(parse_all(["!!a0", "(a0 | _|_)", "(!a1 & (a2 -> a0))"]))
     grandchild = child.union(parse_all(["(_|_ | a0)", "!a2"]))
     great = grandchild.union(parse_all(["(a1 -> !!a0)", "!a1"]))
     for budget in CARRY_BUDGETS:
         for claims in (child, grandchild, great, parent):
-            carried_matches_full_loop(claims, budget)
-    for claims in (parent, child, grandchild):
-        assert_walk_is_the_sorted_clause_form(claims)
-        assert [e[1] for e in built_walk(claims)].count((1,)) == 1
+            closure_matches_full_loop(claims, budget)
+    for claims in (parent, child, grandchild, great):
+        built = assert_closure_is_the_heap_closure(claims)
+        assert frozenset() in built.by_max[1]
+
+
+def check_every_miss(monkeypatch, cfg, tmp_path):
+    """Run the suite with every gate miss's stored decision checked against
+    full_loop. Returns (misses checked, the stored results of the misses
+    the closure or the plain loop decided, the cache)."""
+    checked, loop_results, caches = [], [], []
+
+    def gate(claims, budget, cache):
+        misses = cache.misses
+        decided = cache.paths["closure"] + cache.paths["plain"]
+        verdict = consistent_enough(claims, budget, cache)
+        if cache.misses > misses:
+            stored = cache.data[claims.key]
+            plain = full_loop(claims.sentences, budget)
+            where = ([render_sentence(s) for s in claims.sentences], budget)
+            assert verdict == (not plain.refuted), where
+            if stored is not SATISFIABLE:
+                assert_stored_matches(stored, plain, budget, where)
+            checked.append(where)
+            if cache.paths["closure"] + cache.paths["plain"] > decided:
+                loop_results.append(stored)
+        if cache not in caches:
+            caches.append(cache)
+        return verdict
+
+    monkeypatch.setattr(estimator, "consistent_enough", gate)
+    run_suite(cfg, str(tmp_path))
+    (cache,) = caches
+    assert len(checked) == cache.misses == sum(cache.paths.values())
+    return checked, loop_results, cache
 
 
 def test_every_gate_miss_of_a_standard_run_matches_full_loop(monkeypatch, tmp_path):
     standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
     cfg = load_config(str(standard))._replace(samples=3)
-    carried = []
-
-    def checked(sentences, budget, *rest):
-        result = refute_bounded(sentences, budget, *rest)
-        assert result == full_loop(sentences, budget), ([render_sentence(s) for s in sentences], budget)
-        parent = rest[-1].parent
-        carried.append(parent is not None and bool(parent.walk))
-        return result
-
-    monkeypatch.setattr(consistency, "refute_bounded", checked)
-    run_suite(cfg, str(tmp_path))
-    # every miss walks the non-empty walk its parent set carries
-    assert len(carried) == 99 and all(carried)
+    checked, loop_results, cache = check_every_miss(monkeypatch, cfg, tmp_path)
+    # the closure decides every miss the summary and a certificate leave
+    assert len(loop_results) == 99 and cache.paths["plain"] == 0, cache.paths
+    assert len(checked) == cache.misses > 300
 
 
 def test_every_gate_miss_where_the_budget_binds_matches_full_loop(monkeypatch, tmp_path):
@@ -766,15 +856,90 @@ def test_every_gate_miss_where_the_budget_binds_matches_full_loop(monkeypatch, t
     standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
     cfg = load_config(str(standard))
     cfg = cfg._replace(samples=3, schedule=tuple(default_schedule(proof_floor=1, proof_factor=1)))
-    results = []
+    checked, loop_results, cache = check_every_miss(monkeypatch, cfg, tmp_path)
+    cut_off = sum(not r.refuted and not r.saturated for r in loop_results)
+    assert len(loop_results) > 100 and cut_off > 0, (len(loop_results), cut_off)
+    assert cache.paths["closure"] > 0 and cache.paths["plain"] > 0, cache.paths
 
-    def checked(sentences, budget, *rest):
-        result = refute_bounded(sentences, budget, *rest)
-        assert result == full_loop(sentences, budget), ([render_sentence(s) for s in sentences], budget)
-        results.append(result)
-        return result
 
-    monkeypatch.setattr(consistency, "refute_bounded", checked)
-    run_suite(cfg, str(tmp_path))
-    cut_off = sum(not r.refuted and not r.saturated for r in results)
-    assert len(results) > 100 and cut_off > 0, (len(results), cut_off)
+def test_a_standard_run_makes_no_plain_loop_decision(monkeypatch, tmp_path):
+    # At the pinned seed, 10 samples: the summary, certificates and closures
+    # decide every gate miss, and the pinned cache line is unchanged by
+    # counting them.
+    caches = []
+
+    class Counted(ConCache):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(harness, "ConCache", Counted)
+    standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
+    run_suite(load_config(str(standard))._replace(samples=10), str(tmp_path))
+    (cache,) = caches
+    assert cache.paths["plain"] == 0 and cache.paths["closure"] > 0, cache.paths
+    assert sum(cache.paths.values()) == cache.misses
+    assert set(cache.stats()) == {"entries", "hits", "misses"}
+
+
+PROPERTY_BUDGETS = (0,) + tuple(2**k for k in range(13))
+
+
+def test_gate_follows_the_plain_loop_at_every_budget_on_one_cache():
+    # Random sets of 2-6 sentences over a0-a4, gated at budgets 0, 1, 2,
+    # ..., 4096 on one shared cache: every verdict is the plain loop's, every
+    # stored result that is not a certificate's is the plain loop's (or a
+    # refutation within U), and every local summary is the heap closure of
+    # its sentence. Half the sets go rising and then falling; the other half
+    # falling first, where a refutation within U is stored at 4096 and asked
+    # about below U.
+    rng = random.Random(7707)
+    cache = ConCache()
+    sets = [
+        ClaimSet.of([rand_sentence(rng, rng.randrange(1, 5), 5) for _ in range(rng.randrange(2, 7))])
+        for _ in range(300)
+    ]
+    rising, falling = PROPERTY_BUDGETS, PROPERTY_BUDGETS[::-1]
+    for i, claims in enumerate(sets):
+        for b in rising + falling if i % 2 else falling + rising:
+            misses = cache.misses
+            plain = refute_bounded(claims.sentences, b)
+            where = ([render_sentence(s) for s in claims.sentences], b)
+            assert consistent_enough(claims, b, cache) == (not plain.refuted), where
+            stored = cache.data[claims.key]
+            if cache.misses > misses and stored is not SATISFIABLE:
+                assert_stored_matches(stored, plain, b, where)
+        for s in claims.sentences:
+            if prover._root(s) is not prover._FALSE:
+                assert_local_summary_is_the_heap_closure(s)
+    assert cache.paths["closure"] > 10 and cache.paths["plain"] > 50, cache.paths
+    # The budget-2 pair of the roadmap: rejected, then accepted.
+    claims = ClaimSet.of(parse_all(["!(a0 | a1)", "((a0 | a1) | (a2 -> a1))", "a1"]))
+    grown = claims.union(parse_all(["(a1 | (a1 & a1))"]))
+    assert not consistent_enough(claims, 2, cache) and consistent_enough(grown, 2, cache)
+
+
+def test_closures_give_up_on_shifted_atoms_and_wide_sentences():
+    cache = ConCache()
+    # A set holding atom 2**32 - 1 takes the plain loop.
+    huge = ClaimSet.of(parse_all([f"(a{HUGE} | a0)", f"(a{HUGE} -> a1)", "!a0", "!a1"]))
+    assert prover.local_summary(parse_sentence(f"(a{HUGE} | a0)"), UNCAPPED) is None
+    assert not consistent_enough(huge, 4096, cache)
+    assert cache.paths["plain"] == 1
+    # So does a set with a sentence whose own process makes more inferences
+    # than the budget: the process stops there.
+    wide = parse_sentence("((a0 | a1) & ((a2 | a3) & (a0 -> (a1 & a2))))")
+    own = prover.local_summary(wide, UNCAPPED)[0]
+    assert own > 4
+    prover._LOCALS.clear()
+    contradiction = ClaimSet.of([wide, Not(wide)])
+    assert prover.local_summary(wide, own - 1) is None
+    assert prover.closure_result(contradiction.closure, own - 1) is None
+    assert consistent_enough(contradiction, own - 1, cache) == (not refute_bounded([wide, Not(wide)], own - 1).refuted)
+    assert cache.paths["plain"] == 2 and cache.paths["closure"] == 0
+    # At a budget the whole closure fits, it decides: a refutation within U.
+    assert not consistent_enough(contradiction, 4096, cache)
+    stored = cache.data[contradiction.key]
+    assert cache.paths["closure"] == 1 and stored.refuted and stored.saturated

@@ -30,7 +30,6 @@ from sentprob.logic import (
     parse_sentence,
     render_sentence,
     sentence_at,
-    theory_from_axioms,
 )
 from sentprob.machine import (
     Instruction,
@@ -44,6 +43,7 @@ from sentprob.machine import (
 )
 from sentprob.prover import semantic_consistent
 from sentprob.sequences import constant_of, sequence_by_id
+from test_logic import theory_from_axioms
 from test_machine import assemble_emit_one, boundary_strings
 
 BATTERY_TEXTS = [
@@ -181,7 +181,7 @@ def test_draw_table_matches_whole_string_runs(monkeypatch):
     # filled by an earlier draw or not: widths on both sides of the table's
     # 12 bits and of a splitmix word's 64, tables filled first by other seeds
     # in another order, and budgets that stop runs early and late.
-    calls = {"emission": 0, "word_emission": 0, "random_bits": 0}
+    calls = {"emission": 0, "wide_emission": 0, "random_bits": 0}
 
     def counting(name):
         fn = getattr(estimator, name)
@@ -211,14 +211,14 @@ def test_draw_table_matches_whole_string_runs(monkeypatch):
             assert [filled.draw(s) for s in seeds] == want, (width, steps)
         # A miss at width <= 64 takes the emission of the leading word
         # itself; a wider one reads the word first and builds the whole
-        # string, then takes its emission, only when the word does not
-        # settle it. The table answers some draws with no miss at all.
+        # string only when the word does not settle it, inside
+        # wide_emission. The table answers some draws with no miss at all.
         builds, emissions = calls["random_bits"], calls["emission"]
-        misses = emissions if width <= 64 else calls["word_emission"]
+        misses = emissions if width <= 64 else calls["wide_emission"]
         if width <= 64:
-            assert builds == calls["word_emission"] == 0, width
+            assert builds == calls["wide_emission"] == 0, width
         else:
-            assert 0 < builds == emissions < misses, width
+            assert 0 < builds < misses and emissions == 0, width
         assert misses < len(budgets) * (3 * len(seeds) + len(others)), width
     assert len(estimator._DrawTable(384, 0).slots) == 1 << estimator.TABLE_BITS
     assert len(estimator._DrawTable(11, 0).slots) == 1 << 11
@@ -233,12 +233,16 @@ def test_prefix_settled_draws_match_whole_strings(monkeypatch):
     # exactly the slots of one that builds every missed string. Random
     # strings first, then strings built on both sides of bit 64, each
     # drawn by its index through patched string builders.
+    def whole_string(word, t, whole):
+        bits = whole()
+        return emission(bits.value, bits.length, t)
+
     def compare(width, steps, seeds, strings):
         want = [run_prefix(strings(s), steps).emitted for s in seeds]
         table = estimator._DrawTable(width, steps)
         draws = [table.draw(s) for s in seeds]
         with monkeypatch.context() as m:
-            m.setattr(estimator, "word_emission", lambda word, t: None)
+            m.setattr(estimator, "wide_emission", whole_string)
             whole = estimator._DrawTable(width, steps)
             whole_draws = [whole.draw(s) for s in seeds]
         assert draws == whole_draws == want, (width, steps)

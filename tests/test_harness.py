@@ -610,8 +610,10 @@ def test_benchmark_tracer_wraps_the_demo_run(tmp_path):
 
     summary = json.loads(summary_path.read_text())
     spans, counters, samples = summary["spans"], summary["counters"], summary["samples"]
-    for name in ("consistency.consistent_enough", "prover.refute_bounded", "estimator.accumulate_claims"):
+    for name in ("consistency.consistent_enough", "estimator.accumulate_claims"):
         assert spans[name][0] > 0, name
     assert counters["consistency.cache_hits"] + counters["consistency.cache_misses"] > 0
-    assert samples["prover.budget_use"]
+    # The closure decides every demo miss that the summary and a certificate
+    # leave, so the wrapped plain loop is never called and samples nothing.
+    assert spans["prover.refute_bounded"][0] == 0 and not samples.get("prover.budget_use")
     assert set(samples["estimator.accumulate_stage"]) == {1, 2}

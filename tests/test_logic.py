@@ -15,6 +15,7 @@ from sentprob.logic import (
     Not,
     Or,
     ParseError,
+    Theory,
     _TAG_ATOM,
     _TAG_NOT,
     _unpair,
@@ -23,8 +24,13 @@ from sentprob.logic import (
     render_sentence,
     sentence_at,
     sentence_index,
-    theory_from_axioms,
 )
+
+
+def theory_from_axioms(name, axioms):
+    """A finite axiom list padded with the trivial tautology."""
+    frozen = tuple(axioms)
+    return Theory(name, lambda i: frozen[i] if i < len(frozen) else TOP)
 
 
 def decode_cost(k: int) -> int:

@@ -6,7 +6,7 @@ from typing import Optional
 import pytest
 
 from sentprob import machine
-from sentprob.bits import Bits, gamma_encode, random_bits
+from sentprob.bits import Bits, random_bits
 from sentprob.logic import Atom, Bottom, Sentence, render_sentence, sentence_at
 from sentprob.machine import (
     SLOT_COUNT,
@@ -22,9 +22,10 @@ from sentprob.machine import (
     emission,
     run_prefix,
     run_with_extent,
-    word_emission,
+    wide_emission,
 )
 from sentprob.sequences import SequenceDef, builtin_catalog, sequence_by_id
+from test_bits import gamma_encode
 
 
 # --- encoders --------------------------------------------------------------
@@ -548,30 +549,40 @@ def boundary_strings(width: int) -> list[tuple[str, Bits, float]]:
     return out
 
 
-def test_word_emission_settles_only_what_the_leading_word_decides():
+def test_word_emission_settles_only_what_the_leading_word_decides(monkeypatch):
     # A string's first 64 bits settle its emission when its program decodes
-    # within them and runs without reaching bit 64; the emission is then
-    # that of the whole string, whatever follows.
+    # within them and runs without reaching bit 64; wide_emission builds the
+    # whole string only otherwise, and decodes it only when the word ends
+    # inside the encoding. Its emission is the whole string's either way.
+    decodes = []
+    monkeypatch.setattr(machine, "_decode", lambda v, n: decodes.append(n) or _decode(v, n))
+
+    def wide(word, t, bits):
+        """(emission, whether the whole string was built, the decodes)."""
+        built, decodes[:] = [], []
+        got = wide_emission(word, t, lambda: built.append(bits) or bits)
+        return got, bool(built), list(decodes)
+
     for width in (65, 96, 127, 128, 384, 512):
         for name, bits, settled_below in boundary_strings(width):
             word = bits.value >> (width - 64)
+            decoded = _decode(word, 64)[0] is not None
             for t in sorted({0, 4, width, 3 * width}):
-                got = word_emission(word, t)
-                assert (got is not None) == (t < settled_below), (name, width, t)
-                if got is not None:
-                    assert got == emission(bits.value, width, t), (name, width, t)
+                got, built, seen = wide(word, t, bits)
+                assert built == (t >= settled_below), (name, width, t)
+                assert seen == ([64] if decoded else [64, width]), (name, width, t)
+                assert got == emission(bits.value, width, t), (name, width, t)
     rng = random.Random(23)
     settled = 0
     for _ in range(500):
         bits = random_bits(rng.randrange(2**63), 384)
         for t in (0, 4, 384):
-            got = word_emission(bits.value >> 320, t)
-            if got is not None:
-                settled += 1
-                assert got == emission(bits.value, 384, t)
+            got, built, _ = wide(bits.value >> 320, t, bits)
+            settled += not built
+            assert got == emission(bits.value, 384, t)
     assert settled > 500
     with pytest.raises(ValueError):
-        word_emission(1 << 63, -1)
+        wide_emission(1 << 63, -1, lambda: None)
 
 
 def assemble_emit_one(k: int) -> Bits:

@@ -46,10 +46,8 @@ def rand_sentence(rng, depth, atoms=3):
 def initial_entries(sentences):
     """(refuted at setup, the distinct clause entries in walk order) of a
     set, built from scratch out of each sentence's cached clause form: the
-    oracle that carried orders and the summary are checked against."""
-    seen, entries = set(), []
-    prover._claim(sentences, seen, entries)
-    entries.sort()
+    oracle that closures and the summary are checked against."""
+    entries = sorted({e[2]: e for s in sentences for e in prover._prepared(s)}.values())
     if entries and not entries[0][0]:
         return True, []
     return False, entries
@@ -255,12 +253,8 @@ def test_rebuilt_sentences_are_one_object_with_one_clause_memo_entry():
     assert build() is a
     prover._prepared.cache_clear()
     clash = Not(Or(Atom(0), Atom(1)))
-
-    def order(s):
-        return prover.ClauseOrder(prover.EMPTY_ORDER, (clash, s))
-
-    first = refute_bounded([clash, a], 64, order(a))
-    assert refute_bounded([clash, build()], 64, order(build())) == first
+    first = refute_bounded([clash, a], 64)
+    assert refute_bounded([clash, build()], 64) == first
     assert first.refuted
     info = prover._prepared.cache_info()
     assert (info.currsize, info.misses) == (2, 2)

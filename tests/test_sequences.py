@@ -4,7 +4,6 @@ from typing import Optional
 import pytest
 
 from sentprob import estimator, sequences
-from sentprob.bits import gamma_encode
 from sentprob.logic import And, Atom, BOTTOM, Not, Or, Sentence, atoms_of, render_sentence
 from sentprob.prover import (
     entails,
@@ -20,6 +19,7 @@ from sentprob.sequences import (
     sequence_by_id,
 )
 from sentprob.machine import run_prefix
+from test_bits import gamma_encode
 from test_machine import encode_generator, machine_backed
 
 # Partition helpers: only these tests use them.
