@@ -2,22 +2,22 @@
 
 Bit strings are MSB-first: bit 0 is the leftmost bit. All randomness in the
 package flows through ``derive_seed`` / ``random_bits`` so that runs are
-reproducible across platforms and Python versions. ``child_seeds(parent,
-count)`` yields ``derive_seed(parent, j)`` for ``j in range(count)``, with
-the parent's mixing step run once rather than once per child. It is lazy: a
-child's seed is computed only when it is read, so a sampler that stops
-early (the extension sampler) pays only for the seeds it uses, and one that
-reads them all (``estimator.membership_counts``) pays for each once.
-``leading_word(seed)`` is the first splitmix64 word of
-``random_bits(seed, length)``, whose top bits are the string's leading bits
-at every length, so a caller can read those bits without building the
-string: at length <= 64 the string is ``leading_word(seed) >> (64 -
-length)``, and a longer one begins with all 64.
+reproducible across platforms and Python versions. Samplers derive many
+children of a parent at once: ``derive_seed(parent, j)`` mixes j into
+``parent_state(parent)``, and ``child_draws`` takes one lane
+``parent_state(parent) ^ j`` per child and returns every child's leading
+word, and on request its seed, from one splitmix64 pass over all lanes.
+The leading word is the first splitmix64 word of ``random_bits(seed,
+length)``, whose top bits are the string's leading bits at every length, so
+a caller can read those bits without the seed: at length <= 64 the string
+is ``word >> (64 - length)``, and a longer one begins with all 64.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import sys
+from struct import pack
+from typing import Sequence
 
 
 class SlottedRecord:
@@ -119,51 +119,73 @@ def read_gamma(value: int, length: int, pos: int) -> tuple[int, int] | None:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SEED_INIT = 0x1D8E4E27C47D124F
+# The lane kernel packs lanes 128 bits apart in one int, so each step of
+# splitmix64 is one bigint operation over every lane: a lane times a 64-bit
+# constant fits in 128 bits, and masking lanes to 64 bits after every add,
+# xor-shift and multiply keeps carries and shifted bits out of neighbours.
+# _LOW picks each lane's low native 64-bit word under either byte order.
+_LOW = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
+def _mix(x: int, mask: int = _MASK64, golden: int = _GOLDEN) -> tuple[int, int]:
+    """One splitmix64 step, (state, output), on every lane of x; on a plain
+    64-bit value with the default one-lane mask and increment."""
+    state = (x + golden) & mask
+    z = ((state ^ (state >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return state, (z ^ (z >> 31)) & mask
 
 
 def derive_seed(*parts: int) -> int:
     """Mix integers into a 64-bit seed; the splittable scheme used everywhere."""
     h = _SEED_INIT
     for p in parts:
-        h, out = _splitmix64(h ^ (p & _MASK64))
-        h ^= out
-    _, out = _splitmix64(h)
-    return out
+        state, out = _mix(h ^ (p & _MASK64))
+        h = state ^ out
+    return _mix(h)[1]
 
 
-def child_seeds(parent: int, count: int) -> Iterator[int]:
-    """Yield ``derive_seed(parent, j)`` for j in range(count), each when it
-    is read: the parent's mixing step runs once, and each child's two
-    splitmix steps are inlined."""
-    state, out = _splitmix64(_SEED_INIT ^ (parent & _MASK64))
-    h = state ^ out
-    for j in range(count):
-        # derive_seed's mixing step for part j (j < 2**64, so h ^ j needs no mask) ...
-        z = state = ((h ^ j) + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        # ... then its final step, on state ^ out.
-        z = ((state ^ z ^ (z >> 31)) + _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+def parent_state(parent: int) -> int:
+    """The state that derive_seed(parent, part) mixes part into."""
+    state, out = _mix(_SEED_INIT ^ (parent & _MASK64))
+    return state ^ out
 
 
-def leading_word(seed: int) -> int:
-    """The first splitmix64 word that follows seed: random_bits(seed, length)
-    begins with its top min(length, 64) bits."""
-    z = (seed + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _spread(word: int, count: int) -> int:
+    """word in each of count lanes."""
+    return int.from_bytes(word.to_bytes(16, "little") * count, "little")
+
+
+def _unpack(packed: int, count: int) -> list[int]:
+    return memoryview(packed.to_bytes(16 * count, sys.byteorder)).cast("Q")[_LOW].tolist()
+
+
+def _child_seeds(lanes: Sequence[int]) -> tuple[int, int, int]:
+    """The lanes' packed child seeds, with the lane mask and increment."""
+    count = len(lanes)
+    packed = memoryview(bytearray(16 * count)).cast("Q")
+    packed[_LOW] = memoryview(pack(f"{count}Q", *lanes)).cast("Q")
+    mask, golden = _spread(_MASK64, count), _spread(_GOLDEN, count)
+    # derive_seed's mixing step for part j, then its final step.
+    state, out = _mix(int.from_bytes(packed, sys.byteorder), mask, golden)
+    return _mix(state ^ out, mask, golden)[1], mask, golden
+
+
+def child_draws(lanes: Sequence[int], with_seeds: bool) -> tuple[list[int], ...]:
+    """For each lane parent_state(parent) ^ j, with 0 <= j < 2**64, the
+    leading word of derive_seed(parent, j): (words, seeds) when with_seeds
+    is set, else (words,)."""
+    seeds, mask, golden = _child_seeds(lanes)
+    words = _unpack(_mix(seeds, mask, golden)[1], len(lanes))
+    return (words, _unpack(seeds, len(lanes))) if with_seeds else (words,)
+
+
+def child_states(parent: int, count: int) -> list[int]:
+    """parent_state(derive_seed(parent, i)) for i in range(count)."""
+    state = parent_state(parent)
+    seeds, mask, golden = _child_seeds([state ^ i for i in range(count)])
+    state, out = _mix(seeds ^ _spread(_SEED_INIT, count), mask, golden)
+    return _unpack(state ^ out, count)
 
 
 def random_bits(seed: int, length: int) -> Bits:

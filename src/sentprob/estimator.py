@@ -23,7 +23,9 @@ against.
 Determinism contract: every random quantity derives from the caller's seed
 via a fixed tree (seed -> stage -> sample -> string, and seed -> sample ->
 round for extensions), so identical arguments give identical results
-regardless of call order.
+regardless of call order. Samplers derive many leaves of the tree at once
+(``bits.child_draws``), and the draw table, the window masks and the stop
+table are keyed by content, so the order of the draws changes no count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache, partial
 from math import sqrt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .bits import Bits, child_seeds, derive_seed, leading_word, random_bits
+from .bits import Bits, child_draws, child_states, derive_seed, parent_state, random_bits
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
 from .machine import emission, register_emissions, run_prefix, wide_emission
@@ -180,16 +182,16 @@ class _DrawTable:
     by prefix class. Slot p holds the tuple that every string whose first
     k = min(width, TABLE_BITS) bits are p emits, once a draw has shown that
     its emission depends on at most those bits. A draw reads its slot from
-    the string's first splitmix word alone. A miss takes the emission of
-    that word: at width <= 64 the word's top bits are the whole string, and
-    a wider string's first 64 bits settle it unless its program decodes or
-    runs up to bit 64 (``machine.wide_emission``); only then is the whole
-    string built, and a program decoded within the word runs on it with no
-    second decode. When the emission depends on its first e <= k bits, one
-    slice assignment fills every slot that shares them, else the slot stays
-    empty and each draw into it runs its own string. By the extent contract
-    of ``machine.emission``, ``draw(seed)`` always equals
-    ``run_prefix(random_bits(seed, width), steps).emitted``."""
+    the string's leading word (``bits.child_draws``). A miss takes the
+    emission of that word: at width <= 64 its top bits are the whole
+    string and the seed is never read, and a wider string is built from
+    the seed only when its first 64 bits do not settle it
+    (``machine.wide_emission``). When the emission depends on its first
+    e <= k bits, one slice assignment fills every slot that shares them,
+    else the slot stays empty and each draw into it runs its own string.
+    By the extent contract of ``machine.emission``, ``draw(word, seed)``
+    equals ``run_prefix(random_bits(seed, width), steps).emitted`` when
+    word is the seed's leading word."""
 
     __slots__ = ("slots", "shift", "width", "steps")
 
@@ -200,8 +202,7 @@ class _DrawTable:
         self.width = width
         self.steps = steps
 
-    def draw(self, seed: int) -> tuple[Sentence, ...]:
-        word = leading_word(seed)
+    def draw(self, word: int, seed: Optional[int] = None) -> tuple[Sentence, ...]:
         slot = word >> self.shift
         emitted = self.slots[slot]
         if emitted is None:
@@ -275,16 +276,18 @@ def membership_counts(
     cache: Optional[ConCache] = None,
 ) -> list[int]:
     """One accumulation pass per sample, counting membership for the whole
-    battery at once. Sample i's strings are random_bits(s, width) for the
-    seeds s of child_seeds(derive_seed(seed, stage.n, i), machines), drawn
-    through one table shared by every sample."""
+    battery at once. Sample i's strings are random_bits(derive_seed(s, j),
+    width) for j in range(machines), with s = derive_seed(seed, stage.n, i),
+    drawn through one table shared by every sample; one child_draws call
+    gives a sample's leading words, and its seeds only past 64 bits."""
     if cache is None:
         cache = ConCache()
     counts = [0] * len(battery)
-    draw = _DrawTable(stage.string_bits, stage.steps).draw
+    draws = _DrawTable(stage.string_bits, stage.steps)
     for i in range(samples):
-        sample_seed = derive_seed(seed, stage.n, i)
-        drawn = map(draw, child_seeds(sample_seed, stage.machines))
+        state = parent_state(derive_seed(seed, stage.n, i))
+        lanes = [state ^ j for j in range(stage.machines)]
+        drawn = map(draws.draw, *child_draws(lanes, draws.width > 64))
         _tally(accumulate_claims(drawn, stage, cache), battery, counts)
     return counts
 
@@ -300,18 +303,14 @@ def membership_counts_exact(
 
     Every machine of the stage reads a string of the same width under the
     same step budget, so all machines share one table of each emitted tuple
-    and the number of strings that emit it (``_emission_table``). What a
-    string emits depends only on the leading bits ``emission`` reports, so
-    the table takes one string per block of strings that share those bits;
-    it runs only register programs with an OUT, and counts the strings of
-    every other register program, which emit nothing, by subtraction. The
-    walk then goes breadth first, one level per machine: each
-    claim set of a level is merged with each distinct tuple through
-    ``_merge``, as ``accumulate_claims`` would, and merged sets with equal
-    keys are kept once with their vector counts summed. Each set of the last
-    level adds its count to the battery counts. Gate verdicts depend only on
-    the set and the budget, not on the path that reached the set, so the
-    counts are those of accumulating every vector."""
+    and the number of strings that emit it (``_emission_table``). The walk
+    then goes breadth first, one level per machine: each claim set of a
+    level is merged with each distinct tuple through ``_merge``, as
+    ``accumulate_claims`` would, and merged sets with equal keys are kept
+    once with their vector counts summed. Each set of the last level adds
+    its count to the battery counts. Gate verdicts depend only on the set
+    and the budget, not on the path that reached the set, so the counts are
+    those of accumulating every vector."""
     if bit_budget > MAX_EXACT_BITS:
         raise ValueError(f"bit budget is capped at {MAX_EXACT_BITS}")
     machines, width = stage.machines, stage.string_bits
@@ -397,12 +396,6 @@ def sequence_trajectories(
 # --- truncated extension sampling -----------------------------------------
 
 
-def _window_order(atom_window: int) -> tuple[int, ...]:
-    if not 1 <= atom_window <= MAX_ATOM_WINDOW:
-        raise ValueError(f"atom window must be in 1..{MAX_ATOM_WINDOW}")
-    return tuple(range(atom_window))
-
-
 def _window_mask(s: Sentence, order: tuple[int, ...], memo: dict) -> Optional[int]:
     """Truth-table mask of s over the window atoms `order`, or None when s
     mentions an atom outside the window. Memoised per sentence, so each
@@ -440,37 +433,44 @@ class _Stops(dict):
 
 def _extension_models(
     seed: int,
+    samples: int,
     rounds: int,
     base_models: int,
     draws: _DrawTable,
     order: tuple[int, ...],
     memo: dict,
     stops: _Stops,
-) -> int:
-    """The window models left after one sample's rounds, each round's claims
-    drawn from draws. The loop stops once stops[models] holds, where no
-    later round can change what the battery counts read (see
-    extension_probabilities)."""
-    models = base_models
-    if stops[models]:
-        return models
-    draw = draws.draw
-    for round_seed in child_seeds(seed, rounds):
-        emitted = draw(round_seed)
-        if not emitted:
-            continue
-        mask = models
-        for s in emitted:
-            m = _window_mask(s, order, memo)
-            if m is None:
-                continue
-            mask &= m
-            if not mask:
-                break
-        if mask and mask != models:
-            models = mask
-            if stops[mask]:
-                break
+) -> list[int]:
+    """The window models each sample is left with, round r of sample i
+    drawn from derive_seed(derive_seed(seed, i), r). Rounds run one at a
+    time over the samples still active, one child_draws call each, and a
+    sample leaves once stops[models] holds, where no later round can change
+    what the battery counts read (see extension_probabilities)."""
+    models = [base_models] * samples
+    states = child_states(seed, samples)
+    active = () if stops[base_models] else range(samples)
+    for r in range(rounds):
+        if not active:
+            break
+        lanes = [states[i] ^ r for i in active]
+        drawn = map(draws.draw, *child_draws(lanes, draws.width > 64))
+        kept = []
+        for i, emitted in zip(active, drawn):
+            if emitted:
+                current = mask = models[i]
+                for s in emitted:
+                    m = _window_mask(s, order, memo)
+                    if m is None:
+                        continue
+                    mask &= m
+                    if not mask:
+                        break
+                if mask and mask != current:
+                    models[i] = mask
+                    if stops[mask]:
+                        continue
+            kept.append(i)
+        active = kept
     return models
 
 
@@ -529,9 +529,11 @@ def extension_probabilities(
     shrinks and, once nonempty, stays nonempty. So from one valuation every
     round keeps it or is refused; and a set inside pos or neg of a sentence
     stays inside it, never inside both, as they are disjoint. Either way
-    the estimates equal those of running all `rounds`; the skipped rounds'
-    machines are never run and their seeds never derived."""
-    order = _window_order(atom_window)
+    the estimates equal those of running all `rounds`. Active samples take
+    each round together, and a stopped sample's are never derived or run."""
+    if not 1 <= atom_window <= MAX_ATOM_WINDOW:
+        raise ValueError(f"atom window must be in 1..{MAX_ATOM_WINDOW}")
+    order = tuple(range(atom_window))
     full = (1 << (1 << atom_window)) - 1
     memo: dict = {}
     base = full
@@ -546,8 +548,7 @@ def extension_probabilities(
     undecided = [0] * len(battery)
     draws = _DrawTable(machine_budget, machine_budget)
     stops = _Stops(pos, neg)
-    for i in range(samples):
-        models = _extension_models(derive_seed(seed, i), rounds, base, draws, order, memo, stops)
+    for models in _extension_models(seed, samples, rounds, base, draws, order, memo, stops):
         for j in range(len(battery)):
             if not models & ~pos[j]:
                 counts[j] += 1

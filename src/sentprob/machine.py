@@ -28,27 +28,16 @@ is dropped (the member is never materialized), which keeps a t-step run from
 building sentences no t-step process could use.
 
 API: ``run_prefix(bits, t)`` decodes the program at the front of a bit
-string and runs it under a budget of t steps; ``run_with_extent(value,
-length, t)`` does the same on a bare integer and also returns the run's
-extent, the number of leading string bits its trace depends on.
-``emission(value, length, t)`` returns only what such a run emits, with the
-number of leading bits that depends on, and never runs a register program
-without OUT, which emits nothing whatever its data; the estimators read only
-emissions, so they answer every string of a block that shares those bits
-with one run. ``wide_emission(word, t, whole)`` gives the emission of a
-string longer than 64 bits that begins with the 64-bit word, and builds the
-string only when those bits do not settle it. ``register_emissions(length,
-t)`` walks the register encodings that fit length bits and have an OUT, and
-gives the emission of each block of their strings, so exact enumeration
-visits no program without OUT. All of them decode once and read the data as
-an integer slice of ``bits.value``: gamma codes are read by counting leading
-zeros, each instruction's 6 bits come out with one mask, LOADBIT shifts its
-bit out of the data integer, and an indexed generator's run is computed in
-closed form from the data's leading-zero count. Stream generators ignore
-their data, so their traces are memoised by (slot, t) in a bounded cache;
-an indexed generator's emitting run depends only on the member index n it
-reads, so its trace, and with it the member, is memoised by (slot, n) in
-another. Repeated runs share the emitted sentence objects.
+string and runs it under a budget of t steps. The estimators read only
+emissions: ``emission``, ``wide_emission`` (a string past 64 bits, built
+only when its first 64 do not settle it) and ``register_emissions`` (every
+register program with an OUT, for exact enumeration) return what a run
+emits with the leading bits that depends on, so one run answers every
+string that shares those bits. All of them decode once and read the data as
+an integer slice of the string; an indexed generator's run is computed in
+closed form. Generator traces are memoised, a stream's by (slot, t) and an
+indexed one's by (slot, n), in bounded caches, so repeated runs share the
+emitted sentence objects.
 
 Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
 mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
@@ -197,30 +186,19 @@ def _gamma_cut(room: int, pos: int) -> int:
 def run_prefix(bits: Bits, t: int) -> OutputTrace:
     """Decode a program from the front of bits and run it for at most t steps
     on the remainder. An incomplete encoding yields the empty trace."""
-    return run_with_extent(bits.value, bits.length, t)[0]
-
-
-def run_with_extent(value: int, length: int, t: int) -> tuple[OutputTrace, int]:
-    """``run_prefix`` on the length-bit string value, with the run's extent:
-    the number of leading bits its trace depends on. Every string of this
-    length that shares those bits gives the same trace under budget t. The
-    extent is the decode position for a stream generator and for an
-    incomplete encoding, the data bits the gamma code needs (at most all of
-    them) past it for an indexed generator, and the data bits loaded past it
-    for a register machine."""
     if t < 0:
         raise ValueError("step budget must be a natural number")
-    program, pos = _decode(value, length)
-    return _run_decoded(program, pos, value, length, t)
+    program, pos = _decode(bits.value, bits.length)
+    return _run_decoded(program, pos, bits.value, bits.length, t)[0]
 
 
 def emission(value: int, length: int, t: int) -> tuple[tuple[Sentence, ...], int]:
-    """The sentences ``run_with_extent(value, length, t)`` emits, and the
-    number of leading bits they depend on: every string of this length that
-    shares those bits emits the same tuple under budget t. A register
-    program with no OUT emits nothing whatever its data, so it is not run
-    and its extent is its decode position; any other program's extent is
-    its run's."""
+    """The sentences that ``run_prefix`` of the length-bit string value
+    emits under budget t, and the number of leading bits they depend on:
+    every string of this length that shares those bits emits the same tuple
+    under budget t. A register program with no OUT emits nothing whatever
+    its data, so it is not run and its extent is its decode position; any
+    other program's extent is its run's."""
     if t < 0:
         raise ValueError("step budget must be a natural number")
     program, pos = _decode(value, length)
@@ -326,7 +304,12 @@ def _run_decoded(
     program: Optional[Program], pos: int, value: int, length: int, t: int
 ) -> tuple[OutputTrace, int]:
     """The trace and extent of the decoded program whose data starts at bit
-    pos of the length-bit string value."""
+    pos of the length-bit string value. The extent is the number of leading
+    bits the trace depends on: every string of this length that shares them
+    gives the same trace under budget t. It is the decode position for a
+    stream generator and for an incomplete encoding, the data bits the gamma
+    code needs (at most all of them) past it for an indexed generator, and
+    the data bits loaded past it for a register machine."""
     if program is None:
         return _EMPTY_TRACE, pos
     if isinstance(program, GeneratorProgram) and not program.indexed:

@@ -8,7 +8,7 @@ builtin_catalog(), so reordering entries changes every encoded program.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .logic import (
     And,
@@ -156,9 +156,3 @@ def sequence_by_id(fid: str) -> SequenceDef:
         return catalog_by_id()[fid]
     except KeyError:
         raise KeyError(f"unknown sequence family: {fid!r}") from None
-
-
-def constant_of(phi: Sentence, fid: Optional[str] = None) -> SequenceDef:
-    """The constant sequence that emits phi at every position."""
-    name = fid if fid is not None else f"constant({phi!r})"
-    return SequenceDef(name, "builtin", "a fixed sentence at every position", lambda n: phi)

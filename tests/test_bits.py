@@ -1,15 +1,23 @@
 import copy
 import pickle
+import random
+import struct
 from fractions import Fraction
 from itertools import islice
+from typing import Iterator
 
 import pytest
 
 from sentprob.bits import (
+    _GOLDEN,
+    _MASK64,
+    _SEED_INIT,
     EMPTY_BITS,
     Bits,
-    child_seeds,
+    child_draws,
+    child_states,
     derive_seed,
+    parent_state,
     random_bits,
     read_gamma,
 )
@@ -189,6 +197,40 @@ def test_random_bits_rejects_negative_length():
         random_bits(5, -1)
 
 
+def child_seeds(parent: int, count: int) -> Iterator[int]:
+    """Scalar oracle for bits.child_draws: yield derive_seed(parent, j) for
+    j in range(count), each when it is read, with the parent's mixing step
+    run once and each child's two splitmix steps inlined."""
+    z = state = ((_SEED_INIT ^ (parent & _MASK64)) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    h = state ^ z ^ (z >> 31)
+    yield from map(lane_seed, (h ^ j for j in range(count)))
+
+
+def lane_seed(lane: int) -> int:
+    """The child seed of one lane, parent_state(parent) ^ j, computed as
+    derive_seed's last two splitmix steps on one 64-bit value."""
+    # derive_seed's mixing step for part j ...
+    z = state = (lane + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    # ... then its final step, on state ^ out.
+    z = ((state ^ z ^ (z >> 31)) + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def leading_word(seed: int) -> int:
+    """Scalar oracle: the first splitmix64 word that follows seed;
+    random_bits(seed, length) begins with its top min(length, 64) bits."""
+    z = (seed + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def test_child_seeds_match_derive_seed():
     for parent in (0, 7, 20260817, 2**64 - 1, 2**64 + 3):
         for count in (0, 1, 384):
@@ -206,3 +248,63 @@ def test_child_seeds_are_lazy():
     assert next(seeds) == derive_seed(20260817, 5)
     assert len(list(seeds)) == 64 - 6
     assert next(child_seeds(7, 2**40)) == derive_seed(7, 0)
+
+
+LANE_COUNTS = (0, 1, 2, 63, 64, 65, 384, 1000)
+
+
+def test_leading_word_is_the_first_word_of_every_string():
+    for seed in (0, 42, 2**64 - 1, 20260817):
+        word = leading_word(seed)
+        assert random_bits(seed, 64).value == word
+        assert random_bits(seed, 13).value == word >> 51
+        assert random_bits(seed, 200).value >> 136 == word
+
+
+def test_child_draws_match_scalar_seeds_and_words():
+    # Every lane count around the 64-lane mark and past the extension
+    # sampler's 1,000 samples, at the extreme parents and random ones.
+    rng = random.Random(22)
+    parents = [0, 2**64 - 1, 20260817] + [rng.getrandbits(64) for _ in range(3)]
+    for parent in parents:
+        state = parent_state(parent)
+        for count in LANE_COUNTS:
+            lanes = [state ^ j for j in range(count)]
+            seeds = list(child_seeds(parent, count))
+            words = [leading_word(s) for s in seeds]
+            assert child_draws(lanes, True) == (words, seeds), (parent, count)
+            assert child_draws(lanes, False) == (words,), (parent, count)
+            assert child_states(parent, count) == [parent_state(s) for s in seeds]
+    assert seeds == [derive_seed(parent, j) for j in range(1000)]
+
+
+def test_child_draws_keep_carries_in_their_lane():
+    # A lane whose value plus the golden increment carries past bit 63,
+    # beside lanes that do not and lanes at the extremes: a carry, or a bit
+    # shifted across a lane boundary, must not reach a neighbour.
+    near = [2**64 - 1, 2**64 - _GOLDEN, 2**64 - _GOLDEN - 1, 0, 1, 2**63, _GOLDEN]
+    rng = random.Random(7)
+    for count in LANE_COUNTS:
+        lanes = [rng.choice(near) ^ rng.getrandbits(3) for _ in range(count)]
+        seeds = [lane_seed(x) for x in lanes]
+        assert child_draws(lanes, True) == ([leading_word(s) for s in seeds], seeds), count
+    assert sum((x + _GOLDEN) >> 64 for x in lanes) > 300
+    # Alternating carry and no carry, lane by lane.
+    lanes = [2**64 - 1 if j % 2 else 0 for j in range(65)]
+    assert child_draws(lanes, True)[1] == [lane_seed(x) for x in lanes]
+    # A lane past 64 bits would spill into its neighbour; it is refused.
+    with pytest.raises(struct.error):
+        child_draws([2**64], False)
+
+
+# Words and seeds of a parent's first children, fixed like DERIVED_SEEDS.
+CHILD_DRAWS_20260817 = (
+    [0x0C8694AE8E0CCCDB, 0x929262A6DEDC7474, 0xE75D7506FE4693A4],
+    [0xD2A15AA5AA956709, 0x1A2D3B236F34BC19, 0x48CC899990EC26E8],
+)
+
+
+def test_child_draws_pinned():
+    lanes = [parent_state(20260817) ^ j for j in range(3)]
+    assert child_draws(lanes, True) == CHILD_DRAWS_20260817
+    assert child_states(20260817, 2) == [0x76A14AAB0D85798D, 0xFF5B7CE3D096E7B0]

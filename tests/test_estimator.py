@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sentprob import estimator, machine
-from sentprob.bits import Bits, child_seeds, derive_seed, random_bits
+from sentprob.bits import Bits, derive_seed, random_bits
 from sentprob.consistency import ConCache
 from sentprob.estimator import (
     StageParams,
@@ -42,9 +42,11 @@ from sentprob.machine import (
     run_prefix,
 )
 from sentprob.prover import semantic_consistent
-from sentprob.sequences import constant_of, sequence_by_id
+from sentprob.sequences import sequence_by_id
+from test_bits import leading_word
 from test_logic import theory_from_axioms
 from test_machine import assemble_emit_one, boundary_strings
+from test_sequences import constant_of
 
 BATTERY_TEXTS = [
     "a0",
@@ -69,7 +71,7 @@ def sample_strings(stage: StageParams, sample_seed: int) -> list[Bits]:
     """The strings membership_counts draws for the sample with this seed,
     built whole."""
     width = stage.string_bits
-    return [random_bits(s, width) for s in child_seeds(sample_seed, stage.machines)]
+    return [random_bits(derive_seed(sample_seed, j), width) for j in range(stage.machines)]
 
 
 def battery():
@@ -176,6 +178,14 @@ def test_accumulate_rejects_short_strings():
 DRAW_WIDTHS = (0, 1, 11, 12, 13, 24, 63, 64, 65, 384)
 
 
+def table_draws(table, seeds):
+    """What the table draws for each seed from its leading word, passing
+    the seed only past 64 bits: a narrower draw must never read it."""
+    if table.width <= 64:
+        return [table.draw(leading_word(s)) for s in seeds]
+    return [table.draw(leading_word(s), s) for s in seeds]
+
+
 def test_draw_table_matches_whole_string_runs(monkeypatch):
     # Each draw is what its whole string emits, whether its prefix class was
     # filled by an earlier draw or not: widths on both sides of the table's
@@ -202,13 +212,12 @@ def test_draw_table_matches_whole_string_runs(monkeypatch):
         for steps in budgets:
             want = [run_prefix(random_bits(s, width), steps).emitted for s in seeds]
             fresh = estimator._DrawTable(width, steps)
-            assert [fresh.draw(s) for s in seeds] == want, (width, steps)
+            assert table_draws(fresh, seeds) == want, (width, steps)
             reverse = estimator._DrawTable(width, steps)
-            assert [reverse.draw(s) for s in reversed(seeds)] == want[::-1], (width, steps)
+            assert table_draws(reverse, seeds[::-1]) == want[::-1], (width, steps)
             filled = estimator._DrawTable(width, steps)
-            for s in reversed(others):
-                filled.draw(s)
-            assert [filled.draw(s) for s in seeds] == want, (width, steps)
+            table_draws(filled, others[::-1])
+            assert table_draws(filled, seeds) == want, (width, steps)
         # A miss at width <= 64 takes the emission of the leading word
         # itself; a wider one reads the word first and builds the whole
         # string only when the word does not settle it, inside
@@ -232,19 +241,20 @@ def test_prefix_settled_draws_match_whole_strings(monkeypatch):
     # each draw still equals its whole string's run, and the table fills
     # exactly the slots of one that builds every missed string. Random
     # strings first, then strings built on both sides of bit 64, each
-    # drawn by its index through patched string builders.
+    # drawn by its index: its word is cut from the built string, and a
+    # patched random_bits returns the whole string.
     def whole_string(word, t, whole):
         bits = whole()
         return emission(bits.value, bits.length, t)
 
-    def compare(width, steps, seeds, strings):
+    def compare(width, steps, seeds, strings, word=leading_word):
         want = [run_prefix(strings(s), steps).emitted for s in seeds]
         table = estimator._DrawTable(width, steps)
-        draws = [table.draw(s) for s in seeds]
+        draws = [table.draw(word(s), s) for s in seeds]
         with monkeypatch.context() as m:
             m.setattr(estimator, "wide_emission", whole_string)
             whole = estimator._DrawTable(width, steps)
-            whole_draws = [whole.draw(s) for s in seeds]
+            whole_draws = [whole.draw(word(s), s) for s in seeds]
         assert draws == whole_draws == want, (width, steps)
         assert table.slots == whole.slots, (width, steps)
 
@@ -254,10 +264,15 @@ def test_prefix_settled_draws_match_whole_strings(monkeypatch):
             compare(width, steps, seeds, lambda s: random_bits(s, width))
     for width in WIDE_WIDTHS:
         built = [bits for _, bits, _ in boundary_strings(width)]
-        monkeypatch.setattr(estimator, "leading_word", lambda i: built[i].value >> (width - 64))
         monkeypatch.setattr(estimator, "random_bits", lambda i, n: built[i])
         for steps in sorted({0, 4, width, 3 * width}):
-            compare(width, steps, range(len(built)), built.__getitem__)
+            compare(
+                width,
+                steps,
+                range(len(built)),
+                built.__getitem__,
+                lambda i: built[i].value >> (width - 64),
+            )
 
 
 def test_membership_counts_match_explicit_strings():
@@ -615,28 +630,41 @@ def test_extension_rejects_axioms_outside_window():
 def test_extension_projects_wide_claims(monkeypatch):
     # A claim mentioning an atom outside the window is projected out: it
     # decides nothing, and the window claims emitted with it are still taken.
+    # Every draw is counted, so the patched table is known to be the one
+    # the sampler drew from.
+    draws = [0]
+
     def emitting(*claims):
-        monkeypatch.setattr(estimator._DrawTable, "draw", lambda draws, seed: claims)
+        def draw(table, word, seed=None):
+            draws[0] += 1
+            return claims
+
+        draws[0] = 0
+        monkeypatch.setattr(estimator._DrawTable, "draw", draw)
 
     wide = And(Atom(0), Atom(5))
     emitting(wide)
     (e,) = extension_probabilities([Atom(0)], 3, 4, 10)
     assert (e.value, e.undecided) == (0, 10)
+    assert draws[0] == 40
     emitting(wide, Atom(1))
     e, f = extension_probabilities([Atom(0), Atom(1)], 3, 4, 10)
     assert (e.value, e.undecided, f.value) == (0, 10, 1)
+    assert draws[0] == 40
     emitting(And(Atom(0), Atom(2)))
     (e,) = extension_probabilities([Atom(0)], 3, 4, 10)
     assert e.value == 1
+    assert draws[0] == 10
 
 
-def full_round_models(seed, rounds, base_models, draws, order, memo, stops):
+def full_round_models(seed, samples, rounds, base_models, draws, order, memo, stops):
     """Differential oracle for estimator._extension_models: the extension
-    loop with no early stop and no draw table, every round's whole string
-    built from a seed from derive_seed and run. Also returns the number of
-    rounds run until the model set first held at most one valuation or
-    decided every battery sentence, lying inside its pos or its neg mask
-    (rounds when neither happened)."""
+    loop sample by sample, with no early stop and no draw table, every
+    round's whole string built from a seed from derive_seed and run. Also
+    returns the number of rounds, summed over the samples, each ran until
+    its model set first held at most one valuation or decided every battery
+    sentence, lying inside its pos or its neg mask (rounds when neither
+    happened)."""
 
     def settled(models):
         if not models & (models - 1):
@@ -644,23 +672,29 @@ def full_round_models(seed, rounds, base_models, draws, order, memo, stops):
         pairs = zip(stops.pos, stops.neg)
         return all(models & p == models or models & n == models for p, n in pairs)
 
-    models = base_models
-    settled_at = 0 if settled(models) else None
-    for j in range(rounds):
-        trace = run_prefix(random_bits(derive_seed(seed, j), draws.width), draws.steps)
-        mask = models
-        for s in trace.emitted:
-            m = estimator._window_mask(s, order, memo)
-            if m is None:
-                continue
-            mask &= m
-            if not mask:
-                break
-        if mask:
-            models = mask
-        if settled_at is None and settled(models):
-            settled_at = j + 1
-    return models, rounds if settled_at is None else settled_at
+    left = []
+    needed = 0
+    for i in range(samples):
+        sample_seed = derive_seed(seed, i)
+        models = base_models
+        settled_at = 0 if settled(models) else None
+        for j in range(rounds):
+            string = random_bits(derive_seed(sample_seed, j), draws.width)
+            mask = models
+            for s in run_prefix(string, draws.steps).emitted:
+                m = estimator._window_mask(s, order, memo)
+                if m is None:
+                    continue
+                mask &= m
+                if not mask:
+                    break
+            if mask:
+                models = mask
+            if settled_at is None and settled(models):
+                settled_at = j + 1
+        left.append(models)
+        needed += rounds if settled_at is None else settled_at
+    return left, needed
 
 
 EXTENSION_BATTERY = [
@@ -674,23 +708,28 @@ def early_stop_against_oracle(
 ):
     """Estimates and rounds drawn by the sampler, and of the full-round
     oracle with the number of rounds it needed before each set settled.
-    When given, the list left gets the model set each sample stopped with."""
+    When given, the list left gets the model set each sample stopped with.
+    Each call of extension_probabilities must reach the seam patched for
+    it, once, or the comparison would be of the sampler with itself."""
     runs = [0]
     needed = [0]
+    calls = {"sampler": 0, "oracle": 0}
     draw = estimator._DrawTable.draw
     models_of = estimator._extension_models
 
-    def counting_draw(draws, seed):
+    def counting_draw(draws, word, seed=None):
         runs[0] += 1
-        return draw(draws, seed)
+        return draw(draws, word, seed)
 
     def recording_models(*args):
+        calls["sampler"] += 1
         models = models_of(*args)
         if left is not None:
-            left.append(models)
+            left.extend(models)
         return models
 
     def oracle(*args):
+        calls["oracle"] += 1
         models, settled_at = full_round_models(*args)
         needed[0] += settled_at
         return models
@@ -703,6 +742,7 @@ def early_stop_against_oracle(
     with monkeypatch.context() as m:
         m.setattr(estimator, "_extension_models", oracle)
         slow = extension_probabilities(*args)
+    assert calls == {"sampler": 1, "oracle": 1}
     return fast, slow, runs[0], needed[0]
 
 
@@ -711,6 +751,7 @@ def test_extension_early_stop_matches_full_rounds(monkeypatch):
     # count and no undecided count, and no round runs after that point.
     # The axioms of "fixed" settle every window atom; "clash" leaves no model.
     clash = theory_from_axioms("clash", [Atom(0), Not(Atom(0))])
+    total_runs = total_needed = 0
     for window in (1, 2, 3, 4):
         fixed = theory_from_axioms("fixed", [Atom(i) if i % 2 else Not(Atom(i)) for i in range(window)])
         for seed in (1, 2, 3, 123, 20260817):
@@ -724,6 +765,10 @@ def test_extension_early_stop_matches_full_rounds(monkeypatch):
                         case = (seed, window, rounds, budget, theory.name)
                         assert fast == slow, case
                         assert runs == needed <= 12 * rounds, case
+                        total_runs += runs
+                        total_needed += needed
+    # The sweep drew rounds through the table and through the oracle.
+    assert total_runs > 0 and total_needed > 0
 
 
 def test_extension_early_stop_skips_settled_rounds(monkeypatch):
@@ -732,7 +777,7 @@ def test_extension_early_stop_skips_settled_rounds(monkeypatch):
         monkeypatch, 123, 64, 200, EMPTY_THEORY, 64, 3
     )
     assert fast == slow
-    assert runs == needed < 200 * 64 // 3
+    assert 0 < runs == needed < 200 * 64 // 3
     # Axioms that fix every window atom settle the set before any round;
     # contradictory ones leave it empty. Either way no machine runs.
     fixed = theory_from_axioms("fixed", [Atom(0), Not(Atom(1)), Atom(2)])
@@ -777,7 +822,7 @@ def test_extension_one_valuation_stops_with_a_wide_sentence_undecided(monkeypatc
     assert fast == slow
     assert (fast[0].value, fast[0].undecided) == (0, 50)
     assert runs == needed == 0
-    assert set(left) == {1 << 0b011}
+    assert len(left) == 50 and set(left) == {1 << 0b011}
 
 
 def test_extension_trichotomy():

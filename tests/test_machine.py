@@ -17,15 +17,23 @@ from sentprob.machine import (
     OutputTrace,
     _decode,
     _indexed_trace,
+    _run_decoded,
     _run_machine,
     _stream_trace,
     emission,
     run_prefix,
-    run_with_extent,
     wide_emission,
 )
 from sentprob.sequences import SequenceDef, builtin_catalog, sequence_by_id
 from test_bits import gamma_encode
+
+
+def run_with_extent(value: int, length: int, t: int) -> tuple[OutputTrace, int]:
+    """``run_prefix`` on the length-bit string value, with the run's extent,
+    as ``machine._run_decoded`` gives them. The pipeline reads extents only
+    through ``emission``, so this entry point lives with the tests."""
+    program, pos = _decode(value, length)
+    return _run_decoded(program, pos, value, length, t)
 
 
 # --- encoders --------------------------------------------------------------

@@ -15,12 +15,19 @@ from sentprob.sequences import (
     SequenceDef,
     builtin_catalog,
     catalog_by_id,
-    constant_of,
     sequence_by_id,
 )
 from sentprob.machine import run_prefix
 from test_bits import gamma_encode
 from test_machine import encode_generator, machine_backed
+
+
+def constant_of(phi: Sentence, fid: Optional[str] = None) -> SequenceDef:
+    """The constant sequence that emits phi at every position. The pipeline
+    only reads the builtin families, so it lives with the tests."""
+    name = fid if fid is not None else f"constant({phi!r})"
+    return SequenceDef(name, "builtin", "a fixed sentence at every position", lambda n: phi)
+
 
 # Partition helpers: only these tests use them.
 
