@@ -26,7 +26,8 @@ Nodes are immutable and interned: building a node equal to a live one returns
 that node. The pipeline rebuilds the same sentences over and over, some
 thousands of levels deep, and with one object per sentence equality is
 identity and the hash is the object's, so no memo lookup walks a tree. The
-intern tables hold nodes weakly, so a node nothing else holds is freed.
+intern tables are plain dicts of weak references, read by C-level calls
+alone, so a node nothing else holds is freed.
 """
 
 from __future__ import annotations
@@ -34,47 +35,47 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 from typing import Any, Callable, NamedTuple, Union
-from weakref import WeakValueDictionary
+from weakref import ref
+
+from .bits import SlottedRecord
 
 
-class _Node:
+class _Ref(ref):
+    # A weakref.KeyedRef without its Python-level __new__ and __init__.
+    __slots__ = ("key",)
+
+
+class _Node(SlottedRecord):
     """Base of the six node classes. A subclass lists its parts in
-    ``__slots__``, in constructor order, and gets its own weak intern table
-    from a node's parts (the part itself for one-part nodes, which saves a
-    tuple per atom and negation) to the live node built from them."""
+    ``__slots__``, in constructor order, and gets its own intern table from
+    a node's parts (the part itself for one-part nodes, which saves a tuple
+    per atom and negation) to a ``_Ref`` of the live node built from them,
+    whose callback drops the entry unless a rebuilt node holds it by then."""
 
     __slots__ = ("__weakref__",)
-    _interned: WeakValueDictionary
+    _interned: dict
+    __eq__, __hash__ = object.__eq__, object.__hash__  # interned: equal is identical
 
     def __init_subclass__(cls) -> None:
-        cls._interned = WeakValueDictionary()
+        cls._interned = table = {}
+        cls._forget = staticmethod(lambda r: table.get(r.key) is r and table.pop(r.key))
 
     def __new__(cls, *parts):
         key = parts[0] if len(parts) == 1 else parts
-        node = cls._interned.get(key)
+        r = cls._interned.get(key)
+        node = None if r is None else r()
         if node is None:
             if len(parts) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} takes parts {cls.__slots__}, got {len(parts)}")
             node = object.__new__(cls)
             for name, part in zip(cls.__slots__, parts):
                 object.__setattr__(node, name, part)
-            cls._interned[key] = node
+            r = cls._interned[key] = _Ref(node, cls._forget)
+            r.key = key
         return node
-
-    def __setattr__(self, *_) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __deepcopy__(self, memo) -> "_Node":
         return self
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({parts})"
 
 
 class Bottom(_Node):

@@ -29,19 +29,17 @@ building sentences no t-step process could use.
 
 API: ``run_prefix(bits, t)`` decodes the program at the front of a bit
 string and runs it under a budget of t steps. The estimators read only
-emissions: ``emission``, ``wide_emission`` (a string past 64 bits, built
-only when its first 64 do not settle it) and ``register_emissions`` (every
-register program with an OUT, for exact enumeration) return what a run
-emits with the leading bits that depends on, so one run answers every
-string that shares those bits. All of them decode once and read the data as
-an integer slice of the string; an indexed generator's run is computed in
-closed form. Generator traces are memoised, a stream's by (slot, t) and an
-indexed one's by (slot, n), in bounded caches, so repeated runs share the
-emitted sentence objects.
+emissions (``emission``, ``wide_emission``, ``register_emissions``): what a
+run emits and the leading bits that depends on, so one run answers every
+string that shares them. Each decodes once and reads the data as an
+integer slice; an indexed generator's run is in closed form, and generator
+traces are memoised in bounded caches, a stream's by (slot, t) and an
+indexed one's by (slot, n), so repeated runs share the emitted sentences.
 
-Decoded programs are interned: there is one ``GeneratorProgram`` per (slot,
-mode) and one ``Instruction`` per non-JZ 6-bit instruction word, so decoding
-builds only a machine's instruction tuple and its jumps.
+Decoding is one pass that builds only a machine's instruction tuple: there
+is one ``GeneratorProgram`` per (slot, mode) and one ``Instruction`` per
+non-JZ 6-bit word and per JZ (register, target). A program with no OUT
+decodes to a ``SilentProgram``, which the emission path never runs.
 
 A register machine can only jump back through a taken JZ, so the
 interpreter records the state (pc, data bits left, registers) after each
@@ -97,6 +95,12 @@ class MachineProgram(NamedTuple):
     instructions: tuple[Instruction, ...]
 
 
+class SilentProgram(MachineProgram):
+    """A register program with no OUT, equal to its MachineProgram; it emits nothing."""
+
+    __slots__ = ()
+
+
 class GeneratorProgram(NamedTuple):
     slot: int  # position in sequences.builtin_catalog()
     indexed: bool
@@ -110,9 +114,6 @@ class OutputTrace(NamedTuple):
     steps_used: int
     halted: bool
     bits_read: int
-
-
-_EMPTY_TRACE = OutputTrace((), 0, True, 0)
 
 
 # Module-level aliases: looking a member up on the enum class costs about
@@ -130,6 +131,9 @@ _WORD_INSTRUCTIONS = tuple(
     None if _OPCODES[(word >> 2) & 7] is _JZ else Instruction(_OPCODES[(word >> 2) & 7], word & 3)
     for word in range(64)
 )
+# JZ instructions by target << 2 | register, each built on first use.
+_JUMPS: dict[int, Instruction] = {}
+_tuple_new = tuple.__new__  # builds a program without its NamedTuple __new__ frame
 _ALL_WORDS = range(64)
 _OUT_WORDS = tuple(word for word in _ALL_WORDS if (word >> 2) & 7 == _OUT)
 
@@ -156,24 +160,32 @@ def _decode(value: int, length: int) -> tuple[Optional[Program], int]:
     count = header - 1
     # Every instruction takes at least 6 bits, so a count the rest of the
     # string cannot hold is incomplete without decoding any instruction; only
-    # a jump target's gamma code can use up that room later.
-    if pos + 6 * count > length:
+    # a jump target's gamma code can use up that room (the slack) later.
+    slack = length - pos - 6 * count
+    if slack < 0:
         return None, pos
     instructions = []
-    for later in range(count - 1, -1, -1):
-        pos += 6
-        word = (value >> (length - pos)) & 0x3F
-        ins = _WORD_INSTRUCTIONS[word]
+    kind = SilentProgram
+    rest = length - pos  # bits after the current word
+    for _ in range(count):
+        rest -= 6
+        ins = _WORD_INSTRUCTIONS[(value >> rest) & 0x3F]
         if ins is None:
-            code = read_gamma(value, length, pos)
-            room = length - 6 * later
-            if code is None or code[1] > room:
+            # The jump target's gamma code, read as read_gamma would.
+            tail = value & ((1 << rest) - 1)
+            size = 2 * (rest - tail.bit_length()) + 1
+            if size > slack:
                 # The target's code leaves no room for the later instructions.
-                return None, _gamma_cut(room, pos)
-            target, pos = code
-            ins = Instruction(_JZ, word & 3, (target - 1) % count)
+                pos = length - rest
+                return None, _gamma_cut(pos + slack, pos)
+            slack -= size
+            rest -= size
+            key = ((tail >> rest) - 1) % count << 2 | (value >> (rest + size)) & 3
+            ins = _JUMPS.get(key) or _JUMPS.setdefault(key, Instruction(_JZ, key & 3, key >> 2))
+        elif ins.op is _OUT:
+            kind = MachineProgram
         instructions.append(ins)
-    return MachineProgram(tuple(instructions)), pos
+    return _tuple_new(kind, (tuple(instructions),)), length - rest
 
 
 def _gamma_cut(room: int, pos: int) -> int:
@@ -230,15 +242,11 @@ def wide_emission(word: int, t: int, whole: Callable[[], Bits]) -> tuple[tuple[S
 
 def register_emissions(length: int, t: int) -> Iterator[tuple[tuple[Sentence, ...], int]]:
     """The emission of every block of length-bit strings whose register
-    program has an OUT, in ascending order of the strings, with the number
-    of strings in the block: a block shares the leading bits its emission
-    depends on. Every other string under a register header emits ``()``
-    and is not visited. The encodings are walked depth first, one gamma
-    header, instruction word or jump target at a time, under the length
-    rules of ``_decode``; a prefix with no OUT and one instruction left
-    takes only the OUT words. Each complete program is decoded once, from
-    its prefix padded with zero data, and its data blocks are run through
-    ``_emit_decoded``."""
+    program has an OUT, in ascending order, with the number of strings in
+    the block: a block shares the leading bits its emission depends on.
+    Every other register string emits ``()`` and is not visited. Each
+    encoding ``_out_encodings`` walks is decoded once, padded with zero
+    data, and its data blocks are run through ``_emit_decoded``."""
     if t < 0:
         raise ValueError("step budget must be a natural number")
     for prefix, end in _out_encodings(length):
@@ -285,42 +293,51 @@ def _out_encodings(length: int) -> Iterator[tuple[int, int]]:
         stack += reversed(children)
 
 
-def _emit_decoded(
-    program: Optional[Program], pos: int, value: int, length: int, t: int
-) -> tuple[tuple[Sentence, ...], int]:
-    """``emission`` of the decoded program whose data starts at bit pos of
-    the length-bit string value."""
-    if program.__class__ is MachineProgram:
-        for ins in program.instructions:
-            if ins.op is _OUT:
-                break
-        else:
-            return (), pos
-    trace, extent = _run_decoded(program, pos, value, length, t)
-    return trace.emitted, extent
+def _emit_decoded(program: Optional[Program], pos: int, value: int, length: int, t: int) -> tuple:
+    """``emission`` of a decoded program, its data starting at bit pos of value."""
+    if program.__class__ is SilentProgram:
+        return (), pos
+    run, extent = _run(program, pos, value, length, t)
+    return run[0], extent
 
 
 def _run_decoded(
     program: Optional[Program], pos: int, value: int, length: int, t: int
 ) -> tuple[OutputTrace, int]:
-    """The trace and extent of the decoded program whose data starts at bit
-    pos of the length-bit string value. The extent is the number of leading
-    bits the trace depends on: every string of this length that shares them
-    gives the same trace under budget t. It is the decode position for a
-    stream generator and for an incomplete encoding, the data bits the gamma
-    code needs (at most all of them) past it for an indexed generator, and
-    the data bits loaded past it for a register machine."""
-    if program is None:
-        return _EMPTY_TRACE, pos
-    if isinstance(program, GeneratorProgram) and not program.indexed:
-        return _stream_trace(program.slot, t), pos
+    """``_run`` with the run as an ``OutputTrace``."""
+    run, extent = _run(program, pos, value, length, t)
+    return (run if run.__class__ is OutputTrace else OutputTrace._make(run)), extent
+
+
+def _run(program: Optional[Program], pos: int, value: int, length: int, t: int) -> tuple:
+    """The run of the decoded program whose data starts at bit pos of the
+    length-bit string value, as an ``OutputTrace``'s fields (a plain tuple
+    or a memoised trace), and its extent: every string of this length that
+    shares that many leading bits runs the same under budget t. It is the
+    decode position for a stream generator and an incomplete encoding, plus
+    the gamma code's bits (at most all the data) for an indexed generator,
+    or plus the data bits loaded for a register machine."""
     width = length - pos
-    data = value & ((1 << width) - 1)
-    if isinstance(program, GeneratorProgram):
+    if program.__class__ is GeneratorProgram:
+        if not program.indexed:
+            return _stream_trace(program.slot, t), pos
+        # Closed form of reading gamma(n+1) one data bit per step: the code
+        # spans need = 2z + 1 bits, z being the data's leading zeros (all of
+        # them when it has no 1). The read stops at bit min(t, width) if that
+        # comes first, on the budget when t <= width, else on the data.
+        data = value & ((1 << width) - 1)
         need = 2 * (width - data.bit_length()) + 1
-        return _run_indexed(program.slot, data, width, need, t), pos + min(need, width)
-    trace = _run_machine(program, data, width, t)
-    return trace, pos + trace.bits_read
+        extent = pos + min(need, width)
+        if t < need or width < need:
+            return ((), t, False, t) if t <= width else ((), width, True, width), extent
+        n = (data >> (width - need)) - 1
+        if n > t or need >= t:  # an index past the budget halts unemitted
+            return ((), need, n > t, need), extent
+        return _indexed_trace(program.slot, n), extent
+    if program is None:
+        return ((), 0, True, 0), pos
+    run = _run_machine(program, value & ((1 << width) - 1), width, t)
+    return run, pos + run[3]
 
 
 # A run uses one budget per stage, so a few hundred entries hold every live
@@ -331,35 +348,17 @@ def _stream_trace(slot: int, t: int) -> OutputTrace:
     return OutputTrace(tuple(family.emit(i) for i in range(isqrt(t // 4))), t, False, 0)
 
 
-# An emitting indexed run depends on (slot, n) alone: it reads the
-# need = 2 * bitlen(n + 1) - 1 bits of gamma(n + 1) and emits member n. Such
-# runs need n <= t, so a stage reaches at most SLOT_COUNT * (t + 1) of them,
-# skewed toward small n by the gamma code; the bound holds the common ones at
-# the standard budgets and keeps memory flat.
+# An emitting indexed run reads the 2 * bitlen(n + 1) - 1 bits of gamma(n + 1)
+# and emits member n <= t, so it depends on (slot, n) alone and a stage reaches
+# at most SLOT_COUNT * (t + 1) of them, skewed toward small n by the gamma code:
+# the bound holds the common ones at the standard budgets, with memory flat.
 @lru_cache(maxsize=4096)
 def _indexed_trace(slot: int, n: int) -> OutputTrace:
     need = 2 * (n + 1).bit_length() - 1
     return OutputTrace((builtin_catalog()[slot].emit(n),), need + 1, True, need)
 
 
-def _run_indexed(slot: int, data: int, width: int, need: int, t: int) -> OutputTrace:
-    """Closed form of reading gamma(n+1) from the width-bit data one bit per
-    step: the code spans need = 2z + 1 bits, z being the data's leading zeros
-    (all of them when the data has no 1). The read stops at bit min(t, width)
-    if that comes first, on the budget when t <= width, else on the data."""
-    if t < need or width < need:
-        if t <= width:
-            return OutputTrace((), t, False, t)
-        return OutputTrace((), width, True, width)
-    n = (data >> (width - need)) - 1
-    if n > t:
-        return OutputTrace((), need, True, need)
-    if need >= t:
-        return OutputTrace((), need, False, need)
-    return _indexed_trace(slot, n)
-
-
-def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> OutputTrace:
+def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> tuple:
     instructions = program.instructions
     size = len(instructions)
     regs = [0, 0, 0, 0]
@@ -422,4 +421,4 @@ def _run_machine(program: MachineProgram, data: int, width: int, t: int) -> Outp
             pc += 1
         else:
             pc += 1
-    return OutputTrace(tuple(emitted), steps, halted, width - left)
+    return tuple(emitted), steps, halted, width - left

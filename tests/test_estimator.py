@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -553,6 +554,32 @@ def test_mc_agrees_with_exact():
         assert count > 0
         gap = abs(Fraction(h, 10_000) - Fraction(count, total))
         assert gap <= 3 * wilson_halfwidth(h, 10_000)
+
+
+def test_mc_intervals_cover_the_exact_oracle_over_seeds():
+    # 60 seeds x 400 samples of the 1 x 16-bit stage at n = 1 against its
+    # exact counts: the draw table, the seed tree and the Wilson formula in
+    # one check. Each cell whose exact probability p is strictly between 0
+    # and 1 gets the 95% Wilson interval of its estimate and the z-score
+    # (estimate - p) / sqrt(p (1 - p) / samples). The bounds were fixed
+    # before the first run: at most 10% of the intervals miss p, and the
+    # mean z-score is within 0.2 of 0.
+    stage = single_machine_stage(16)
+    sentences = battery()
+    counts, total = membership_counts_exact(sentences, stage, bit_budget=16)
+    samples, z2 = 400, estimator._Z95**2
+    misses, zs = 0, []
+    for seed in range(60):
+        for hits, count in zip(membership_counts(sentences, stage, samples, seed), counts):
+            if not 0 < count < total:
+                continue
+            p, estimate = count / total, hits / samples
+            center = (estimate + z2 / (2 * samples)) / (1 + z2 / samples)
+            misses += abs(p - center) > wilson_halfwidth(hits, samples)
+            zs.append((estimate - p) / math.sqrt(p * (1 - p) / samples))
+    assert len(zs) >= 300
+    assert misses <= 0.10 * len(zs)
+    assert abs(sum(zs) / len(zs)) <= 0.2
 
 
 def test_theorem_membership_at_moderate_stage():

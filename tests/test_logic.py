@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -163,6 +164,30 @@ def test_nodes_are_interned_immutable_and_held_weakly():
     del fresh
     gc.collect()
     assert len(Implies._interned) == before
+
+
+def test_intern_tables_drop_dead_nodes_and_keep_rebuilt_ones():
+    parts = (Atom(123456780), Atom(123456781))
+    node = Implies(*parts)
+    entry = Implies._interned[parts]
+    callback = entry.__callback__
+    assert entry() is node and entry.key == parts
+    # A node nothing holds is freed, and its entry leaves the table.
+    old = weakref.ref(node)
+    del node
+    gc.collect()
+    assert old() is None and parts not in Implies._interned
+    # Rebuilt, it is a new object (the old one is gone) under a new entry,
+    # and building it again returns that object.
+    rebuilt = Implies(*parts)
+    assert Implies._interned[parts] is not entry and Implies(*parts) is rebuilt
+    # A late callback of the dead ref never deletes the newer entry.
+    callback(entry)
+    assert Implies._interned[parts]() is rebuilt and Implies(*parts) is rebuilt
+    # One-part nodes are keyed by the part itself.
+    negation = Not(Atom(123456782))
+    assert Not._interned[negation.inner]() is negation
+    assert Atom._interned[123456782]() is negation.inner
 
 
 def test_theories():

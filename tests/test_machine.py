@@ -15,6 +15,7 @@ from sentprob.machine import (
     MachineProgram,
     Opcode,
     OutputTrace,
+    SilentProgram,
     _decode,
     _indexed_trace,
     _run_decoded,
@@ -834,6 +835,37 @@ def test_repeated_instruction_words_share_one_instruction():
     other, _ = decode(encode_machine_program(MachineProgram((out, inc))))
     assert other.instructions[0] is decoded.instructions[1]
     assert other.instructions[1] is decoded.instructions[0]
+
+
+def check_decoded_register_program(value: int, length: int, jumps: dict) -> bool:
+    """Whether the string decodes to a register program. If it does, checks
+    that the decoder's class records whether it has an OUT, and that each
+    of its JZs is the one instruction of its (register, target) in jumps."""
+    program, _ = _decode(value, length)
+    if not isinstance(program, MachineProgram):
+        return False
+    emits = any(ins.op is Opcode.OUT for ins in program.instructions)
+    assert type(program) is (MachineProgram if emits else SilentProgram), (value, length)
+    assert program == MachineProgram(program.instructions)
+    for ins in program.instructions:
+        if ins.op is Opcode.JZ:
+            assert jumps.setdefault((ins.reg, ins.target), ins) is ins, (value, length)
+    return True
+
+
+def test_decode_records_out_and_interns_every_jump():
+    # Every string of up to 16 bits and random ones of 64-1536 bits.
+    jumps: dict = {}
+    decoded = sum(
+        check_decoded_register_program(value, length, jumps)
+        for length in range(17)
+        for value in range(1 << length)
+    )
+    rng = random.Random(1536)
+    for _ in range(3000):
+        length = rng.randint(64, 1536)
+        decoded += check_decoded_register_program(rng.getrandbits(length), length, jumps)
+    assert decoded > 25_000 and len(jumps) > 50
 
 
 def test_indexed_memo_shares_members_and_is_bounded():
