@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 from math import sqrt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -39,7 +40,7 @@ from .bits import Bits, child_draws, child_states, derive_seed, parent_state, ra
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
 from .machine import emission, register_emissions, run_prefix, wide_emission
-from .prover import MAX_TABLE_ATOMS, truth_table
+from .prover import MAX_TABLE_ATOMS, ClauseSummary, settled_by_summary, summarize, truth_table
 from .sequences import SequenceDef
 
 GROWTH_CAP = 512
@@ -268,6 +269,59 @@ def _tally(
             counts[j] += weight
 
 
+def _can_gain(
+    s: Sentence, claims: ClaimSet, summary: Optional[ClauseSummary], budget: int
+) -> bool:
+    """Whether a merge into claims, or into any set claims grows into, can
+    still add s; summary is that of claims (None: a sentence of claims
+    folds to falsum). The clause summary refutes a set that holds s when s
+    folds to falsum, at every budget, and when the root of s clashes with
+    a unit of claims, at every budget from 1. Both hold for every superset
+    of claims, as its units only grow, and the summary gives
+    ``refute_bounded``'s exact result, which is the gate's verdict
+    whatever its cache holds."""
+    if s in claims.members or summary is None:
+        return False
+    result = settled_by_summary(summarize((s,), summary), budget)
+    return result is None or not result.refuted
+
+
+def _counted_claims(
+    drawn: Sequence[tuple[Sentence, ...]],
+    stage: StageParams,
+    summary: Optional[ClauseSummary],
+    wanted: frozenset[Sentence],
+    cache: ConCache,
+) -> ClaimSet:
+    """A claim set that holds the same sentences of wanted as
+    ``accumulate_claims(drawn, stage, cache)``; summary is that of the
+    stage's axiom set. The draws are merged in order, but only up to the
+    last one that holds a sentence of wanted the set can still gain
+    (``_can_gain``). A later merge either adds no sentence of wanted or is
+    refuted, and a set never loses a sentence, so no later merge changes
+    which sentences of wanted the set ends with."""
+    budget = stage.proof_budget
+    last = {}
+    for t, emitted in enumerate(drawn):
+        for s in emitted:
+            if s in wanted:
+                last[s] = t
+    claims = stage.axiom_set
+    t = 0
+    while last:
+        last = {
+            s: u for s, u in last.items() if u >= t and _can_gain(s, claims, summary, budget)
+        }
+        end = max(last.values(), default=-1) + 1
+        while t < end:
+            merged = _merge(claims, drawn[t], budget, cache)
+            t += 1
+            if merged is not claims:
+                claims, summary = merged, summarize(merged.added, summary)
+                break
+    return claims
+
+
 def membership_counts(
     battery: Sequence[Sentence],
     stage: StageParams,
@@ -279,16 +333,31 @@ def membership_counts(
     battery at once. Sample i's strings are random_bits(derive_seed(s, j),
     width) for j in range(machines), with s = derive_seed(seed, stage.n, i),
     drawn through one table shared by every sample; one child_draws call
-    gives a sample's leading words, and its seeds only past 64 bits."""
-    if cache is None:
-        cache = ConCache()
+    gives a sample's leading words, and its seeds only past 64 bits.
+
+    Without a passed cache a sample still draws every string but stops
+    merging once no later merge can change which battery sentences it ends
+    with (``_counted_claims``), so the counts are those of the full pass.
+    A passed cache sees every merge of every sample. That full pass exists
+    only to keep the shared cache's statistics, which ``run`` prints and
+    its report pins; the counts are the same either way."""
     counts = [0] * len(battery)
     draws = _DrawTable(stage.string_bits, stage.steps)
+    if cache is None:
+        accumulate = partial(
+            _counted_claims,
+            stage=stage,
+            summary=summarize(stage.axiom_set.sentences),
+            wanted=frozenset(battery),
+            cache=ConCache(),
+        )
+    else:
+        accumulate = partial(accumulate_claims, stage=stage, cache=cache)
     for i in range(samples):
         state = parent_state(derive_seed(seed, stage.n, i))
         lanes = [state ^ j for j in range(stage.machines)]
-        drawn = map(draws.draw, *child_draws(lanes, draws.width > 64))
-        _tally(accumulate_claims(drawn, stage, cache), battery, counts)
+        drawn = list(map(draws.draw, *child_draws(lanes, draws.width > 64)))
+        _tally(accumulate(drawn), battery, counts)
     return counts
 
 
@@ -307,10 +376,15 @@ def membership_counts_exact(
     then goes breadth first, one level per machine: each claim set of a
     level is merged with each distinct tuple through ``_merge``, as
     ``accumulate_claims`` would, and merged sets with equal keys are kept
-    once with their vector counts summed. Each set of the last level adds
-    its count to the battery counts. Gate verdicts depend only on the set
-    and the budget, not on the path that reached the set, so the counts are
-    those of accumulating every vector."""
+    once with their vector counts summed. Gate verdicts depend only on the
+    set and the budget, not on the path that reached the set, so the counts
+    are those of accumulating every vector.
+
+    The last level is never built. Each set of the level before it is
+    merged only with the tuples that hold a battery sentence it can still
+    gain (``_can_gain``), and adds its own count for every other tuple:
+    such a merge either adds no battery sentence or is refuted, so the
+    counts are the same. A passed cache shares gate verdicts across calls."""
     if bit_budget > MAX_EXACT_BITS:
         raise ValueError(f"bit budget is capped at {MAX_EXACT_BITS}")
     machines, width = stage.machines, stage.string_bits
@@ -320,19 +394,19 @@ def membership_counts_exact(
             f"{total_bits} total bits exceed the budget of {bit_budget};"
             " use the Monte Carlo estimator"
         )
-    if cache is None:
-        cache = ConCache()
     counts = [0] * len(battery)
     if not machines:
         _tally(stage.axiom_set, battery, counts)
         return counts, 1
+    if cache is None:
+        cache = ConCache()
     budget = stage.proof_budget
     outputs = _emission_table(width, stage.steps)
     # A level maps each distinct claim-set key to the set and the number of
     # vectors that reach it, so it holds one entry per distinct set, a number
     # the 24-bit cap keeps small.
     level = {stage.axiom_set.key: [stage.axiom_set, 1]}
-    for _ in range(machines):
+    for _ in range(machines - 1):
         grown: dict[tuple[str, ...], list] = {}
         for claims, weight in level.values():
             for emitted, block in outputs.items():
@@ -340,7 +414,16 @@ def membership_counts_exact(
                 grown.setdefault(merged.key, [merged, 0])[1] += weight * block
         level = grown
     for claims, weight in level.values():
-        _tally(claims, battery, counts, weight)
+        summary = summarize(claims.sentences)
+        gain = {s for s in battery if _can_gain(s, claims, summary, budget)}
+        quiet = 0  # strings whose tuple cannot change a count
+        for emitted, block in outputs.items():
+            if gain.isdisjoint(emitted):
+                quiet += block
+            else:
+                merged = _merge(claims, emitted, budget, cache)
+                _tally(merged, battery, counts, weight * block)
+        _tally(claims, battery, counts, weight * quiet)
     return counts, 1 << total_bits
 
 
@@ -445,17 +528,23 @@ def _extension_models(
     drawn from derive_seed(derive_seed(seed, i), r). Rounds run one at a
     time over the samples still active, one child_draws call each, and a
     sample leaves once stops[models] holds, where no later round can change
-    what the battery counts read (see extension_probabilities)."""
+    what the battery counts read (see extension_probabilities). A draw
+    whose table slot is filled is read from the slot, and ``draws.draw``
+    is called only on a miss."""
     models = [base_models] * samples
     states = child_states(seed, samples)
     active = () if stops[base_models] else range(samples)
+    slots, shift = draws.slots, draws.shift
     for r in range(rounds):
         if not active:
             break
         lanes = [states[i] ^ r for i in active]
-        drawn = map(draws.draw, *child_draws(lanes, draws.width > 64))
+        words, *seeds = child_draws(lanes, draws.width > 64)
         kept = []
-        for i, emitted in zip(active, drawn):
+        for i, word, seed in zip(active, words, seeds[0] if seeds else repeat(None)):
+            emitted = slots[word >> shift]
+            if emitted is None:
+                emitted = draws.draw(word, seed)
             if emitted:
                 current = mask = models[i]
                 for s in emitted:

@@ -290,6 +290,50 @@ def test_membership_counts_match_explicit_strings():
         assert membership_counts(sentences, stage, 6, 5) == counts, stage.n
 
 
+# Falsum, both literals of a0 and a1, a tautology, and an atom whose index
+# is past any register value or family member a run of at most 96 steps on
+# at most 96 bits can reach, so no machine of stages 1-3 emits it.
+SKIP_BATTERY = [parse_sentence(t) for t in ("_|_", "a0", "!a0", "a1", "!a1", "(a0 | !a0)")] + [
+    Atom(1 << 250)
+]
+
+
+def test_membership_counts_skip_keeps_every_count():
+    # Without a cache a sample stops merging once no later draw can change
+    # a count; with one it merges every draw. At budget 0 the gate accepts
+    # a clash of unit literals, so only falsum settles a sentence there; at
+    # budgets 1 and 4 a clash does too, and the budget binds. The unit
+    # axioms a0 and !a1 clash with !a0 and a1 before any draw.
+    units = theory_from_axioms("units", [Atom(0), Not(Atom(1))])
+    for budget in (0, 1, 4):
+        for stage in default_schedule(3, proof_floor=budget, proof_factor=0):
+            for stage in (stage, stage._replace(axioms=2, theory=units)):
+                for seed in range(20):
+                    full = membership_counts(SKIP_BATTERY, stage, 3, seed, ConCache())
+                    got = membership_counts(SKIP_BATTERY, stage, 3, seed)
+                    assert got == full, (budget, stage.n, stage.theory.name, seed)
+
+
+def test_skip_gates_fewer_merges(monkeypatch):
+    calls = [0]
+    gate = estimator.consistent_enough
+
+    def counted(*args):
+        calls[0] += 1
+        return gate(*args)
+
+    monkeypatch.setattr(estimator, "consistent_enough", counted)
+
+    def gated(count, *args):
+        calls[0] = 0
+        count(*args)
+        return calls[0]
+
+    stage = default_schedule(3)[-1]
+    full = gated(membership_counts, SKIP_BATTERY, stage, 4, 7, ConCache())
+    assert 0 < gated(membership_counts, SKIP_BATTERY, stage, 4, 7) < full
+
+
 def test_exact_counts_frozen():
     counts, total = membership_counts_exact(battery(), single_machine_stage(12), bit_budget=12)
     assert total == 4096
@@ -337,11 +381,17 @@ def exact_counts_per_vector(battery, stage):
 def test_exact_counts_match_per_vector_oracle():
     # Single- and multi-machine stages with and without axioms, at proof
     # budgets 0-8; the budget decides some merges, with axioms and without.
-    # Thirty machines on empty strings walk thirty levels deep.
-    theory = theory_from_axioms(
-        "three", [Not(Atom(0)), Implies(Atom(1), Atom(0)), Or(Atom(2), Atom(1))]
-    )
-    sentences = battery() + [sentence_at(k) for k in range(40)]
+    # Thirty machines on empty strings walk thirty levels deep. The walk
+    # never builds its last level and merges there only the outputs that
+    # can still add a battery sentence; SKIP_BATTERY and the unit axioms of
+    # "units", which clash with !a0 and a1, exercise both refutations.
+    theories = [
+        theory_from_axioms(
+            "three", [Not(Atom(0)), Implies(Atom(1), Atom(0)), Or(Atom(2), Atom(1))]
+        ),
+        theory_from_axioms("units", [Atom(0), Not(Atom(1)), Or(Atom(2), Atom(1))]),
+    ]
+    sentences = battery() + SKIP_BATTERY + [sentence_at(k) for k in range(40)]
     binding = set()
     for machines, width, steps, axiom_counts in (
         (1, 12, 40, (0, 3)),
@@ -351,24 +401,25 @@ def test_exact_counts_match_per_vector_oracle():
         (30, 0, 4, (3,)),
     ):
         for axioms in axiom_counts:
-            seen = set()
-            for budget in range(9):
-                stage = StageParams(
-                    n=1,
-                    machines=machines,
-                    string_bits=width,
-                    steps=steps,
-                    axioms=axioms,
-                    proof_budget=budget,
-                    theory=theory,
-                )
-                got = membership_counts_exact(sentences, stage, bit_budget=machines * width)
-                where = (machines, width, budget, axioms)
-                assert got == exact_counts_per_vector(sentences, stage), where
-                seen.add(tuple(got[0]))
-            if len(seen) > 1:
-                binding.add(axioms)
-    assert binding == {0, 3}
+            for theory in theories if axioms else theories[:1]:
+                seen = set()
+                for budget in range(9):
+                    stage = StageParams(
+                        n=1,
+                        machines=machines,
+                        string_bits=width,
+                        steps=steps,
+                        axioms=axioms,
+                        proof_budget=budget,
+                        theory=theory,
+                    )
+                    got = membership_counts_exact(sentences, stage, bit_budget=machines * width)
+                    where = (machines, width, budget, theory.name, axioms)
+                    assert got == exact_counts_per_vector(sentences, stage), where
+                    seen.add(tuple(got[0]))
+                if len(seen) > 1:
+                    binding.add((theory.name, axioms))
+    assert binding == {("three", 0), ("three", 3), ("units", 3)}
     # Sixteen bits leave room for register machines whose output depends on
     # the data they load.
     wide = single_machine_stage(16)
@@ -376,7 +427,7 @@ def test_exact_counts_match_per_vector_oracle():
         sentences, wide
     )
     empty = StageParams(
-        n=1, machines=0, string_bits=12, steps=12, axioms=3, proof_budget=0, theory=theory
+        n=1, machines=0, string_bits=12, steps=12, axioms=3, proof_budget=0, theory=theories[0]
     )
     assert membership_counts_exact(sentences, empty) == exact_counts_per_vector(sentences, empty)
     assert membership_counts_exact(sentences, empty)[0][:10] == [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -741,12 +792,13 @@ def early_stop_against_oracle(
     runs = [0]
     needed = [0]
     calls = {"sampler": 0, "oracle": 0}
-    draw = estimator._DrawTable.draw
+    derive = estimator.child_draws
     models_of = estimator._extension_models
 
-    def counting_draw(draws, word, seed=None):
-        runs[0] += 1
-        return draw(draws, word, seed)
+    def counting_draws(lanes, with_seeds):
+        # Every round drawn is derived here, table hit or miss.
+        runs[0] += len(lanes)
+        return derive(lanes, with_seeds)
 
     def recording_models(*args):
         calls["sampler"] += 1
@@ -763,7 +815,7 @@ def early_stop_against_oracle(
 
     args = (battery, seed, rounds, samples, theory, budget, window)
     with monkeypatch.context() as m:
-        m.setattr(estimator._DrawTable, "draw", counting_draw)
+        m.setattr(estimator, "child_draws", counting_draws)
         m.setattr(estimator, "_extension_models", recording_models)
         fast = extension_probabilities(*args)
     with monkeypatch.context() as m:
@@ -777,13 +829,14 @@ def test_extension_early_stop_matches_full_rounds(monkeypatch):
     # Stopping once the model set holds one valuation or none changes no
     # count and no undecided count, and no round runs after that point.
     # The axioms of "fixed" settle every window atom; "clash" leaves no model.
+    # A 96-step budget draws 96-bit strings, whose misses need their seeds.
     clash = theory_from_axioms("clash", [Atom(0), Not(Atom(0))])
     total_runs = total_needed = 0
     for window in (1, 2, 3, 4):
         fixed = theory_from_axioms("fixed", [Atom(i) if i % 2 else Not(Atom(i)) for i in range(window)])
         for seed in (1, 2, 3, 123, 20260817):
             for rounds in (0, 1, 2, 64):
-                for budget in (8, 64):
+                for budget in (8, 64, 96):
                     for theory in (EMPTY_THEORY, fixed, clash):
                         fast, slow, runs, needed = early_stop_against_oracle(
                             monkeypatch, seed, rounds, 12, theory, budget, window
