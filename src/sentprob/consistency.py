@@ -19,24 +19,21 @@ recomputed. A refutation within U inferences (stored with ``saturated``
 set), read from the set's closure, settles the budgets from U on and no
 smaller one.
 
-A miss tries four ways to decide, in this order; ``ConCache.paths`` counts
+A miss tries three ways to decide, in this order; ``ConCache.paths`` counts
 them:
 - the clause summary (``prover.summarize``), read from ``_fold`` alone and
   grown from the parent's, or built over the whole set when the cache kept
   none for the parent (it keeps one per set accepted on a miss). A set with
   a sentence that folds to falsum, or with two clashing unit literals, gets
   ``refute_bounded``'s exact result;
-- a certificate: a partial assignment of atoms that makes every sentence
-  true, found by extending the parent's by a bounded search, or searching
-  the whole set. Resolution is sound, so such a set is accepted at every
-  budget. It needs no clauses, so it runs before the closure;
 - ``prover.closure_result``, which reads the loop's result from the set's
   ``prover.Closure``. Closures live on the sets of the live merge chain,
   not in the cache, and are built on first need from the nearest ancestor
   that has one;
 - ``refute_bounded`` itself, for everything else.
-When the closure or the loop accepts a set whose parent's certificate did
-not extend, one more search over the whole set restores a certificate.
+Each stores ``refute_bounded``'s result on the set at the budget (or a
+refutation within U), so an entry depends on the set and the budget alone,
+never on which parent the set was reached from.
 """
 
 from __future__ import annotations
@@ -44,29 +41,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional
 
-from .logic import And, Atom, Bottom, Implies, Not, Sentence, render_sentence
+from .logic import Sentence, render_sentence
 from .prover import (
     EMPTY_CLOSURE,
     EMPTY_SUMMARY,
     ClauseSummary,
     Closure,
     RefutationResult,
-    RefutationVerdict,
     closure_result,
     refute_bounded,
     settled_by_summary,
     summarize,
 )
-
-Certificate = dict[int, bool]
-
-# Cache entry for a set with a certificate: like a saturated search, it
-# settles acceptance at every budget.
-SATISFIABLE = RefutationResult(RefutationVerdict.UNKNOWN, 0, saturated=True)
-
-# Goal steps one certificate search may take. A search that gives up only
-# sends the set on to the resolution loop, so this bounds cost, not verdicts.
-SEARCH_STEPS = 512
 
 
 class ClaimSet:
@@ -81,9 +67,10 @@ class ClaimSet:
 
     A set made by ``union`` records the key of the set it grew from
     (``parent``) and the sentences the merge added (``added``); the gate
-    uses them to extend the parent's certificate. Its ``closure``, a
-    ``prover.Closure`` node, grows from the parent's by those sentences;
-    ``of`` grows one from the empty set's by all of its sentences."""
+    grows the set's clause summary from the parent's by them. Its
+    ``closure``, a ``prover.Closure`` node, grows from the parent's by the
+    same sentences; ``of`` grows one from the empty set's by all of its
+    sentences."""
 
     __slots__ = ("sentences", "key", "members", "parent", "added", "closure")
 
@@ -149,22 +136,20 @@ class ClaimSet:
 class ConCache:
     """Shared memo for gate verdicts, plus counters the harness can report.
     Keyed by claim-set key; each entry is the latest refutation attempt on
-    that set (or ``SATISFIABLE``), which decides the verdict at every budget
-    it speaks for (see ``_verdict_at``). Under the same keys,
-    ``certificates`` holds a certificate for each accepted set the search
-    found one for, and ``summaries`` the clause summary of each set the gate
-    accepted on a miss; the empty set's are ``{}`` and ``EMPTY_SUMMARY``.
-    ``paths`` counts the misses each way decided."""
+    that set, which decides the verdict at every budget it speaks for (see
+    ``_verdict_at``). Under the same keys, ``summaries`` holds the clause
+    summary of each set the gate accepted on a miss, for its merges to grow
+    from; the empty set's is ``EMPTY_SUMMARY``. ``paths`` counts the misses
+    each way decided."""
 
-    __slots__ = ("data", "certificates", "summaries", "hits", "misses", "paths")
+    __slots__ = ("data", "summaries", "hits", "misses", "paths")
 
     def __init__(self) -> None:
         self.data: dict[tuple[str, ...], RefutationResult] = {}
-        self.certificates: dict[tuple[str, ...], Certificate] = {(): {}}
         self.summaries: dict[tuple[str, ...], ClauseSummary] = {(): EMPTY_SUMMARY}
         self.hits = 0
         self.misses = 0
-        self.paths = dict.fromkeys(("summary", "certificate", "closure", "plain"), 0)
+        self.paths = dict.fromkeys(("summary", "closure", "plain"), 0)
 
     def stats(self) -> dict[str, int]:
         return {"entries": len(self.data), "hits": self.hits, "misses": self.misses}
@@ -186,104 +171,12 @@ def _verdict_at(result: RefutationResult, budget: int) -> Optional[bool]:
     return None
 
 
-# Status of a goal "node has value want" under a partial assignment, judged
-# without search: already true, an unassigned literal, undecided compound,
-# or false. Lower is the better branch to try first.
-_HOLDS, _FREE, _OPEN, _FAILS = range(4)
-
-
-def _goal_status(node: Sentence, want: bool, base: Certificate, extra: Certificate) -> int:
-    if type(node) is Not:
-        node = node.inner
-        want = not want
-    t = type(node)
-    if t is Atom:
-        value = extra.get(node.index)
-        if value is None:
-            value = base.get(node.index)
-        if value is None:
-            return _FREE
-        return _HOLDS if value is want else _FAILS
-    if t is Bottom:
-        return _FAILS if want else _HOLDS
-    return _OPEN
-
-
-def extend_certificate(base: Certificate, sentences: Iterable[Sentence]) -> Optional[Certificate]:
-    """A certificate that extends ``base`` and makes every sentence true, or
-    None when the search finds none within ``SEARCH_STEPS`` goal steps.
-
-    Tableau search with chronological backtracking. A goal is a (sentence,
-    wanted value) pair; a conjunctive goal pushes both parts, a disjunctive
-    one opens a choice point, trying first a part that already holds (which
-    closes the goal) or else the part closest to a literal. Goals live on a
-    linked stack of tuples, so a choice point saves the remaining goals in
-    constant time and nesting depth costs no Python frames. The result is
-    ``base`` itself when no atom had to be assigned."""
-    extra: Certificate = {}
-    trail: list[int] = []
-    choices: list[tuple[int, Sentence, bool, object]] = []
-    goals: object = None
-    for s in reversed(tuple(sentences)):
-        goals = (s, True, goals)
-    for _ in range(SEARCH_STEPS):
-        if goals is None:
-            if not extra:
-                return base
-            model = dict(base)
-            model.update(extra)
-            return model
-        node, want, goals = goals  # type: ignore[misc]
-        t = type(node)
-        ok = True
-        if t is Atom:
-            value = extra.get(node.index)
-            if value is None:
-                value = base.get(node.index)
-            if value is None:
-                extra[node.index] = want
-                trail.append(node.index)
-            else:
-                ok = value is want
-        elif t is Not:
-            goals = (node.inner, not want, goals)
-        elif t is Bottom:
-            ok = not want
-        else:
-            # Implies is (!left | right); And is conjunctive when wanted
-            # true, Or and Implies when wanted false.
-            left, right = node.left, node.right
-            left_want = want if t is not Implies else not want
-            if want is (t is And):
-                goals = (left, left_want, (right, want, goals))
-            else:
-                a, b = (left, left_want), (right, want)
-                sa = _goal_status(left, left_want, base, extra)
-                sb = _goal_status(right, want, base, extra)
-                if sb < sa:
-                    a, b, sa, sb = b, a, sb, sa
-                if sa == _FAILS:
-                    ok = False
-                elif sa != _HOLDS:
-                    if sb != _FAILS:
-                        choices.append((len(trail), b[0], b[1], goals))
-                    goals = (a[0], a[1], goals)
-        if not ok:
-            if not choices:
-                return None
-            mark, node, want, rest = choices.pop()
-            while len(trail) > mark:
-                del extra[trail.pop()]
-            goals = (node, want, rest)
-    return None
-
-
 def consistent_enough(
     claims: ClaimSet, budget: int, cache: Optional[ConCache] = None
 ) -> bool:
     """False iff ``refute_bounded`` refutes the claims within ``budget``
-    inferences. A miss is decided by the clause summary, a certificate, the
-    closure or the loop itself, in that order (see the module docstring).
+    inferences. A miss is decided by the clause summary, the closure or the
+    loop itself, in that order (see the module docstring).
     A negative budget is a ValueError: at one, ``_verdict_at`` would read a
     cached refutation as an acceptance."""
     if budget < 0:
@@ -305,37 +198,14 @@ def consistent_enough(
         summary = summarize(claims.added, parent)
     else:
         summary = summarize(claims.sentences)
-    result = settled_by_summary(summary, budget)
+    result, path = settled_by_summary(summary, budget), "summary"
     if result is None:
-        result = _certify_or_refute(claims, budget, cache)
-    else:
-        cache.paths["summary"] += 1
+        result, path = closure_result(claims.closure, budget), "closure"
+    if result is None:
+        result, path = refute_bounded(claims.sentences, budget), "plain"
+    cache.paths[path] += 1
     cache.data[key] = result
     if result.refuted:
         return False
     summaries[key] = summary  # type: ignore[assignment]
     return True
-
-
-def _certify_or_refute(claims: ClaimSet, budget: int, cache: ConCache) -> RefutationResult:
-    """``SATISFIABLE`` when a certificate for the claims is found, else the
-    closure's result, else that of ``refute_bounded``; a certificate found
-    for an accepted set is kept in the cache."""
-    certificates = cache.certificates
-    base = certificates.get(claims.parent)
-    # Without the parent's certificate, search the whole set from scratch.
-    added = claims.added if base is not None else claims.sentences
-    model = extend_certificate(base or {}, added)
-    if model is not None:
-        certificates[claims.key] = model
-        cache.paths["certificate"] += 1
-        return SATISFIABLE
-    result = closure_result(claims.closure, budget)
-    cache.paths["plain" if result is None else "closure"] += 1
-    if result is None:
-        result = refute_bounded(claims.sentences, budget)
-    if not result.refuted and len(added) < len(claims.sentences):
-        model = extend_certificate({}, claims.sentences)
-        if model is not None:
-            certificates[claims.key] = model
-    return result

@@ -5,14 +5,7 @@ import random
 import pytest
 
 from sentprob import consistency, estimator, harness, prover
-from sentprob.consistency import (
-    SATISFIABLE,
-    SEARCH_STEPS,
-    ClaimSet,
-    ConCache,
-    consistent_enough,
-    extend_certificate,
-)
+from sentprob.consistency import ClaimSet, ConCache, consistent_enough
 from sentprob.estimator import (
     StageParams,
     accumulate_claims,
@@ -23,7 +16,6 @@ from sentprob.logic import (
     BOTTOM,
     And,
     Atom,
-    Bottom,
     Implies,
     Not,
     Or,
@@ -67,32 +59,6 @@ def antitone_check(claims, extra, budget, cache=None):
     base = consistent_enough(claims, budget, cache)
     grown = consistent_enough(claims.union((extra,)), budget, cache)
     return not (base is False and grown is True)
-
-
-def kleene(s, cert):
-    """Three-valued value of s under a partial assignment (None: undecided)."""
-    t = type(s)
-    if t is Bottom:
-        return False
-    if t is Atom:
-        return cert.get(s.index)
-    if t is Not:
-        v = kleene(s.inner, cert)
-        return None if v is None else not v
-    a, b = kleene(s.left, cert), kleene(s.right, cert)
-    if t is Implies:
-        a = None if a is None else not a
-    if t is And:
-        return False if a is False or b is False else (True if a and b else None)
-    return True if a or b else (False if a is False and b is False else None)
-
-
-def assert_certificates_hold(cache, sets):
-    by_key = {claims.key: claims for claims in sets}
-    assert cache.certificates[()] == {}
-    for key, cert in cache.certificates.items():
-        for s in by_key[key].sentences if key else ():
-            assert kleene(s, cert) is True, (key, render_sentence(s))
 
 
 def units_clash(entries):
@@ -298,13 +264,12 @@ def test_antitone_over_random_sets():
 
 
 def test_union_merges_agree_with_plain_refutation_where_budget_binds():
-    # Merge chains built with union share one cache, so most misses take the
-    # certificate path from the parent's certificate. Every verdict must
-    # still be the plain bounded-refutation verdict, at budgets that bind.
+    # Merge chains built with union share one cache, so most misses grow the
+    # summary from the parent's and read the closure carried from it. Every
+    # verdict, and every result stored on a miss, must still be the plain
+    # bounded-refutation one, at budgets that bind.
     rng = random.Random(4401)
     cache = ConCache()
-    seen = []
-    certified = 0
     for _ in range(150):
         claims = EMPTY_CLAIMS
         for _ in range(rng.randrange(1, 10)):
@@ -312,22 +277,23 @@ def test_union_merges_agree_with_plain_refutation_where_budget_binds():
                 [rand_sentence(rng, rng.randrange(1, 4), 4) for _ in range(rng.randrange(1, 3))]
             )
             b = rng.choice(BINDING_BUDGETS)
+            misses = cache.misses
             verdict = consistent_enough(merged, b, cache)
-            assert verdict == (not refute_bounded(merged.sentences, b).refuted), (merged.key, b)
-            certified += merged.key in cache.certificates
-            seen.append(merged)
+            plain = refute_bounded(merged.sentences, b)
+            assert verdict == (not plain.refuted), (merged.key, b)
+            if cache.misses > misses:
+                assert_stored_matches(cache.data[merged.key], plain, b, (merged.key, b))
             if verdict:
                 claims = merged
-    assert certified > 100
-    assert_certificates_hold(cache, seen)
+    paths = cache.paths
+    assert paths["summary"] > 100 and paths["closure"] > 250 and paths["plain"] > 150, paths
 
 
 def test_accumulation_matches_plain_gate_where_budget_binds():
-    # accumulate_claims (certificates, clash exit, shared cache) against a
+    # accumulate_claims (summary, closure, shared cache) against a
     # reference loop that asks refute_bounded directly, on seeded stage-2 and
     # stage-3 samples at proof budgets small enough to bind.
     cache = ConCache()
-    merged_sets = []
     binding = 0
     for n in (2, 3):
         for budget in (1, 2, 4, 8):
@@ -340,31 +306,11 @@ def test_accumulation_matches_plain_gate_where_budget_binds():
                     if not emitted or all(s in reference for s in emitted):
                         continue
                     merged = reference.union(emitted)
-                    merged_sets.append(merged)
                     if not refute_bounded(merged.sentences, budget).refuted:
                         reference = merged
                         binding += refute_bounded(merged.sentences, 4096).refuted
                 assert accumulate_claims(strings, stage, cache) == reference, (n, budget, sample_seed)
     assert binding > 50
-    assert_certificates_hold(cache, merged_sets)
-
-
-def test_certificate_search_extends_its_base():
-    a0, a1, a2 = Atom(0), Atom(1), Atom(2)
-    base = {0: True}
-    assert extend_certificate(base, [Or(a0, a1)]) is base
-    assert extend_certificate(base, [Not(a0)]) is None
-    assert extend_certificate(base, [BOTTOM]) is None
-    grown = extend_certificate(base, [Implies(a0, a2), Or(Not(a1), a2)])
-    assert grown == {0: True, 2: True}
-    assert base == {0: True}
-    # backtracking: the first branch of each disjunction fails later
-    assert extend_certificate({}, [Or(a1, a2), Not(a1)]) == {1: False, 2: True}
-    assert extend_certificate({}, [Or(a0, Not(a0)), Not(a0)]) == {0: False}
-    # gives up after SEARCH_STEPS goal steps rather than search on
-    wide = [Or(Atom(i), Atom(i + 1)) for i in range(0, 4 * SEARCH_STEPS, 2)]
-    assert extend_certificate({}, wide) is None
-    assert consistent_enough(ClaimSet.of(wide), 64)
 
 
 def test_unit_clash_exit_matches_full_loop():
@@ -446,9 +392,9 @@ def resolution_runs(monkeypatch):
 
 
 def assert_stored_matches(stored, plain, budget, where):
-    """A stored attempt that is not SATISFIABLE against the plain loop's
-    result at the same budget: equal, except that a refutation read from a
-    closure (saturated set) only says the loop refutes within its U."""
+    """A stored attempt against the plain loop's result at the same budget:
+    equal, except that a refutation read from a closure (saturated set) only
+    says the loop refutes within its U."""
     if stored.refuted and stored.saturated:
         assert plain.refuted and plain.steps_used <= stored.steps_used <= budget, where
     else:
@@ -456,8 +402,9 @@ def assert_stored_matches(stored, plain, budget, where):
 
 
 def gate_matches_plain(claims, budget, cache, runs):
-    """Gate claims on a cache miss and check the verdict, the cached result
-    and any stored certificate against plain refute_bounded. Returns the
+    """Gate claims on a cache miss and check the verdict and the cached
+    result against plain refute_bounded, and the cached result against the
+    one stored for the same set reached with no parent. Returns the
     verdict."""
     misses, before = cache.misses, len(runs)
     verdict = consistent_enough(claims, budget, cache)
@@ -466,13 +413,7 @@ def gate_matches_plain(claims, budget, cache, runs):
     where = ([render_sentence(s) for s in claims.sentences], budget)
     assert verdict == (not plain.refuted), where
     stored = cache.data[claims.key]
-    cert = cache.certificates.get(claims.key)
-    if stored is SATISFIABLE:
-        assert cert is not None, where
-    else:
-        assert_stored_matches(stored, plain, budget, where)
-    if cert is not None:
-        assert all(kleene(s, cert) is True for s in claims.sentences), where
+    assert_stored_matches(stored, plain, budget, where)
     if verdict:
         # the stored summary agrees with the clause form plain refutation builds
         summary = cache.summaries[claims.key]
@@ -480,10 +421,14 @@ def gate_matches_plain(claims, budget, cache, runs):
         units = {lits[0] for size, lits, *_ in entries if size == 1 and not is_definition(lits[0])}
         assert (summary.units, summary.clash) == (units, units_clash(entries)), where
     if decided_at_setup(claims.sentences):
-        # decided from the summary: no resolution run, no certificate
-        assert len(runs) == before and cert is None, where
+        # decided from the summary: no resolution run
+        assert len(runs) == before, where
     else:
         assert runs[before:] in ([], [claims.sentences]), where
+    # path-free: the same set reached with no parent stores the same result
+    fresh = ConCache()
+    consistent_enough(ClaimSet.of(claims.sentences), budget, fresh)
+    assert fresh.data[claims.key] == stored, where
     return verdict
 
 
@@ -614,30 +559,34 @@ def test_union_chains_match_plain_refutation_at_setup_budgets(resolution_runs):
     assert decided > 300 and reached > 50, (decided, reached)
 
 
-def test_cache_hits_and_certified_merges_build_no_clauses():
-    # The summary is read from _fold alone: gating a merge that a
-    # certificate accepts, or answering from the cache, must not clausify.
+def test_cache_hits_and_summary_decided_merges_build_no_clauses():
+    # The summary is read from _fold alone: gating a merge that the summary
+    # refutes, or answering from the cache, must not clausify.
     cache = ConCache()
     budget = 64
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
-    grown = claims.union(parse_all(["(a1 & a0)", "(a3 | (a4 & a5))"]))
+    clash = claims.union(parse_all(["(a1 & a0)", "(a2 | _|_)"]))
+    falsum = claims.union(parse_all(["(a3 & _|_)"]))
     prover._LOCALS.clear()
     prover._root.cache_clear()
-    assert consistent_enough(claims, budget, cache)
-    assert consistent_enough(grown, budget, cache)
-    assert grown.key in cache.certificates
+    assert not consistent_enough(clash, budget, cache)
+    assert not consistent_enough(falsum, budget, cache)
+    assert cache.paths == {"summary": 2, "closure": 0, "plain": 0}
     assert not prover._LOCALS
     folded = prover._root.cache_info().currsize
-    assert folded == 5
+    assert folded == 6
     # hits and unions do no summary work either
-    assert consistent_enough(grown, budget, cache)
-    grown.union(parse_all(["(a6 -> a7)"]))
+    assert not consistent_enough(clash, budget, cache)
+    clash.union(parse_all(["(a6 -> a7)"]))
     assert prover._root.cache_info().currsize == folded
     assert not prover._LOCALS
-    # a merge that reaches the closure does clausify: the probe works
-    refuted = grown.union(parse_all(["(a0 | (a1 -> a2))", "!(a3 & a0)", "(!a1 | a2)"]))
-    assert not consistent_enough(refuted, budget, cache)
+    # a set that reaches the closure does clausify: the probe works
+    assert consistent_enough(claims, budget, cache)
     assert prover._LOCALS and cache.paths["closure"] == 1
+    # and a hit on it clausifies nothing more
+    prover._LOCALS.clear()
+    assert consistent_enough(claims, budget, cache)
+    assert not prover._LOCALS and cache.hits == 2
 
 
 CARRY_BUDGETS = (0, 1, 2, 16, 4096)
@@ -754,7 +703,7 @@ def test_huge_atom_sets_take_the_plain_loop():
     # Atoms from 2**32 - 1 on have their literals shifted above every
     # definition range, which breaks the split into per-sentence processes:
     # a set holding one is never read from a closure, and the gate sends it
-    # to the plain loop whenever the summary and a certificate leave it.
+    # to the plain loop whenever the summary leaves it.
     rng = random.Random(1202)
     huge = plain = 0
     for budget in CARRY_BUDGETS:
@@ -825,8 +774,7 @@ def check_every_miss(monkeypatch, cfg, tmp_path):
             plain = full_loop(claims.sentences, budget)
             where = ([render_sentence(s) for s in claims.sentences], budget)
             assert verdict == (not plain.refuted), where
-            if stored is not SATISFIABLE:
-                assert_stored_matches(stored, plain, budget, where)
+            assert_stored_matches(stored, plain, budget, where)
             checked.append(where)
             if cache.paths["closure"] + cache.paths["plain"] > decided:
                 loop_results.append(stored)
@@ -845,8 +793,8 @@ def test_every_gate_miss_of_a_standard_run_matches_full_loop(monkeypatch, tmp_pa
     standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
     cfg = load_config(str(standard))._replace(samples=3)
     checked, loop_results, cache = check_every_miss(monkeypatch, cfg, tmp_path)
-    # the closure decides every miss the summary and a certificate leave
-    assert len(loop_results) == 99 and cache.paths["plain"] == 0, cache.paths
+    # the closure decides every miss the summary leaves
+    assert len(loop_results) == 246 and cache.paths["plain"] == 0, cache.paths
     assert len(checked) == cache.misses > 300
 
 
@@ -863,9 +811,8 @@ def test_every_gate_miss_where_the_budget_binds_matches_full_loop(monkeypatch, t
 
 
 def test_a_standard_run_makes_no_plain_loop_decision(monkeypatch, tmp_path):
-    # At the pinned seed, 10 samples: the summary, certificates and closures
-    # decide every gate miss, and the pinned cache line is unchanged by
-    # counting them.
+    # At the pinned seed, 10 samples: the summary and closures decide every
+    # gate miss, and the pinned cache line is unchanged by counting them.
     caches = []
 
     class Counted(ConCache):
@@ -890,11 +837,10 @@ PROPERTY_BUDGETS = (0,) + tuple(2**k for k in range(13))
 def test_gate_follows_the_plain_loop_at_every_budget_on_one_cache():
     # Random sets of 2-6 sentences over a0-a4, gated at budgets 0, 1, 2,
     # ..., 4096 on one shared cache: every verdict is the plain loop's, every
-    # stored result that is not a certificate's is the plain loop's (or a
-    # refutation within U), and every local summary is the heap closure of
-    # its sentence. Half the sets go rising and then falling; the other half
-    # falling first, where a refutation within U is stored at 4096 and asked
-    # about below U.
+    # stored result is the plain loop's (or a refutation within U), and every
+    # local summary is the heap closure of its sentence. Half the sets go
+    # rising and then falling; the other half falling first, where a
+    # refutation within U is stored at 4096 and asked about below U.
     rng = random.Random(7707)
     cache = ConCache()
     sets = [
@@ -909,7 +855,7 @@ def test_gate_follows_the_plain_loop_at_every_budget_on_one_cache():
             where = ([render_sentence(s) for s in claims.sentences], b)
             assert consistent_enough(claims, b, cache) == (not plain.refuted), where
             stored = cache.data[claims.key]
-            if cache.misses > misses and stored is not SATISFIABLE:
+            if cache.misses > misses:
                 assert_stored_matches(stored, plain, b, where)
         for s in claims.sentences:
             if prover._root(s) is not prover._FALSE:

@@ -1,3 +1,4 @@
+import importlib.resources
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from sentprob.estimator import (
     single_machine_stage,
     wilson_halfwidth,
 )
+from sentprob.harness import load_config
 from sentprob.logic import (
     BOTTOM,
     EMPTY_THEORY,
@@ -676,6 +678,32 @@ def test_trajectories_shapes_and_decoupling():
         assert est.samples == 40
         assert est.seed == 9
     assert all(e.value == 0 for e in both["constant_bottom"])
+
+
+def test_trajectories_do_not_depend_on_sample_order(monkeypatch):
+    # A gate miss stores a result that depends on the claim set and the
+    # budget alone, so drawing every stage's samples in reverse order gives
+    # the same trajectories and the same cache statistics.
+    demo = importlib.resources.files("sentprob") / "configs" / "demo.ini"
+    cfg = load_config(str(demo))
+    seqs = [sequence_by_id(sid) for sid in cfg.sequence_ids]
+
+    def trajectories():
+        cache = ConCache()
+        return sequence_trajectories(seqs, cfg.schedule, cfg.samples, cfg.seed, cache), cache.stats()
+
+    forward = trajectories()
+    drawn = []
+
+    def reversed_seed(seed, n, i):
+        drawn.append(i)
+        return derive_seed(seed, n, cfg.samples - 1 - i)
+
+    monkeypatch.setattr(estimator, "derive_seed", reversed_seed)
+    backward = trajectories()
+    assert len(drawn) == cfg.samples * len(cfg.schedule)
+    assert backward == forward
+    assert forward[1]["hits"] > 0
 
 
 def test_extension_zero_rounds_is_bare():

@@ -613,7 +613,7 @@ def test_benchmark_tracer_wraps_the_demo_run(tmp_path):
     for name in ("consistency.consistent_enough", "estimator.accumulate_claims"):
         assert spans[name][0] > 0, name
     assert counters["consistency.cache_hits"] + counters["consistency.cache_misses"] > 0
-    # The closure decides every demo miss that the summary and a certificate
-    # leave, so the wrapped plain loop is never called and samples nothing.
+    # The closure decides every demo miss that the summary leaves, so the
+    # wrapped plain loop is never called and samples nothing.
     assert spans["prover.refute_bounded"][0] == 0 and not samples.get("prover.budget_use")
     assert set(samples["estimator.accumulate_stage"]) == {1, 2}
