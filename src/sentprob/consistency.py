@@ -21,10 +21,9 @@ smaller one.
 
 A miss tries three ways to decide, in this order; ``ConCache.paths`` counts
 them:
-- the clause summary (``prover.summarize``), read from ``_fold`` alone and
-  grown from the parent's, or built over the whole set when the cache kept
-  none for the parent (it keeps one per set accepted on a miss). A set with
-  a sentence that folds to falsum, or with two clashing unit literals, gets
+- the set's clause summary (``prover.summarize``), read from ``_fold``
+  alone and carried on the set like its closure. A set with a sentence that
+  folds to falsum, or with two clashing unit literals, gets
   ``refute_bounded``'s exact result;
 - ``prover.closure_result``, which reads the loop's result from the set's
   ``prover.Closure``. Closures live on the sets of the live merge chain,
@@ -44,8 +43,6 @@ from typing import Iterable, Iterator, Optional
 from .logic import Sentence, render_sentence
 from .prover import (
     EMPTY_CLOSURE,
-    EMPTY_SUMMARY,
-    ClauseSummary,
     Closure,
     RefutationResult,
     closure_result,
@@ -65,14 +62,12 @@ class ClaimSet:
     sentence is in the set exactly when it is one of them, and ``in`` needs
     no rendering.
 
-    A set made by ``union`` records the key of the set it grew from
-    (``parent``) and the sentences the merge added (``added``); the gate
-    grows the set's clause summary from the parent's by them. Its
-    ``closure``, a ``prover.Closure`` node, grows from the parent's by the
-    same sentences; ``of`` grows one from the empty set's by all of its
-    sentences."""
+    A set carries its clause ``summary`` (``prover.summarize``; None when a
+    sentence folds to falsum) and its ``closure``, a ``prover.Closure``
+    node. ``of`` grows both from the empty set's by all of its sentences,
+    and ``union`` grows both from the set's own by the sentences it adds."""
 
-    __slots__ = ("sentences", "key", "members", "parent", "added", "closure")
+    __slots__ = ("sentences", "key", "members", "summary", "closure")
 
     def __init__(
         self, key: tuple[str, ...], sentences: tuple[Sentence, ...], members: frozenset[Sentence]
@@ -80,14 +75,13 @@ class ClaimSet:
         self.key = key
         self.sentences = sentences
         self.members = members
-        self.parent: Optional[tuple[str, ...]] = None
-        self.added: tuple[Sentence, ...] = ()
 
     @classmethod
     def of(cls, items: Iterable[Sentence] = ()) -> "ClaimSet":
         named = {render_sentence(s): s for s in items}
         key = tuple(sorted(named))
         claims = cls(key, tuple(named[r] for r in key), frozenset(named.values()))
+        claims.summary = summarize(claims.sentences)
         claims.closure = Closure(EMPTY_CLOSURE, claims.sentences)
         return claims
 
@@ -106,8 +100,7 @@ class ClaimSet:
             key.insert(i, r)
             sentences.insert(i, s)
         grown = ClaimSet(tuple(key), tuple(sentences), members.union(added))
-        grown.parent = self.key
-        grown.added = added
+        grown.summary = None if self.summary is None else summarize(added, self.summary)
         grown.closure = Closure(self.closure, added)
         return grown
 
@@ -137,16 +130,12 @@ class ConCache:
     """Shared memo for gate verdicts, plus counters the harness can report.
     Keyed by claim-set key; each entry is the latest refutation attempt on
     that set, which decides the verdict at every budget it speaks for (see
-    ``_verdict_at``). Under the same keys, ``summaries`` holds the clause
-    summary of each set the gate accepted on a miss, for its merges to grow
-    from; the empty set's is ``EMPTY_SUMMARY``. ``paths`` counts the misses
-    each way decided."""
+    ``_verdict_at``). ``paths`` counts the misses each way decided."""
 
-    __slots__ = ("data", "summaries", "hits", "misses", "paths")
+    __slots__ = ("data", "hits", "misses", "paths")
 
     def __init__(self) -> None:
         self.data: dict[tuple[str, ...], RefutationResult] = {}
-        self.summaries: dict[tuple[str, ...], ClauseSummary] = {(): EMPTY_SUMMARY}
         self.hits = 0
         self.misses = 0
         self.paths = dict.fromkeys(("summary", "closure", "plain"), 0)
@@ -191,21 +180,11 @@ def consistent_enough(
             cache.hits += 1
             return verdict
     cache.misses += 1
-    summaries = cache.summaries
-    parent = summaries.get(claims.parent)
-    # Without the parent's summary, summarize the whole set.
-    if parent is not None:
-        summary = summarize(claims.added, parent)
-    else:
-        summary = summarize(claims.sentences)
-    result, path = settled_by_summary(summary, budget), "summary"
+    result, path = settled_by_summary(claims.summary, budget), "summary"
     if result is None:
         result, path = closure_result(claims.closure, budget), "closure"
     if result is None:
         result, path = refute_bounded(claims.sentences, budget), "plain"
     cache.paths[path] += 1
     cache.data[key] = result
-    if result.refuted:
-        return False
-    summaries[key] = summary  # type: ignore[assignment]
-    return True
+    return not result.refuted

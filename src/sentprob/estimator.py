@@ -40,7 +40,7 @@ from .bits import Bits, child_draws, child_states, derive_seed, parent_state, ra
 from .consistency import ClaimSet, ConCache, consistent_enough
 from .logic import EMPTY_THEORY, Not, Sentence, Theory, atoms_of
 from .machine import emission, register_emissions, run_prefix, wide_emission
-from .prover import MAX_TABLE_ATOMS, ClauseSummary, settled_by_summary, summarize, truth_table
+from .prover import MAX_TABLE_ATOMS, settled_by_summary, summarize, truth_table
 from .sequences import SequenceDef
 
 GROWTH_CAP = 512
@@ -269,37 +269,33 @@ def _tally(
             counts[j] += weight
 
 
-def _can_gain(
-    s: Sentence, claims: ClaimSet, summary: Optional[ClauseSummary], budget: int
-) -> bool:
+def _can_gain(s: Sentence, claims: ClaimSet, budget: int) -> bool:
     """Whether a merge into claims, or into any set claims grows into, can
-    still add s; summary is that of claims (None: a sentence of claims
-    folds to falsum). The clause summary refutes a set that holds s when s
+    still add s. None can when a sentence of claims folds to falsum (its
+    summary is None). The clause summary refutes a set that holds s when s
     folds to falsum, at every budget, and when the root of s clashes with
     a unit of claims, at every budget from 1. Both hold for every superset
     of claims, as its units only grow, and the summary gives
     ``refute_bounded``'s exact result, which is the gate's verdict
     whatever its cache holds."""
-    if s in claims.members or summary is None:
+    if s in claims.members or claims.summary is None:
         return False
-    result = settled_by_summary(summarize((s,), summary), budget)
+    result = settled_by_summary(summarize((s,), claims.summary), budget)
     return result is None or not result.refuted
 
 
 def _counted_claims(
     drawn: Sequence[tuple[Sentence, ...]],
     stage: StageParams,
-    summary: Optional[ClauseSummary],
     wanted: frozenset[Sentence],
     cache: ConCache,
 ) -> ClaimSet:
     """A claim set that holds the same sentences of wanted as
-    ``accumulate_claims(drawn, stage, cache)``; summary is that of the
-    stage's axiom set. The draws are merged in order, but only up to the
-    last one that holds a sentence of wanted the set can still gain
-    (``_can_gain``). A later merge either adds no sentence of wanted or is
-    refuted, and a set never loses a sentence, so no later merge changes
-    which sentences of wanted the set ends with."""
+    ``accumulate_claims(drawn, stage, cache)``. The draws are merged in
+    order, but only up to the last one that holds a sentence of wanted the
+    set can still gain (``_can_gain``). A later merge either adds no
+    sentence of wanted or is refuted, and a set never loses a sentence, so
+    no later merge changes which sentences of wanted the set ends with."""
     budget = stage.proof_budget
     last = {}
     for t, emitted in enumerate(drawn):
@@ -309,15 +305,13 @@ def _counted_claims(
     claims = stage.axiom_set
     t = 0
     while last:
-        last = {
-            s: u for s, u in last.items() if u >= t and _can_gain(s, claims, summary, budget)
-        }
+        last = {s: u for s, u in last.items() if u >= t and _can_gain(s, claims, budget)}
         end = max(last.values(), default=-1) + 1
         while t < end:
             merged = _merge(claims, drawn[t], budget, cache)
             t += 1
             if merged is not claims:
-                claims, summary = merged, summarize(merged.added, summary)
+                claims = merged
                 break
     return claims
 
@@ -347,7 +341,6 @@ def membership_counts(
         accumulate = partial(
             _counted_claims,
             stage=stage,
-            summary=summarize(stage.axiom_set.sentences),
             wanted=frozenset(battery),
             cache=ConCache(),
         )
@@ -414,8 +407,7 @@ def membership_counts_exact(
                 grown.setdefault(merged.key, [merged, 0])[1] += weight * block
         level = grown
     for claims, weight in level.values():
-        summary = summarize(claims.sentences)
-        gain = {s for s in battery if _can_gain(s, claims, summary, budget)}
+        gain = {s for s in battery if _can_gain(s, claims, budget)}
         quiet = 0  # strings whose tuple cannot change a count
         for emitted, block in outputs.items():
             if gain.isdisjoint(emitted):

@@ -4,7 +4,7 @@ A suite config is an INI file. [suite] names the run and pins samples, seed
 and output directory; [stages] hands count, cap, proof_floor and
 proof_factor to estimator.default_schedule, which holds their defaults, and
 rejects any other key and a cap above the growth ceiling; [sequences] lists
-trajectory families under its one key, ids; [assert] holds one trend
+each trajectory family once under its one key, ids; [assert] holds one trend
 assertion per line; an optional [crosscheck] section configures the
 membership-vs-extension comparison, and rejects a battery sentence too wide
 for the extension sampler's tables at its atom window. Any other section,
@@ -359,6 +359,9 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     if parser.has_section("sequences"):
         _check_keys(parser["sequences"], "[sequences]", _SEQUENCE_KEYS)
         seq_ids = parser["sequences"].get("ids", "").split()
+        for i, sid in enumerate(seq_ids):
+            if sid in seq_ids[:i]:
+                raise ConfigError(f"[sequences] ids: {sid!r} is listed twice")
     assertions = []
     if parser.has_section("assert"):
         for name, raw in parser["assert"].items():

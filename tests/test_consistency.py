@@ -32,6 +32,7 @@ from sentprob.prover import (
     RefutationVerdict,
     refute_bounded,
     semantic_consistent,
+    summarize,
     truth_table,
 )
 from sentprob.sequences import sequence_by_id
@@ -147,10 +148,8 @@ def test_union_dedups():
     grown = a.union([Atom(0), Atom(1)])
     assert grown.key == ("a0", "a1")
     assert a.key == ("a0",)
-    # the merge remembers what it grew from and what it added
-    assert grown.parent == a.key
-    assert grown.added == (Atom(1),)
-    assert a.parent is None and a.added == ()
+    # the summary grown by the merge is the one built over the whole set
+    assert grown.summary == ClaimSet.of(grown.sentences).summary
     assert a.union([Atom(0)]) is a
 
 
@@ -403,9 +402,9 @@ def assert_stored_matches(stored, plain, budget, where):
 
 def gate_matches_plain(claims, budget, cache, runs):
     """Gate claims on a cache miss and check the verdict and the cached
-    result against plain refute_bounded, and the cached result against the
-    one stored for the same set reached with no parent. Returns the
-    verdict."""
+    result against plain refute_bounded, the set's summary against the
+    clause form, and the cached result against the one stored for the same
+    set reached with no parent. Returns the verdict."""
     misses, before = cache.misses, len(runs)
     verdict = consistent_enough(claims, budget, cache)
     assert cache.misses == misses + 1
@@ -414,10 +413,12 @@ def gate_matches_plain(claims, budget, cache, runs):
     assert verdict == (not plain.refuted), where
     stored = cache.data[claims.key]
     assert_stored_matches(stored, plain, budget, where)
-    if verdict:
-        # the stored summary agrees with the clause form plain refutation builds
-        summary = cache.summaries[claims.key]
-        _, entries = initial_entries(claims.sentences)
+    # the carried summary agrees with the clause form plain refutation
+    # builds, and is None exactly when a sentence folds to falsum
+    summary = claims.summary
+    falsum, entries = initial_entries(claims.sentences)
+    assert (summary is None) == falsum, where
+    if summary is not None:
         units = {lits[0] for size, lits, *_ in entries if size == 1 and not is_definition(lits[0])}
         assert (summary.units, summary.clash) == (units, units_clash(entries)), where
     if decided_at_setup(claims.sentences):
@@ -488,7 +489,7 @@ def test_summary_decisions_match_plain_refutation(resolution_runs, kind, parent_
         if kind == "gated":
             gate_matches_plain(parent, budget, cache, resolution_runs)
         merged = parent.union(parse_all(added_texts))
-        assert merged.parent == parent.key and merged.added
+        assert merged.summary == ClaimSet.of(merged.sentences).summary
         before = len(resolution_runs)
         gate_matches_plain(merged, budget, cache, resolution_runs)
         plain = refute_bounded(merged.sentences, budget)
@@ -511,14 +512,13 @@ def test_inherited_clash_is_kept_by_a_budget_zero_parent(resolution_runs):
     cache = ConCache()
     parent = ClaimSet.of(parse_all(["a0", "!a0"]))
     assert gate_matches_plain(parent, 0, cache, resolution_runs)
-    assert cache.summaries[parent.key].clash
+    assert parent.summary.clash
     child = parent.union(parse_all(["(a1 | a2)"]))
     assert gate_matches_plain(child, 0, cache, resolution_runs)
-    assert cache.summaries[child.key].clash
+    assert child.summary.clash
     grandchild = child.union(parse_all(["a3"]))
     assert not gate_matches_plain(grandchild, 1, cache, resolution_runs)
     assert cache.data[grandchild.key] == RefutationResult(RefutationVerdict.REFUTED, 1)
-    assert grandchild.key not in cache.summaries
     assert resolution_runs == []
 
 
@@ -541,13 +541,20 @@ def literal_heavy_sentence(rng):
 
 def test_union_chains_match_plain_refutation_at_setup_budgets(resolution_runs):
     rng = random.Random(5505)
-    decided = reached = 0
+    decided = reached = past_falsum = 0
     for budget in SUMMARY_BUDGETS:
         cache = ConCache()
         for _ in range(120):
             claims = EMPTY_CLAIMS if rng.random() < 0.7 else ClaimSet.of([literal_heavy_sentence(rng)])
             for _ in range(rng.randrange(1, 8)):
                 merged = claims.union(literal_heavy_sentence(rng) for _ in range(rng.randrange(1, 4)))
+                # the carried summary is path-free, cache hits included
+                assert merged.summary == summarize(merged.sentences)
+                if merged.summary is None:
+                    # a set holding falsum keeps a None summary in every superset
+                    beyond = merged.union([Atom(5), Not(Atom(6))]).union([Or(Atom(5), Atom(7))])
+                    assert beyond.summary is None and len(beyond) == len(merged) + 3
+                    past_falsum += 1
                 if merged is claims or merged.key in cache.data:
                     continue
                 runs_before = len(resolution_runs)
@@ -556,29 +563,32 @@ def test_union_chains_match_plain_refutation_at_setup_budgets(resolution_runs):
                 if decided_at_setup(merged.sentences):
                     decided += 1
                 reached += len(resolution_runs) > runs_before
-    assert decided > 300 and reached > 50, (decided, reached)
+    assert decided > 300 and reached > 50 and past_falsum > 0, (decided, reached, past_falsum)
 
 
 def test_cache_hits_and_summary_decided_merges_build_no_clauses():
-    # The summary is read from _fold alone: gating a merge that the summary
-    # refutes, or answering from the cache, must not clausify.
+    # The summary is read from _fold alone and carried on the set: a union
+    # reads _root for the sentences it adds only, and gating a merge that
+    # the summary refutes, or answering from the cache, must not clausify.
     cache = ConCache()
     budget = 64
+    prover._LOCALS.clear()
+    prover._root.cache_clear()
     claims = EMPTY_CLAIMS.union(parse_all(["(a0 | a1)", "!a2", "(a2 -> a3)"]))
     clash = claims.union(parse_all(["(a1 & a0)", "(a2 | _|_)"]))
     falsum = claims.union(parse_all(["(a3 & _|_)"]))
-    prover._LOCALS.clear()
-    prover._root.cache_clear()
+    folded = prover._root.cache_info().currsize
+    assert folded == 6
     assert not consistent_enough(clash, budget, cache)
     assert not consistent_enough(falsum, budget, cache)
     assert cache.paths == {"summary": 2, "closure": 0, "plain": 0}
     assert not prover._LOCALS
-    folded = prover._root.cache_info().currsize
-    assert folded == 6
-    # hits and unions do no summary work either
-    assert not consistent_enough(clash, budget, cache)
-    clash.union(parse_all(["(a6 -> a7)"]))
     assert prover._root.cache_info().currsize == folded
+    # a hit does no summary work, and a union only reads its added sentence
+    assert not consistent_enough(clash, budget, cache)
+    assert prover._root.cache_info().currsize == folded
+    clash.union(parse_all(["(a6 -> a7)"]))
+    assert prover._root.cache_info().currsize == folded + 1
     assert not prover._LOCALS
     # a set that reaches the closure does clausify: the probe works
     assert consistent_enough(claims, budget, cache)

@@ -236,6 +236,22 @@ def test_unknown_sections_and_sequence_keys_are_rejected(tmp_path):
         parse_config(MINIMAL + "[DEFAULTS]\nseed = 2\n")
 
 
+def test_repeated_sequence_id_is_rejected(tmp_path):
+    # A repeated id would append each stage's estimate twice to its
+    # trajectory, so stage 2 would read stage 1's value and a trend
+    # assertion would judge the wrong series.
+    text = MINIMAL.replace("ids = atom_chain", "ids = atom_chain atom_chain")
+    with pytest.raises(ConfigError, match=r"\[sequences\] ids: 'atom_chain' is listed twice"):
+        parse_config(text)
+    path = tmp_path / "twice.ini"
+    path.write_text(text + "x = nonincreasing atom_chain 2\n")
+    proc = run_cli("run", str(path), "--out", str(tmp_path / "twice"))
+    assert proc.returncode == 2
+    assert "atom_chain" in proc.stderr
+    # an assertion naming a listed id is no repetition
+    parse_config(MINIMAL + "x = nonincreasing atom_chain 2\n")
+
+
 def test_percent_in_values_is_literal(tmp_path):
     # Values are read without interpolation, so a '%' is plain text and a
     # bad one is an ordinary value error: exit 2, not a traceback.
