@@ -5,7 +5,9 @@ through the prefix-decoded machine: each string is decoded and run under the
 stage's step budget, and the sentences it emits are merged into the set iff
 the merged set passes the bounded consistency gate. A stage couples every
 budget (string count, string length, step budget, axiom prefix) to one growth
-schedule so they scale together.
+schedule so they scale together. The loop stops once no later merge can
+add a sentence the caller reads (``accumulate_claims``), which leaves those
+sentences as merging every draw would.
 
 On top of the accumulation loop sit two membership estimators, each counting
 a whole battery of sentences in one pass: exact enumeration of every bit
@@ -223,26 +225,48 @@ def accumulate_claims(
     draws: Iterable[Union[Bits, tuple[Sentence, ...]]],
     stage: StageParams,
     cache: Optional[ConCache] = None,
+    wanted: Optional[frozenset[Sentence]] = None,
 ) -> ClaimSet:
     """Merge what each draw emits into the stage's axiom set in order, each
     merge kept iff the merged claim set passes the consistency gate, that
     is, iff no refutation of it is found within the stage's proof budget. A
     draw is either a bit string, run under the stage's step budget, or the
-    tuple a drawn string emitted, as ``membership_counts`` passes them."""
+    tuple a drawn string emitted, as ``membership_counts`` passes them.
+
+    Merging stops after the last draw that holds a sentence of wanted the
+    set can still gain (``_can_gain``); wanted=None wants every sentence. A
+    later merge either adds no sentence of wanted or is refuted, and a set
+    never loses a sentence, so the result holds the sentences of wanted that
+    merging every draw gives. With wanted=None it is that set itself: every
+    later merge adds nothing or is refuted by the clause summary."""
     if cache is None:
         cache = ConCache()
     needed = stage.string_bits
-    steps = stage.steps
     budget = stage.proof_budget
-    claims = stage.axiom_set
-    for emitted in draws:
+    drawn = []
+    last = {}  # the last draw that emits each wanted sentence
+    for t, emitted in enumerate(draws):
         if isinstance(emitted, Bits):
             if emitted.length < needed:
                 raise ValueError(
                     f"bitstring has {emitted.length} bits; this stage needs {needed}"
                 )
-            emitted = run_prefix(emitted, steps).emitted
-        claims = _merge(claims, emitted, budget, cache)
+            emitted = run_prefix(emitted, stage.steps).emitted
+        drawn.append(emitted)
+        for s in emitted:
+            if wanted is None or s in wanted:
+                last[s] = t
+    claims = stage.axiom_set
+    t = 0
+    while last:
+        last = {s: u for s, u in last.items() if u >= t and _can_gain(s, claims, budget)}
+        end = max(last.values(), default=-1) + 1
+        while t < end:
+            merged = _merge(claims, drawn[t], budget, cache)
+            t += 1
+            if merged is not claims:
+                claims = merged
+                break
     return claims
 
 
@@ -284,38 +308,6 @@ def _can_gain(s: Sentence, claims: ClaimSet, budget: int) -> bool:
     return result is None or not result.refuted
 
 
-def _counted_claims(
-    drawn: Sequence[tuple[Sentence, ...]],
-    stage: StageParams,
-    wanted: frozenset[Sentence],
-    cache: ConCache,
-) -> ClaimSet:
-    """A claim set that holds the same sentences of wanted as
-    ``accumulate_claims(drawn, stage, cache)``. The draws are merged in
-    order, but only up to the last one that holds a sentence of wanted the
-    set can still gain (``_can_gain``). A later merge either adds no
-    sentence of wanted or is refuted, and a set never loses a sentence, so
-    no later merge changes which sentences of wanted the set ends with."""
-    budget = stage.proof_budget
-    last = {}
-    for t, emitted in enumerate(drawn):
-        for s in emitted:
-            if s in wanted:
-                last[s] = t
-    claims = stage.axiom_set
-    t = 0
-    while last:
-        last = {s: u for s, u in last.items() if u >= t and _can_gain(s, claims, budget)}
-        end = max(last.values(), default=-1) + 1
-        while t < end:
-            merged = _merge(claims, drawn[t], budget, cache)
-            t += 1
-            if merged is not claims:
-                claims = merged
-                break
-    return claims
-
-
 def membership_counts(
     battery: Sequence[Sentence],
     stage: StageParams,
@@ -323,34 +315,23 @@ def membership_counts(
     seed: int,
     cache: Optional[ConCache] = None,
 ) -> list[int]:
-    """One accumulation pass per sample, counting membership for the whole
+    """One accumulation per sample, counting membership for the whole
     battery at once. Sample i's strings are random_bits(derive_seed(s, j),
     width) for j in range(machines), with s = derive_seed(seed, stage.n, i),
     drawn through one table shared by every sample; one child_draws call
-    gives a sample's leading words, and its seeds only past 64 bits.
-
-    Without a passed cache a sample still draws every string but stops
-    merging once no later merge can change which battery sentences it ends
-    with (``_counted_claims``), so the counts are those of the full pass.
-    A passed cache sees every merge of every sample. That full pass exists
-    only to keep the shared cache's statistics, which ``run`` prints and
-    its report pins; the counts are the same either way."""
+    gives a sample's leading words, and its seeds only past 64 bits. A
+    sample draws every string and stops merging once no later merge can
+    change which battery sentences it ends with (``accumulate_claims`` with
+    the battery wanted). A passed cache shares gate verdicts across samples
+    and calls; without one each sample gates on a cache of its own."""
     counts = [0] * len(battery)
     draws = _DrawTable(stage.string_bits, stage.steps)
-    if cache is None:
-        accumulate = partial(
-            _counted_claims,
-            stage=stage,
-            wanted=frozenset(battery),
-            cache=ConCache(),
-        )
-    else:
-        accumulate = partial(accumulate_claims, stage=stage, cache=cache)
+    wanted = frozenset(battery)
     for i in range(samples):
         state = parent_state(derive_seed(seed, stage.n, i))
         lanes = [state ^ j for j in range(stage.machines)]
         drawn = list(map(draws.draw, *child_draws(lanes, draws.width > 64)))
-        _tally(accumulate(drawn), battery, counts)
+        _tally(accumulate_claims(drawn, stage, cache, wanted), battery, counts)
     return counts
 
 

@@ -277,6 +277,9 @@ def _parse_assertion(name: str, raw: str, stage_count: int) -> TrendAssertion:
         else:
             values[slot] = _SLOT_PARSERS[slot](token, where)
     seq_ids.extend(args[len(layout) :])  # the rest of a final "seq..."
+    for i, sid in enumerate(seq_ids):
+        if sid in seq_ids[:i]:
+            raise ConfigError(f"{where}: sequence {sid!r} is named twice")
     if values["window"] > stage_count:
         raise ConfigError(
             f"{where}: window {values['window']} exceeds the {stage_count}-stage schedule"
@@ -526,7 +529,7 @@ def run_crosscheck(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> Cros
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     stage = cfg.schedule[-1]
     battery = list(spec.battery)
-    counts = membership_counts(battery, stage, cfg.samples, cfg.seed)
+    counts = membership_counts(battery, stage, cfg.samples, cfg.seed, ConCache())
     memberships = [monte_carlo_estimate(c, cfg.samples, cfg.seed) for c in counts]
     extensions = extension_probabilities(
         battery,

@@ -804,7 +804,7 @@ def test_every_gate_miss_of_a_standard_run_matches_full_loop(monkeypatch, tmp_pa
     cfg = load_config(str(standard))._replace(samples=3)
     checked, loop_results, cache = check_every_miss(monkeypatch, cfg, tmp_path)
     # the closure decides every miss the summary leaves
-    assert len(loop_results) == 246 and cache.paths["plain"] == 0, cache.paths
+    assert len(loop_results) == 226 and cache.paths["plain"] == 0, cache.paths
     assert len(checked) == cache.misses > 300
 
 

@@ -44,7 +44,7 @@ from sentprob.machine import (
     register_emissions,
     run_prefix,
 )
-from sentprob.prover import semantic_consistent
+from sentprob.prover import refute_bounded, semantic_consistent
 from sentprob.sequences import sequence_by_id
 from test_bits import leading_word
 from test_logic import theory_from_axioms
@@ -300,18 +300,43 @@ SKIP_BATTERY = [parse_sentence(t) for t in ("_|_", "a0", "!a0", "a1", "!a1", "(a
 ]
 
 
+def full_merge(drawn, stage, cache):
+    """The claim set of merging every drawn tuple in order, with no stop:
+    the reference the stopping accumulation is compared against."""
+    claims = stage.axiom_set
+    for emitted in drawn:
+        claims = estimator._merge(claims, emitted, stage.proof_budget, cache)
+    return claims
+
+
+def sample_emissions(stage, seed, i):
+    """What each string of sample i of membership_counts(..., seed) emits."""
+    strings = sample_strings(stage, derive_seed(seed, stage.n, i))
+    return [run_prefix(bits, stage.steps).emitted for bits in strings]
+
+
+def full_merge_counts(battery, stage, samples, seed):
+    counts = [0] * len(battery)
+    cache = ConCache()
+    for i in range(samples):
+        held = full_merge(sample_emissions(stage, seed, i), stage, cache)
+        for j, phi in enumerate(battery):
+            counts[j] += phi in held
+    return counts
+
+
 def test_membership_counts_skip_keeps_every_count():
-    # Without a cache a sample stops merging once no later draw can change
-    # a count; with one it merges every draw. At budget 0 the gate accepts
-    # a clash of unit literals, so only falsum settles a sentence there; at
-    # budgets 1 and 4 a clash does too, and the budget binds. The unit
-    # axioms a0 and !a1 clash with !a0 and a1 before any draw.
+    # A sample stops merging once no later draw can change a count; the
+    # reference merges every draw. At budget 0 the gate accepts a clash of
+    # unit literals, so only falsum settles a sentence there; at budgets 1
+    # and 4 a clash does too, and the budget binds. The unit axioms a0 and
+    # !a1 clash with !a0 and a1 before any draw.
     units = theory_from_axioms("units", [Atom(0), Not(Atom(1))])
     for budget in (0, 1, 4):
         for stage in default_schedule(3, proof_floor=budget, proof_factor=0):
             for stage in (stage, stage._replace(axioms=2, theory=units)):
                 for seed in range(20):
-                    full = membership_counts(SKIP_BATTERY, stage, 3, seed, ConCache())
+                    full = full_merge_counts(SKIP_BATTERY, stage, 3, seed)
                     got = membership_counts(SKIP_BATTERY, stage, 3, seed)
                     assert got == full, (budget, stage.n, stage.theory.name, seed)
 
@@ -325,15 +350,33 @@ def test_skip_gates_fewer_merges(monkeypatch):
         return gate(*args)
 
     monkeypatch.setattr(estimator, "consistent_enough", counted)
-
-    def gated(count, *args):
-        calls[0] = 0
-        count(*args)
-        return calls[0]
-
     stage = default_schedule(3)[-1]
-    full = gated(membership_counts, SKIP_BATTERY, stage, 4, 7, ConCache())
-    assert 0 < gated(membership_counts, SKIP_BATTERY, stage, 4, 7) < full
+    full = full_merge_counts(SKIP_BATTERY, stage, 4, 7)
+    full_calls, calls[0] = calls[0], 0
+    assert membership_counts(SKIP_BATTERY, stage, 4, 7) == full
+    assert 0 < calls[0] < full_calls
+
+
+def test_accumulating_every_sentence_is_the_full_merge():
+    # With no wanted set, accumulate_claims stops only where every later
+    # merge adds nothing or is refuted by the clause summary, so it builds
+    # the full merge's set and leaves it only summary decisions. The small
+    # schedules (a budget of the stage's size, 2 and 0) make the proof
+    # budget bind: some final sets are refuted at 4096 and kept here.
+    binding = 0
+    for floor, factor in ((256, 16), (1, 1), (2, 0), (0, 0)):
+        cache, reference = ConCache(), ConCache()
+        for stage in default_schedule(4, proof_floor=floor, proof_factor=factor):
+            for i in range(15):
+                drawn = sample_emissions(stage, 41, i)
+                full = full_merge(drawn, stage, reference)
+                got = accumulate_claims(drawn, stage, cache)
+                assert got.key == full.key, (floor, factor, stage.n, i)
+                binding += refute_bounded(full.sentences, 4096).refuted
+        for path in ("closure", "plain"):
+            assert cache.paths[path] == reference.paths[path], (floor, factor, cache.paths)
+        assert cache.paths["summary"] < reference.paths["summary"], (floor, factor)
+    assert binding > 50
 
 
 def test_exact_counts_frozen():
@@ -363,7 +406,7 @@ def test_exact_counts_match_fresh_oracle():
 
 def exact_counts_per_vector(battery, stage):
     """The exact pass as first written: split every bit vector of the stage
-    into its machines' strings and run one full accumulation per vector."""
+    into its machines' strings and run one accumulation per vector."""
     machines, width = stage.machines, stage.string_bits
     total = machines * width
     mask = (1 << width) - 1

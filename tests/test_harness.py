@@ -1,4 +1,5 @@
 import importlib.resources
+import json
 import os
 import re
 import subprocess
@@ -250,6 +251,17 @@ def test_repeated_sequence_id_is_rejected(tmp_path):
     assert "atom_chain" in proc.stderr
     # an assertion naming a listed id is no repetition
     parse_config(MINIMAL + "x = nonincreasing atom_chain 2\n")
+    # Nor may one assertion name an id twice: a diff of a sequence with
+    # itself can never fail, and a sum would count one trajectory twice.
+    listed = MINIMAL.replace("ids = atom_chain", "ids = atom_chain neg_atom_chain")
+    for line in (
+        "y = diff atom_chain atom_chain 0.1 2",
+        "y = sum 1 0.1 2 atom_chain atom_chain",
+        "y = sum 1 0.1 2 atom_chain neg_atom_chain atom_chain",
+    ):
+        with pytest.raises(ConfigError, match=r"assertion y: sequence 'atom_chain' is named twice"):
+            parse_config(listed + line + "\n")
+    parse_config(listed + "y = sum 1 0.1 2 atom_chain neg_atom_chain\n")
 
 
 def test_percent_in_values_is_literal(tmp_path):
@@ -466,8 +478,6 @@ def test_suite_artifact_shapes(tmp_path):
     csv = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert csv[0] == "seq_id,n,value,ci,samples,seed,mode"
     assert len(csv) == 1 + len(cfg.sequence_ids) * len(cfg.schedule)
-    import json
-
     rows = [json.loads(line) for line in (tmp_path / "trajectories.jsonl").read_text().splitlines()]
     assert len(rows) == len(cfg.sequence_ids) * len(cfg.schedule)
     assert set(rows[0]) == {"seq_id", "n", "value", "ci", "samples", "seed", "mode"}
@@ -598,33 +608,39 @@ def test_unusable_output_directory_fails_before_any_work(tmp_path, monkeypatch, 
     assert str(bad) in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_benchmark_tracer_wraps_the_demo_run(tmp_path):
-    # perfbench/tracer.py patches sentprob functions by name and reads some
-    # arguments by position: the gate's cache (consistent_enough, args[2]),
-    # refute_bounded's budget (args[1]) and accumulate_claims' stage. A
-    # traced demo run must still pass, write the committed artifacts and
-    # record every one of those. -B keeps the child from writing bytecode
-    # into perfbench/.
+def traced_cli(tmp_path, *argv):
+    """Run cli.main(argv) in a child under perfbench/tracer.py's wiring.
+    Returns the finished process and the tracer's summary. -B keeps the
+    child from writing bytecode into perfbench/."""
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
         "from tracer import Tracer, install\n"
         "tracer = Tracer()\n"
         "install(tracer)\n"
-        "tracer.begin_run('demo')\n"
+        "tracer.begin_run('traced')\n"
         "from sentprob import cli\n"
-        "code = cli.main(['demo', '--out', sys.argv[1]])\n"
-        "with open(sys.argv[2], 'w') as fh:\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
         "    json.dump(tracer.summary(), fh)\n"
         "sys.exit(code)\n"
     )
-    out, summary_path = tmp_path / "demo", tmp_path / "summary.json"
-    proc = run_python("-B", "-c", script, str(out), str(summary_path))
+    summary_path = tmp_path / "summary.json"
+    proc = run_python("-B", "-c", script, str(summary_path), *argv)
+    assert summary_path.exists(), proc.stderr
+    return proc, json.loads(summary_path.read_text())
+
+
+def test_benchmark_tracer_wraps_the_demo_run(tmp_path):
+    # perfbench/tracer.py patches sentprob functions by name and reads some
+    # arguments by position: the gate's cache (consistent_enough, args[2]),
+    # refute_bounded's budget (args[1]) and accumulate_claims' stage. A
+    # traced demo run must still pass, write the committed artifacts and
+    # record every one of those.
+    out = tmp_path / "demo"
+    proc, summary = traced_cli(tmp_path, "demo", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert_matches_committed(sorted(out.iterdir()), ROOT / "demo_run")
-    import json
-
-    summary = json.loads(summary_path.read_text())
     spans, counters, samples = summary["spans"], summary["counters"], summary["samples"]
     for name in ("consistency.consistent_enough", "estimator.accumulate_claims"):
         assert spans[name][0] > 0, name
@@ -633,3 +649,17 @@ def test_benchmark_tracer_wraps_the_demo_run(tmp_path):
     # wrapped plain loop is never called and samples nothing.
     assert spans["prover.refute_bounded"][0] == 0 and not samples.get("prover.budget_use")
     assert set(samples["estimator.accumulate_stage"]) == {1, 2}
+
+
+def test_benchmark_tracer_sees_every_crosscheck_accumulation(tmp_path):
+    # The crosscheck's recount merges each sample through accumulate_claims,
+    # the binding the tracer wraps, so a traced crosscheck records one
+    # accumulation of the last stage per sample.
+    standard = (SRC / "sentprob" / "configs" / "standard.ini").read_text()
+    config = tmp_path / "standard.ini"
+    config.write_text(standard.replace("samples = 400", "samples = 3"))
+    proc, summary = traced_cli(tmp_path, "crosscheck", str(config), "--out", str(tmp_path / "x"))
+    assert proc.returncode in (0, 1), proc.stderr
+    assert summary["spans"]["estimator.membership_counts"][0] == 1
+    assert summary["spans"]["estimator.accumulate_claims"][0] == 3
+    assert summary["samples"]["estimator.accumulate_stage"] == [5, 5, 5]
