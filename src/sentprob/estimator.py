@@ -5,9 +5,9 @@ through the prefix-decoded machine: each string is decoded and run under the
 stage's step budget, and the sentences it emits are merged into the set iff
 the merged set passes the bounded consistency gate. A stage couples every
 budget (string count, string length, step budget, axiom prefix) to one growth
-schedule so they scale together. The loop stops once no later merge can
-add a sentence the caller reads (``accumulate_claims``), which leaves those
-sentences as merging every draw would.
+schedule so they scale together. The loop stops drawing once no later
+merge can add a sentence the caller reads (``accumulate_claims``), which
+leaves those sentences as merging every draw would.
 
 On top of the accumulation loop sit two membership estimators, each counting
 a whole battery of sentences in one pass: exact enumeration of every bit
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import sqrt
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -231,43 +231,58 @@ def accumulate_claims(
     merge kept iff the merged claim set passes the consistency gate, that
     is, iff no refutation of it is found within the stage's proof budget. A
     draw is either a bit string, run under the stage's step budget, or the
-    tuple a drawn string emitted, as ``membership_counts`` passes them.
+    tuple a drawn string emitted; draws are pulled only as far as needed.
 
-    Merging stops after the last draw that holds a sentence of wanted the
-    set can still gain (``_can_gain``); wanted=None wants every sentence. A
-    later merge either adds no sentence of wanted or is refuted, and a set
-    never loses a sentence, so the result holds the sentences of wanted that
-    merging every draw gives. With wanted=None it is that set itself: every
-    later merge adds nothing or is refuted by the clause summary."""
+    Pending holds the sentences of wanted the set can still gain
+    (``_can_gain``); it only shrinks as the set grows. The loop pulls draws
+    until one holds a pending sentence, merges up to it while it still does,
+    and returns once pending is empty, checking a collection's unread
+    strings for width only. A skipped merge adds no wanted sentence or is
+    refuted, and a set never loses one, so the result holds the wanted
+    sentences that merging every draw gives. wanted=None wants every
+    sentence the draws emit, read first."""
     if cache is None:
         cache = ConCache()
-    needed = stage.string_bits
     budget = stage.proof_budget
-    drawn = []
-    last = {}  # the last draw that emits each wanted sentence
-    for t, emitted in enumerate(draws):
-        if isinstance(emitted, Bits):
-            if emitted.length < needed:
-                raise ValueError(
-                    f"bitstring has {emitted.length} bits; this stage needs {needed}"
-                )
-            emitted = run_prefix(emitted, stage.steps).emitted
-        drawn.append(emitted)
-        for s in emitted:
-            if wanted is None or s in wanted:
-                last[s] = t
-    claims = stage.axiom_set
-    t = 0
-    while last:
-        last = {s: u for s, u in last.items() if u >= t and _can_gain(s, claims, budget)}
-        end = max(last.values(), default=-1) + 1
-        while t < end:
+    if wanted is None:
+        draws = [_emission(draw, stage) for draw in draws]
+        wanted = frozenset().union(*draws)
+    claims, pending = stage.axiom_set, set(wanted)
+    def gains(sentences: Iterable[Sentence]) -> bool:
+        """Whether claims can gain one of sentences; pending drops the ones it cannot."""
+        for s in pending.intersection(sentences):
+            if _can_gain(s, claims, budget):
+                return True
+            pending.discard(s)
+        return False
+    unread = iter(draws)
+    drawn, t = [], 0  # t: the first draw not merged; none from t on holds a gainable sentence
+    for draw in unread if gains(pending) else ():
+        drawn.append(emitted := _emission(draw, stage))
+        if pending.isdisjoint(emitted) or not gains(emitted):
+            continue
+        while t < len(drawn):
             merged = _merge(claims, drawn[t], budget, cache)
             t += 1
             if merged is not claims:
                 claims = merged
-                break
+                if not gains(emitted):
+                    gains(pending)  # empties pending when nothing can be gained
+                    break
+        if not pending:
+            break
+    for draw in unread if unread is not draws else ():  # a collection: cheap to check
+        _emission(draw, stage, run=False)
     return claims
+
+
+def _emission(draw: Union[Bits, tuple], stage: StageParams, run: bool = True) -> tuple:
+    """What a draw emits; run=False only checks that no string is narrower than the stage's."""
+    if not isinstance(draw, Bits):
+        return draw
+    if draw.length < stage.string_bits:
+        raise ValueError(f"bitstring has {draw.length} bits; this stage needs {stage.string_bits}")
+    return run_prefix(draw, stage.steps).emitted if run else ()
 
 
 def _merge(
@@ -319,19 +334,22 @@ def membership_counts(
     battery at once. Sample i's strings are random_bits(derive_seed(s, j),
     width) for j in range(machines), with s = derive_seed(seed, stage.n, i),
     drawn through one table shared by every sample; one child_draws call
-    gives a sample's leading words, and its seeds only past 64 bits. A
-    sample draws every string and stops merging once no later merge can
-    change which battery sentences it ends with (``accumulate_claims`` with
-    the battery wanted). A passed cache shares gate verdicts across samples
-    and calls; without one each sample gates on a cache of its own."""
+    gives a sample's leading words, and its seeds only past 64 bits. They
+    run as the accumulation pulls them, which stops once no later merge can
+    change which battery sentences the sample ends with (``accumulate_claims``
+    with the battery wanted), in blocks of 1, 2, 4, ...: a sample runs fewer
+    than twice the strings it reads, in long stretches when it reads them
+    all. A passed cache shares gate verdicts across samples and calls."""
     counts = [0] * len(battery)
     draws = _DrawTable(stage.string_bits, stage.steps)
     wanted = frozenset(battery)
     for i in range(samples):
         state = parent_state(derive_seed(seed, stage.n, i))
         lanes = [state ^ j for j in range(stage.machines)]
-        drawn = list(map(draws.draw, *child_draws(lanes, draws.width > 64)))
-        _tally(accumulate_claims(drawn, stage, cache, wanted), battery, counts)
+        drawn = map(draws.draw, *child_draws(lanes, draws.width > 64))
+        blocks = (list(islice(drawn, 1 << k)) for k in range(stage.machines.bit_length()))
+        claims = accumulate_claims(chain.from_iterable(blocks), stage, cache, wanted)
+        _tally(claims, battery, counts)
     return counts
 
 

@@ -337,6 +337,8 @@ def _parse_battery(raw: str, atom_window: int) -> tuple[Sentence, ...]:
             raise ConfigError(
                 f"[crosscheck] battery: {exc} (atom_window {atom_window}): {_excerpt(text)}"
             ) from exc
+        if phi in battery:
+            raise ConfigError(f"[crosscheck] battery: {_excerpt(text)} is listed twice")
         battery.append(phi)
     if not battery:
         raise ConfigError("[crosscheck] battery: no sentences")

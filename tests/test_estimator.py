@@ -176,6 +176,21 @@ def test_accumulate_accepts_every_tautology_emitter():
 def test_accumulate_rejects_short_strings():
     with pytest.raises(ValueError, match="needs 12"):
         accumulate_claims([Bits(0, 5)], single_machine_stage(12))
+    # A short string is an error wherever it sits: here the wanted set
+    # settles at the first draw, so the loop stops there and checks the
+    # rest of the list for width without running it. Nothing in the list
+    # is wanted when only falsum is, so no draw is run at all.
+    st = single_machine_stage(16)
+    w_pos = pad(assemble_emit_one(1), 16)
+    assert accumulate_claims([w_pos, w_pos], st, wanted=frozenset([Atom(0)])).key == ("a0",)
+    for wanted in (frozenset([Atom(0)]), frozenset([BOTTOM]), None):
+        with pytest.raises(ValueError, match="needs 16"):
+            accumulate_claims([w_pos, Bits(0, 5), w_pos], st, wanted=wanted)
+    # An iterator is pulled no further than the stop: what it holds past
+    # that point stays unread.
+    draws = iter([w_pos, Bits(0, 5)])
+    assert accumulate_claims(draws, st, wanted=frozenset([Atom(0)])).key == ("a0",)
+    assert next(draws) == Bits(0, 5)
 
 
 DRAW_WIDTHS = (0, 1, 11, 12, 13, 24, 63, 64, 65, 384)
@@ -377,6 +392,119 @@ def test_accumulating_every_sentence_is_the_full_merge():
             assert cache.paths[path] == reference.paths[path], (floor, factor, cache.paths)
         assert cache.paths["summary"] < reference.paths["summary"], (floor, factor)
     assert binding > 50
+
+
+def draw_everything(drawn, stage, cache, wanted):
+    """The reference for a wanted set, reading every draw first: draw t is
+    merged iff a draw from t on holds a sentence of wanted that the set can
+    still gain. Past the first draw that fails, every later one fails too,
+    as the set no longer grows. Also gives how many draws a lazy loop reads:
+    after a merge that leaves no sentence of wanted to gain, it has read up
+    to the first draw from that one on that held one before the merge."""
+    budget = stage.proof_budget
+    later = [frozenset()]  # later[-1 - t]: the wanted sentences of draws t..
+    for emitted in reversed(drawn):
+        later.append(later[-1] | wanted.intersection(emitted))
+
+    def gainable(claims):
+        return {s for s in wanted if estimator._can_gain(s, claims, budget)}
+
+    claims = stage.axiom_set
+    read = len(drawn) if gainable(claims) else 0
+    for t, emitted in enumerate(drawn):
+        gain = gainable(claims)
+        if gain.isdisjoint(later[-1 - t]):
+            break
+        merged = estimator._merge(claims, emitted, budget, cache)
+        if merged is not claims and not gainable(merged):
+            read = next(u for u in range(t, len(drawn)) if not gain.isdisjoint(drawn[u])) + 1
+        claims = merged
+    return claims, read
+
+
+def crosscheck_battery():
+    standard = importlib.resources.files("sentprob") / "configs" / "standard.ini"
+    return load_config(str(standard)).crosscheck.battery
+
+
+class Counted:
+    """An iterator over drawn, counting the draws pulled from it."""
+
+    def __init__(self, drawn):
+        self.rest = iter(drawn)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        draw = next(self.rest)
+        self.pulled += 1
+        return draw
+
+
+def test_lazy_draws_merge_as_reading_every_draw():
+    # Pulled lazily, the draws give the reference's claim sets with the same
+    # gate calls: the same cache statistics and decision paths, at standard
+    # stages 1-5 under the schedules of the full-merge test, three of whose
+    # proof budgets bind. Each sample reads as many draws as the reference
+    # says it needs. The skip battery's far atom is never emitted, so its
+    # samples read every draw; some of the crosscheck battery's stop early.
+    for battery in (SKIP_BATTERY, crosscheck_battery()):
+        wanted = frozenset(battery)
+        early = []
+        for floor, factor in ((256, 16), (1, 1), (2, 0), (0, 0)):
+            cache, reference = ConCache(), ConCache()
+            for stage in default_schedule(5, proof_floor=floor, proof_factor=factor):
+                for i in range(2 if stage.n == 5 else 4):
+                    drawn = sample_emissions(stage, 43, i)
+                    full, read = draw_everything(drawn, stage, reference, wanted)
+                    draws = Counted(drawn)
+                    got = accumulate_claims(draws, stage, cache, wanted)
+                    where = (battery[-1], floor, factor, stage.n, i)
+                    assert (got.key, draws.pulled) == (full.key, read), where
+                    early.append(read < len(drawn))
+            assert cache.stats() == reference.stats(), (battery[-1], floor, factor)
+            assert cache.paths == reference.paths, (battery[-1], floor, factor)
+        assert any(early) == (battery is not SKIP_BATTERY)
+    # A merge can settle the sentence the look-ahead draw was pulled for:
+    # once !a0 is in, a0 can no longer be gained, so the a0 draw that made
+    # the loop merge !a0 is itself never merged or gated.
+    st = single_machine_stage(16)
+    w_pos, w_neg = pad(assemble_emit_one(1), 16), pad(assemble_emit_one(7), 16)
+    cache = ConCache()
+    assert accumulate_claims([w_neg, w_pos], st, cache, frozenset([Atom(0)])).key == ("!a0",)
+    assert cache.stats() == {"entries": 1, "hits": 0, "misses": 1}
+
+
+def test_lazy_draws_read_only_what_the_merges_need(monkeypatch):
+    # With the crosscheck battery a sample stops pulling once no battery
+    # sentence can still be gained, so some sample reads fewer draws than
+    # it has machines; with every sentence wanted each sample reads all.
+    wanted = frozenset(crosscheck_battery())
+    stage = default_schedule(3)[-1]
+    pulled = {}
+    for i in range(6):
+        drawn = sample_emissions(stage, 43, i)
+        for key in (wanted, None):
+            draws = Counted(drawn)
+            accumulate_claims(draws, stage, ConCache(), key)
+            pulled.setdefault(key, []).append(draws.pulled)
+    assert min(pulled[wanted]) < stage.machines
+    assert pulled[None] == [stage.machines] * 6
+    # membership_counts runs its strings in blocks of 1, 2, 4, ... as the
+    # loop pulls them: at least the strings read, fewer than twice as many.
+    asked = [0]
+    draw = estimator._DrawTable.draw
+
+    def counted(self, *args):
+        asked[0] += 1
+        return draw(self, *args)
+
+    monkeypatch.setattr(estimator._DrawTable, "draw", counted)
+    membership_counts(list(wanted), stage, 6, 43)
+    read = sum(pulled[wanted])
+    assert read <= asked[0] < min(2 * read, 6 * stage.machines)
 
 
 def test_exact_counts_frozen():

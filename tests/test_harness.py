@@ -305,6 +305,12 @@ def test_crosscheck_config_errors():
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0\natom_window = 5\n")
     with pytest.raises(ConfigError, match="expected sentence"):
         parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; (a0 &\n")
+    # A repeated sentence would write its crosscheck row twice; a sentence
+    # equivalent to another is no repetition.
+    with pytest.raises(ConfigError, match=r"\[crosscheck\] battery: 'a0' is listed twice"):
+        parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; a0 ; !!a0\n")
+    cfg = parse_config(MINIMAL + "x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; !!a0\n")
+    assert cfg.crosscheck.battery == (Atom(0), parse_sentence("!!a0"))
     # A run of negations is read in a loop, however long.
     deep = "!" * 5000 + "a1"
     cfg = parse_config(MINIMAL + f"x = approaches atom_chain 1 0.1 1\n[crosscheck]\nbattery = a0 ; {deep}\n")
